@@ -24,7 +24,7 @@ from qtcomb.paths import (
     InvalidPathError,
     PolyominoWord,
 )
-from qtcomb.suites import SUITES
+from qtcomb.suites import IDENTITY_NAMES, SUITES
 
 
 class UsageError(Exception):
@@ -85,10 +85,22 @@ def cmd_enum(args):
 
 def _load_object(path):
     with open(path) as fh:
-        obj = json.load(fh)
-    if "letters" in obj:
-        return PolyominoWord.from_json(obj)
-    return DecoratedLabelledPath.from_json(obj)
+        try:
+            obj = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise UsageError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise UsageError(
+            f"{path}: expected a JSON object, got {type(obj).__name__}"
+        )
+    try:
+        if "letters" in obj:
+            return PolyominoWord.from_json(obj)
+        return DecoratedLabelledPath.from_json(obj)
+    except KeyError as exc:
+        raise UsageError(f"{path}: missing field {exc}") from exc
+    except TypeError as exc:
+        raise UsageError(f"{path}: malformed object: {exc}") from exc
 
 
 def _stats(obj):
@@ -188,6 +200,8 @@ def cmd_verify(args):
             reports += suite(max_size=min(args.max, 5))
         else:
             reports += suite()
+    if not reports:
+        raise UsageError(f"no checks ran: verify {args.suite} --max {args.max}")
     rows = sorted(r.row() for r in reports)
     if args.format == "json":
         text = (
@@ -280,7 +294,11 @@ def build_parser():
         "suite", choices=sorted(SUITES) + ["all"], help="suite name"
     )
     p_verify.add_argument("--max", type=int, default=5, help="size bound")
-    p_verify.add_argument("--name", help="identity name for the identities suite")
+    p_verify.add_argument(
+        "--name",
+        choices=IDENTITY_NAMES,
+        help="identity name for the identities suite",
+    )
     p_verify.add_argument("--grid-bound", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -7,16 +7,22 @@ weights), Hall pairings against h-products, e-h products and hook Schur
 functions, and the partition-sum evaluators used for identity
 verification on the prime grid.
 
-All identity evaluation happens at exact rational points; symbolic data
-(the Macdonald monomial coefficients) are integer q,t-polynomials.
+All identity evaluation happens at exact points; symbolic data (the
+Macdonald monomial coefficients, the Hall pairings built from them) are
+integer q,t-polynomials, built once per partition and evaluated per point.
+At the int points of the prime grid every evaluator stays in integer
+arithmetic: a rational partition sum is carried as an integer numerator
+over a common denominator, divided once at the end.  Fraction points go
+through the same code and give equal values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from qtcomb.qt import PoleError, QtPolynomial
+from qtcomb.qt import PoleError, QtPolynomial, exact_quotient
 
 DEGREE_CAP = 7
 
@@ -159,7 +165,7 @@ class MonomialAlphabet:
 
     def power_sum(self, j, pt):
         """p_j of the alphabet at the point: each monomial to the j-th power."""
-        total = Fraction(0)
+        total = 0
         for (a, b), mult in self.terms.items():
             total += mult * pt.q0 ** (j * a) * pt.t0 ** (j * b)
         return total
@@ -184,11 +190,26 @@ class MonomialAlphabet:
         )
 
 
-def b_alphabet(mu):
-    """B_mu = sum of q^coarm t^coleg over the cells."""
-    return MonomialAlphabet(
-        [((mu.coarm(c), mu.coleg(c)), 1) for c in mu.cells()]
+@lru_cache(maxsize=None)
+def _cell_stats(mu):
+    """(coarm, coleg, arm, leg) of every cell of mu, row by row."""
+    mu = Partition(mu)
+    return tuple(
+        (mu.coarm(c), mu.coleg(c), mu.arm(c), mu.leg(c)) for c in mu.cells()
     )
+
+
+@lru_cache(maxsize=None)
+def b_alphabet(mu):
+    """B_mu = sum of q^coarm t^coleg over the cells.  Built once per
+    partition; the alphabet is shared, so callers must not mutate it."""
+    return MonomialAlphabet([((a, l), 1) for a, l, _, _ in _cell_stats(mu)])
+
+
+@lru_cache(maxsize=None)
+def b_minus_one(mu):
+    """B_mu - 1, the alphabet of the e_r coefficients; built once."""
+    return b_alphabet(mu).minus_one()
 
 
 def m_alphabet():
@@ -203,8 +224,9 @@ def bracket_q(r):
 
 def t_mu(mu, pt=None):
     """T_mu, the product of q^coarm t^coleg over all cells."""
-    a = sum(mu.coarm(c) for c in mu.cells())
-    b = sum(mu.coleg(c) for c in mu.cells())
+    stats = _cell_stats(mu)
+    a = sum(s[0] for s in stats)
+    b = sum(s[1] for s in stats)
     if pt is None:
         return QtPolynomial.monomial(1, a, b)
     return pt.q0**a * pt.t0**b
@@ -212,20 +234,15 @@ def t_mu(mu, pt=None):
 
 def pi_mu(mu, pt=None):
     """Pi_mu, product of 1 - q^coarm t^coleg over cells other than the corner."""
+    # the corner (0, 0) is the first cell
     if pt is None:
         out = QtPolynomial.one()
-        for c in mu.cells():
-            if c == (0, 0):
-                continue
-            out *= QtPolynomial.one() - QtPolynomial.monomial(
-                1, mu.coarm(c), mu.coleg(c)
-            )
+        for a, l, _, _ in _cell_stats(mu)[1:]:
+            out *= QtPolynomial.one() - QtPolynomial.monomial(1, a, l)
         return out
-    out = Fraction(1)
-    for c in mu.cells():
-        if c == (0, 0):
-            continue
-        out *= 1 - pt.q0 ** mu.coarm(c) * pt.t0 ** mu.coleg(c)
+    out = 1
+    for a, l, _, _ in _cell_stats(mu)[1:]:
+        out *= 1 - pt.q0**a * pt.t0**l
     return out
 
 
@@ -233,24 +250,22 @@ def w_mu(mu, pt=None):
     """w_mu, product over cells of (q^arm - t^(leg+1))(t^leg - q^(arm+1))."""
     if pt is None:
         out = QtPolynomial.one()
-        for c in mu.cells():
-            a, l = mu.arm(c), mu.leg(c)
+        for _, _, a, l in _cell_stats(mu):
             out *= (
                 QtPolynomial.monomial(1, a, 0) - QtPolynomial.monomial(1, 0, l + 1)
             ) * (
                 QtPolynomial.monomial(1, 0, l) - QtPolynomial.monomial(1, a + 1, 0)
             )
         return out
-    out = Fraction(1)
-    for c in mu.cells():
-        a, l = mu.arm(c), mu.leg(c)
+    out = 1
+    for _, _, a, l in _cell_stats(mu):
         out *= (pt.q0**a - pt.t0 ** (l + 1)) * (pt.t0**l - pt.q0 ** (a + 1))
     return out
 
 
 def partition_invariants(mu, pt=None):
-    """(B, T, Pi, w, M) for a partition; exact rationals at a point,
-    polynomials/alphabets symbolically."""
+    """(B, T, Pi, w, M) for a partition; exact values at a point (ints at
+    int points), polynomials/alphabets symbolically."""
     B = b_alphabet(mu)
     if pt is None:
         M = (QtPolynomial.one() - QtPolynomial.q()) * (
@@ -275,41 +290,35 @@ def pleth_p(j, alphabet, pt):
 
 
 def pleth_e(r, alphabet, pt):
-    """e_r of the alphabet via Newton's recurrence; 0 for r < 0."""
+    """e_r of the alphabet at the point; 0 for r < 0.
+
+    e_r[A] is the z^r coefficient of the product of (1 + x z)^mult over the
+    monomials x of A with their multiplicities: an integer series product
+    truncated at z^r, with no division, so it stays an int at int points.
+    """
     if r < 0:
-        return Fraction(0)
+        return 0
     key = ("e", r, alphabet.key(), pt.q0, pt.t0)
     hit = _PLETH_CACHE.get(key)
     if hit is not None:
         return hit
-    e = [Fraction(1)]
-    p = [None] + [pleth_p(j, alphabet, pt) for j in range(1, r + 1)]
-    for i in range(1, r + 1):
-        acc = Fraction(0)
-        for j in range(1, i + 1):
-            acc += (-1) ** (j - 1) * p[j] * e[i - j]
-        e.append(acc / i)
-    _PLETH_CACHE[key] = e[r]
-    return e[r]
+    series = [1] + [0] * r
+    for (a, b), mult in alphabet.terms.items():
+        x = pt.q0**a * pt.t0**b
+        for _ in range(mult):  # times (1 + x z)
+            for i in range(r, 0, -1):
+                series[i] += x * series[i - 1]
+        for _ in range(-mult):  # over (1 + x z)
+            for i in range(1, r + 1):
+                series[i] -= x * series[i - 1]
+    _PLETH_CACHE[key] = series[r]
+    return series[r]
 
 
 def pleth_h(r, alphabet, pt):
-    """h_r of the alphabet via Newton's recurrence; 0 for r < 0."""
-    if r < 0:
-        return Fraction(0)
-    key = ("h", r, alphabet.key(), pt.q0, pt.t0)
-    hit = _PLETH_CACHE.get(key)
-    if hit is not None:
-        return hit
-    h = [Fraction(1)]
-    p = [None] + [pleth_p(j, alphabet, pt) for j in range(1, r + 1)]
-    for i in range(1, r + 1):
-        acc = Fraction(0)
-        for j in range(1, i + 1):
-            acc += p[j] * h[i - j]
-        h.append(acc / i)
-    _PLETH_CACHE[key] = h[r]
-    return h[r]
+    """h_r of the alphabet at the point, as (-1)^r e_r[-A]; 0 for r < 0."""
+    value = pleth_e(r, -alphabet, pt)
+    return -value if r % 2 else value
 
 
 def pleth_eh(kind, r, alphabet, pt):
@@ -556,7 +565,7 @@ def htilde_mcoeff(mu, lam):
 
 def htilde(mu, pt, cap=DEGREE_CAP):
     """Monomial-basis vector of the modified Macdonald polynomial at a
-    point, as a SymFun with Fraction coefficients."""
+    point, as a SymFun with exact coefficients (ints at int points)."""
     mu = Partition(mu)
     if mu.size > cap:
         raise CapacityError(f"degree {mu.size} above the cap {cap}")
@@ -567,18 +576,23 @@ def htilde(mu, pt, cap=DEGREE_CAP):
     return SymFun(mu.size, "m", coeffs)
 
 
-_P_VEC_CACHE = {}
-
-
-def _htilde_p_vector(mu, pt, cap=DEGREE_CAP):
-    """p-basis coordinates of the Macdonald polynomial at a point."""
-    key = (tuple(mu), pt.q0, pt.t0)
-    hit = _P_VEC_CACHE.get(key)
-    if hit is not None:
-        return hit
-    vec = htilde(mu, pt, cap=cap).convert_to("p").coeffs
-    _P_VEC_CACHE[key] = vec
-    return vec
+@lru_cache(maxsize=None)
+def _htilde_p_coeffs(mu):
+    """p-basis coordinates of the Macdonald polynomial of mu, point-free:
+    (D, ((rho, P_rho), ...)) with integer q,t-polynomials P_rho such that
+    the coefficient of p_rho is P_rho / D."""
+    n = sum(mu)
+    to_p = _m_to_basis_matrix("p", n)
+    denom = 1
+    for row in to_p.values():
+        for c in row.values():
+            denom = lcm(denom, c.denominator)
+    coeffs = {}
+    for lam in partitions_of(n):
+        mcoeff = htilde_mcoeff(mu, tuple(lam))
+        for rho, c in to_p[lam].items():
+            coeffs[rho] = coeffs.get(rho, 0) + int(c * denom) * mcoeff
+    return denom, tuple((tuple(rho), p) for rho, p in coeffs.items() if p)
 
 
 _AT_ALPHABET_CACHE = {}
@@ -587,21 +601,26 @@ _AT_ALPHABET_CACHE = {}
 def htilde_at_alphabet(mu, alphabet, pt, cap=DEGREE_CAP):
     """Plethystic evaluation of the Macdonald polynomial on an alphabet;
     coefficients stay fixed, only the alphabet is raised to powers."""
-    mu = Partition(mu)
-    if mu.size == 0:
-        return Fraction(1)
-    key = (tuple(mu), alphabet.key(), pt.q0, pt.t0)
+    mu = tuple(mu)
+    if not mu:
+        return 1
+    if sum(mu) > cap:
+        raise CapacityError(f"degree {sum(mu)} above the cap {cap}")
+    key = (mu, alphabet.key(), pt.q0, pt.t0)
     hit = _AT_ALPHABET_CACHE.get(key)
     if hit is not None:
         return hit
-    total = Fraction(0)
-    for rho, c in _htilde_p_vector(mu, pt, cap=cap).items():
-        prod = Fraction(1)
+    denom, coeffs = _htilde_p_coeffs(mu)
+    powers = [None] + [alphabet.power_sum(j, pt) for j in range(1, sum(mu) + 1)]
+    total = 0
+    for rho, poly in coeffs:
+        prod = poly.eval(pt.q0, pt.t0)
         for part in rho:
-            prod *= pleth_p(part, alphabet, pt)
-        total += c * prod
-    _AT_ALPHABET_CACHE[key] = total
-    return total
+            prod *= powers[part]
+        total += prod
+    value = exact_quotient(total, denom)
+    _AT_ALPHABET_CACHE[key] = value
+    return value
 
 
 # -- Hall pairings ----------------------------------------------------------
@@ -627,6 +646,7 @@ def _e_to_h_signed(k):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _expand_eh_to_h(e_indices, h_indices):
     """Signed h-partition expansion of a product of e's and h's."""
     base_h = tuple(x for x in h_indices if x > 0)
@@ -643,49 +663,48 @@ def _expand_eh_to_h(e_indices, h_indices):
     return terms
 
 
-_PAIR_CACHE = {}
-
-
 def pair_htilde_h(mu, nu, pt, cap=DEGREE_CAP):
     """<H_mu, h_nu> = coefficient of m_nu, evaluated at the point."""
-    mu, nu = Partition(mu), Partition(nu)
-    if mu.size != nu.size:
+    return htilde_mcoeff(tuple(mu), tuple(nu)).eval(pt.q0, pt.t0)
+
+
+@lru_cache(maxsize=None)
+def _eh_pairing(mu, e_indices, h_indices):
+    """<H_mu, prod e_k prod h_a> as one integer q,t-polynomial: the signed
+    sum of monomial coefficients over the h-expansion of the e's."""
+    mu = Partition(mu)
+    if mu.size != sum(e_indices) + sum(h_indices):
         raise DegreeMismatchError("degrees differ in Hall pairing")
-    key = (tuple(mu), tuple(nu), pt.q0, pt.t0)
-    hit = _PAIR_CACHE.get(key)
-    if hit is None:
-        hit = _PAIR_CACHE[key] = htilde_mcoeff(tuple(mu), tuple(nu)).eval(
-            pt.q0, pt.t0
-        )
-    return hit
+    if mu.size == 0:
+        return QtPolynomial.one()
+    total = QtPolynomial.zero()
+    for hpart, c in _expand_eh_to_h(e_indices, h_indices).items():
+        total += c * htilde_mcoeff(tuple(mu), hpart)
+    return total
 
 
 def pair_htilde_eh(mu, e_indices, h_indices, pt, cap=DEGREE_CAP):
     """<H_mu, prod e_k prod h_a> via the signed h-expansion of the e's."""
-    mu = Partition(mu)
-    want = sum(e_indices) + sum(h_indices)
-    if mu.size != want:
-        raise DegreeMismatchError("degrees differ in Hall pairing")
-    if mu.size == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for hpart, c in _expand_eh_to_h(e_indices, h_indices).items():
-        total += c * pair_htilde_h(mu, hpart, pt, cap=cap)
+    return _eh_pairing(tuple(mu), tuple(e_indices), tuple(h_indices)).eval(
+        pt.q0, pt.t0
+    )
+
+
+@lru_cache(maxsize=None)
+def _hook_pairing(mu, r):
+    """<H_mu, s_(n-r, 1^r)> as one integer q,t-polynomial."""
+    n = sum(mu)
+    if not 0 <= r < n:
+        raise DegreeMismatchError("hook column length out of range")
+    total = QtPolynomial.zero()
+    for i in range(r + 1):
+        total += (-1) ** i * _eh_pairing(mu, (r - i,), (n - r + i,))
     return total
 
 
 def pair_htilde_hook(mu, r, pt, cap=DEGREE_CAP):
     """<H_mu, s_(n-r, 1^r)> via s_(a,1^b) = sum_i (-1)^i h_(a+i) e_(b-i)."""
-    mu = Partition(mu)
-    n = mu.size
-    if not 0 <= r < n:
-        raise DegreeMismatchError("hook column length out of range")
-    total = Fraction(0)
-    for i in range(r + 1):
-        total += (-1) ** i * pair_htilde_eh(
-            mu, (r - i,), (n - r + i,), pt, cap=cap
-        )
-    return total
+    return _hook_pairing(tuple(mu), r).eval(pt.q0, pt.t0)
 
 
 def hall_pair(mu, rhs, pt, cap=DEGREE_CAP):
@@ -704,22 +723,33 @@ def hall_pair(mu, rhs, pt, cap=DEGREE_CAP):
 # -- partition-sum evaluators ------------------------------------------------
 
 
+def _fraction_free_sum(terms):
+    """Exact sum of (numerator, denominator) pairs, cross-multiplied into
+    one numerator over one denominator and divided once at the end."""
+    num, den = 0, 1
+    for a, b in terms:
+        num, den = num * b + a * den, den * b
+    return exact_quotient(num, den)
+
+
 _WEIGHT_CACHE = {}
 
 
 def _en_weight(mu, pt):
     """Coefficient of the Macdonald polynomial of mu in the expansion of
-    e_n: M B Pi / w, with the empty partition contributing 1."""
+    e_n: M B Pi / w, one reduced Fraction, with the empty partition
+    contributing 1.  Callers use its numerator and denominator."""
     if mu.size == 0:
-        return Fraction(1)
-    key = (tuple(mu), pt.q0, pt.t0)
+        return 1
+    key = (mu, pt.q0, pt.t0)
     hit = _WEIGHT_CACHE.get(key)
     if hit is not None:
         return hit
-    B, _, Pi, w, M = partition_invariants(mu, pt)
+    w = w_mu(mu, pt)
     if w == 0:
         raise PoleError("w vanishes at the evaluation point")
-    value = M * B.sum_at(pt) * Pi / w
+    M = (1 - pt.q0) * (1 - pt.t0)
+    value = Fraction(M * b_alphabet(mu).sum_at(pt) * pi_mu(mu, pt), w)
     _WEIGHT_CACHE[key] = value
     return value
 
@@ -727,125 +757,119 @@ def _en_weight(mu, pt):
 def _pair_e_column(mu, pt, cap=DEGREE_CAP):
     """<H_mu, e_n> for mu of size n (the full column hook)."""
     if mu.size == 0:
-        return Fraction(1)
-    return pleth_e(mu.size - 1, b_alphabet(mu).minus_one(), pt)
+        return 1
+    return pleth_e(mu.size - 1, b_minus_one(mu), pt)
 
 
 def lhs_delta_hh(m, n, k, pt, cap=DEGREE_CAP):
     """<Delta'_{e_(m+n-k-1)} e_(m+n), h_m h_n> as a partition sum."""
-    total = Fraction(0)
+    terms = []
     for mu in partitions_of(m + n):
         weight = _en_weight(mu, pt)
         if not weight:
             continue
-        ecoef = pleth_e(m + n - k - 1, b_alphabet(mu).minus_one(), pt)
+        ecoef = pleth_e(m + n - k - 1, b_minus_one(mu), pt)
         if not ecoef:
             continue
-        total += ecoef * weight * pair_htilde_eh(mu, (), (m, n), pt, cap=cap)
-    return total
+        pair = pair_htilde_eh(mu, (), (m, n), pt, cap=cap)
+        terms.append((ecoef * weight.numerator * pair, weight.denominator))
+    return _fraction_free_sum(terms)
 
 
 def mid_delta_hn(m, n, k, pt, cap=DEGREE_CAP):
     """<Delta_{h_n} Delta'_{e_(m-k)} e_(m+1), h_(m+1)> as a partition sum."""
-    total = Fraction(0)
+    terms = []
     for lam in partitions_of(m + 1):
         weight = _en_weight(lam, pt)
         if not weight:
             continue
-        B = b_alphabet(lam)
-        total += (
-            pleth_h(n, B, pt)
-            * pleth_e(m - k, B.minus_one(), pt)
-            * weight
-        )
-    return total
+        value = pleth_h(n, b_alphabet(lam), pt) * pleth_e(m - k, b_minus_one(lam), pt)
+        terms.append((value * weight.numerator, weight.denominator))
+    return _fraction_free_sum(terms)
 
 
 def rhs_nabla_ehh(m, n, k, pt, cap=DEGREE_CAP):
     """<nabla e_(m+n-k), e_k h_(n-k) h_(m-k)> as a partition sum."""
-    total = Fraction(0)
+    terms = []
     for mu in partitions_of(m + n - k):
         weight = _en_weight(mu, pt)
         if not weight:
             continue
-        total += (
-            t_mu(mu, pt)
-            * weight
-            * pair_htilde_eh(mu, (k,), (n - k, m - k), pt, cap=cap)
-        )
-    return total
+        value = t_mu(mu, pt) * pair_htilde_eh(mu, (k,), (n - k, m - k), pt, cap=cap)
+        terms.append((value * weight.numerator, weight.denominator))
+    return _fraction_free_sum(terms)
 
 
 def sum_r_lhs(m, n, k, pt, cap=DEGREE_CAP):
     """Sum over r of t^(m-k-r+1) <Delta_{h_(m-k-r+1)} Delta_{e_k}
     e_n[X (1-q^r)/(1-q)], e_n>, expanded through the Cauchy identity."""
     M = m_alphabet()
-    total = Fraction(0)
+    terms = []
     for r in range(1, m - k + 2):
         t_pow = pt.t0 ** (m - k - r + 1)
-        inner = Fraction(0)
+        alphabet = M * bracket_q(r)
         for mu in partitions_of(n):
             B = b_alphabet(mu)
-            w = w_mu(mu, pt) if mu.size else Fraction(1)
+            w = w_mu(mu, pt)
             if w == 0:
                 raise PoleError("w vanishes at the evaluation point")
-            cauchy = htilde_at_alphabet(mu, M * bracket_q(r), pt, cap=cap) / w
+            cauchy = htilde_at_alphabet(mu, alphabet, pt, cap=cap)
             if not cauchy:
                 continue
-            inner += (
-                pleth_h(m - k - r + 1, B, pt)
+            value = (
+                t_pow
+                * pleth_h(m - k - r + 1, B, pt)
                 * pleth_e(k, B, pt)
                 * cauchy
                 * _pair_e_column(mu, pt, cap=cap)
             )
-        total += t_pow * inner
-    return total
+            terms.append((value, w))
+    return _fraction_free_sum(terms)
 
 
 def delta_lhs_by_content(m, n, k, lam, pt, cap=DEGREE_CAP):
     """Coefficient of m_lam in Delta_{h_m} Delta'_{e_(n-k-1)} e_n."""
-    lam = Partition(lam)
-    total = Fraction(0)
+    lam = tuple(lam)
+    terms = []
     for mu in partitions_of(n):
         weight = _en_weight(mu, pt)
         if not weight:
             continue
-        B = b_alphabet(mu)
-        total += (
-            pleth_h(m, B, pt)
-            * pleth_e(n - k - 1, B.minus_one(), pt)
-            * weight
-            * htilde_mcoeff(tuple(mu), tuple(lam)).eval(pt.q0, pt.t0)
+        value = (
+            pleth_h(m, b_alphabet(mu), pt)
+            * pleth_e(n - k - 1, b_minus_one(mu), pt)
+            * htilde_mcoeff(tuple(mu), lam).eval(pt.q0, pt.t0)
         )
-    return total
+        terms.append((value * weight.numerator, weight.denominator))
+    return _fraction_free_sum(terms)
 
 
 def pair_delta_general(m, n, k, e_indices, h_indices, pt, cap=DEGREE_CAP):
     """<Delta_{h_m} Delta'_{e_(n-k-1)} e_n, prod e prod h>."""
-    total = Fraction(0)
+    terms = []
     for mu in partitions_of(n):
         weight = _en_weight(mu, pt)
         if not weight:
             continue
-        B = b_alphabet(mu)
-        total += (
-            pleth_h(m, B, pt)
-            * pleth_e(n - k - 1, B.minus_one(), pt)
-            * weight
+        value = (
+            pleth_h(m, b_alphabet(mu), pt)
+            * pleth_e(n - k - 1, b_minus_one(mu), pt)
             * pair_htilde_eh(mu, e_indices, h_indices, pt, cap=cap)
         )
-    return total
+        terms.append((value * weight.numerator, weight.denominator))
+    return _fraction_free_sum(terms)
 
 
 def pair_delta_e_d(d, n, pt, cap=DEGREE_CAP):
     """<Delta_{e_d} e_n, h_n> as a partition sum."""
-    total = Fraction(0)
+    terms = []
     for mu in partitions_of(n):
         weight = _en_weight(mu, pt)
         if not weight:
             continue
-        total += pleth_e(d, b_alphabet(mu), pt) * weight
-    return total
+        value = pleth_e(d, b_alphabet(mu), pt)
+        terms.append((value * weight.numerator, weight.denominator))
+    return _fraction_free_sum(terms)
 
 
 def pair_en_eh(n, d, pt):
@@ -855,17 +879,17 @@ def pair_en_eh(n, d, pt):
     for hpart, c in _expand_eh_to_h((d,), (n - d,)).items():
         if hpart == tuple([1] * n):
             total += c
-    return Fraction(total)
+    return total
 
 
 def reciprocity_check(alpha, beta, pt, cap=DEGREE_CAP):
-    """H_alpha[M B_beta] / Pi_alpha == H_beta[M B_alpha] / Pi_beta."""
-    alpha, beta = Partition(alpha), Partition(beta)
+    """H_alpha[M B_beta] / Pi_alpha == H_beta[M B_alpha] / Pi_beta,
+    compared cross-multiplied."""
     M = m_alphabet()
     pa = pi_mu(alpha, pt)
     pb = pi_mu(beta, pt)
     if pa == 0 or pb == 0:
         raise PoleError("Pi vanishes at the evaluation point")
-    lhs = htilde_at_alphabet(alpha, M * b_alphabet(beta), pt, cap=cap) / pa
-    rhs = htilde_at_alphabet(beta, M * b_alphabet(alpha), pt, cap=cap) / pb
-    return lhs == rhs
+    lhs = htilde_at_alphabet(alpha, M * b_alphabet(beta), pt, cap=cap)
+    rhs = htilde_at_alphabet(beta, M * b_alphabet(alpha), pt, cap=cap)
+    return lhs * pb == rhs * pa

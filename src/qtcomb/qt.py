@@ -1,11 +1,15 @@
 """Exact bivariate polynomials in q and t, q-analogues, and grid-based
 polynomial equality testing.
 
-Coefficients are Python ints (arbitrary precision); specializations are
-``fractions.Fraction``.  Equality of evaluator-defined polynomials is
-decided on a deterministic grid of prime points: q-values are drawn from
-the small primes, t-values from primes >= 101, so no mixed prime-power
-coincidences can make structured denominators vanish.
+Coefficients are Python ints (arbitrary precision).  Specializations are
+exact: at int points an integer polynomial evaluates to an int, at
+``fractions.Fraction`` points to a Fraction, by the same code.  Equality
+of evaluator-defined polynomials is decided on a deterministic grid of
+prime points, handed to the evaluators as plain ints: q-values are drawn
+from the small primes, t-values from primes >= 101, so no mixed
+prime-power coincidences can make structured denominators vanish.
+Evaluators keep a rational value as an integer numerator and denominator
+and divide once, with ``exact_quotient``, at the end.
 """
 
 from __future__ import annotations
@@ -172,7 +176,8 @@ class QtPolynomial:
         return self.terms.get((q_exp, t_exp), 0)
 
     def eval(self, q0, t0):
-        """Exact evaluation; returns a Fraction when inputs are Fractions."""
+        """Exact evaluation: an int at int points, a Fraction at Fraction
+        points."""
         total = 0
         for (eq, et), c in self.terms.items():
             total += c * q0**eq * t0**et
@@ -281,10 +286,14 @@ class QtRational:
 
 @dataclass(frozen=True)
 class EvalPoint:
-    """An exact rational evaluation point with an attached degree bound."""
+    """An exact evaluation point with an attached degree bound.
 
-    q0: Fraction
-    t0: Fraction
+    The coordinates are kept as given: ints on the grid, where every
+    evaluator stays in integer arithmetic, or Fractions.
+    """
+
+    q0: int | Fraction
+    t0: int | Fraction
     degree_bound: int = 0
 
     def swap(self):
@@ -362,16 +371,16 @@ def eval_grid(degree_bound):
     """The deterministic (degree_bound+1)^2 grid of EvalPoints."""
     qs = q_primes(degree_bound + 1)
     ts = t_primes(degree_bound + 1)
-    return [
-        EvalPoint(Fraction(a), Fraction(b), degree_bound) for a in qs for b in ts
-    ]
+    return [EvalPoint(a, b, degree_bound) for a in qs for b in ts]
 
 
 def poly_equal_by_grid(f, g, degree_bound, max_replacements=8):
     """Decide f == g for evaluators of polynomials of per-variable degree
     <= degree_bound.
 
-    ``f`` and ``g`` map (q0, t0) to exact numbers and may raise PoleError.
+    ``f`` and ``g`` map int coordinates (q0, t0) to exact numbers (int or
+    Fraction) and may raise PoleError; a float raises TypeError, since a
+    rounded value would turn the proof into a float comparison.
     For each of degree_bound+1 distinct q-values the difference is checked
     at degree_bound+1 distinct t-values, which forces the zero polynomial.
     A point where a side reports a pole (or where the two prime lists
@@ -382,23 +391,35 @@ def poly_equal_by_grid(f, g, degree_bound, max_replacements=8):
     qs = q_primes(m)
     ts = t_primes(m * (max_replacements + 1))
     for i in range(m):
-        q0 = Fraction(qs[i])
+        q0 = qs[i]
         for j in range(m):
             for rep in range(max_replacements + 1):
-                t0 = Fraction(ts[j + rep * m])
+                t0 = ts[j + rep * m]
                 if t0 == q0:
                     continue
                 try:
-                    if f(q0, t0) != g(q0, t0):
-                        return False
-                    break
+                    lhs = f(q0, t0)
+                    rhs = g(q0, t0)
                 except PoleError:
                     continue
+                if isinstance(lhs, float) or isinstance(rhs, float):
+                    raise TypeError(
+                        f"inexact value at ({q0}, {t0}): {lhs!r} vs {rhs!r}"
+                    )
+                if lhs != rhs:
+                    return False
+                break
             else:
                 raise InfeasibleGridError(
                     f"no usable point for grid cell ({i}, {j})"
                 )
     return True
+
+
+def exact_quotient(num, den):
+    """num / den exactly: an int when den divides num, else a Fraction."""
+    quot, rem = divmod(num, den)
+    return quot if not rem else Fraction(num, den)
 
 
 def binom2(h):

@@ -43,12 +43,16 @@ def _report(suite, instance, ok, witness=""):
     return VerificationReport(suite, instance, "fail", witness or "mismatch")
 
 
-def _timed(fn):
+def _timed(run):
+    """Collect the reports ``run()`` yields, each timed from the previous
+    yield: the real wall time of its own instance."""
+    reports = []
     start = time.perf_counter()
-    reports = fn()
-    elapsed = time.perf_counter() - start
-    for r in reports:
-        r.seconds = elapsed / max(len(reports), 1)
+    for report in run():
+        now = time.perf_counter()
+        report.seconds = now - start
+        reports.append(report)
+        start = now
     return reports
 
 
@@ -61,7 +65,6 @@ def suite_ndinv(max_size=6):
     the composed one and drops dinv by (diagonal touches - 1)."""
 
     def run():
-        reports = []
         for m in range(max_size + 1):
             for n in range(max_size + 1 - m):
                 checked = 0
@@ -91,10 +94,7 @@ def suite_ndinv(max_size=6):
                     if not ok:
                         bad = repr(path)
                         break
-                reports.append(
-                    _report("ndinv", f"m={m} n={n} members={checked}", not bad, bad)
-                )
-        return reports
+                yield _report("ndinv", f"m={m} n={n} members={checked}", not bad, bad)
 
     return _timed(run)
 
@@ -108,7 +108,6 @@ def suite_ehh(max_size=6):
     equality of the two enumerators."""
 
     def run():
-        reports = []
         for k in range(max_size + 1):
             for n in range(k, max_size + 1):
                 for m in range(k, max_size + 1):
@@ -143,7 +142,7 @@ def suite_ehh(max_size=6):
                         )
                         if lhs != rhs:
                             bad = f"enumerators differ: {lhs!r} vs {rhs!r}"
-                    reports.append(
+                    yield (
                         _report(
                             "ehh",
                             f"k={k} n={n} m={m} members={count}",
@@ -151,7 +150,6 @@ def suite_ehh(max_size=6):
                             bad,
                         )
                     )
-        return reports
 
     return _timed(run)
 
@@ -163,15 +161,13 @@ def suite_recursion(max_size=5):
     def run():
         rep = recursion.reconcile_recursion(max_size)
         status = rep.passed
-        return [
-            _report(
-                "recursion-reconcile",
-                f"max_size={max_size} survivors={len(rep.survivors)} "
-                f"printed_offsets={'yes' if rep.printed_offsets_survive else 'no'}",
-                status,
-                "" if status else rep.render().replace("\n", "; "),
-            )
-        ]
+        yield _report(
+            "recursion-reconcile",
+            f"max_size={max_size} survivors={len(rep.survivors)} "
+            f"printed_offsets={'yes' if rep.printed_offsets_survive else 'no'}",
+            status,
+            "" if status else rep.render().replace("\n", "; "),
+        )
 
     return _timed(run)
 
@@ -190,16 +186,19 @@ def _ev(fn, *args):
     return lambda q0, t0: fn(*args, EvalPoint(q0, t0))
 
 
+IDENTITY_NAMES = (
+    "mac-hook",
+    "reciprocity",
+    "new-id",
+    "delta-hh-sum",
+    "deltahh-ehh",
+    "ehh-sum",
+)
+
+
 def suite_identities(names=None, max_size=6, grid_bound=None):
     """Exact grid verification of the symmetric-function identities."""
-    names = names or (
-        "mac-hook",
-        "reciprocity",
-        "new-id",
-        "delta-hh-sum",
-        "deltahh-ehh",
-        "ehh-sum",
-    )
+    names = names or IDENTITY_NAMES
     reports = []
     if "mac-hook" in names:
         reports += _suite_mac_hook(min(max_size, 5), grid_bound)
@@ -219,7 +218,6 @@ def suite_identities(names=None, max_size=6, grid_bound=None):
 
 def _suite_mac_hook(nmax, grid_bound):
     def run():
-        reports = []
         for n in range(1, nmax + 1):
             bound = grid_bound or _grid_bound(n)
             bad = ""
@@ -227,13 +225,7 @@ def _suite_mac_hook(nmax, grid_bound):
                 for r in range(n):
                     ok = poly_equal_by_grid(
                         _ev(macdonald.pair_htilde_hook, mu, r),
-                        _ev(
-                            lambda mu, r, pt: macdonald.pleth_e(
-                                r, macdonald.b_alphabet(mu).minus_one(), pt
-                            ),
-                            mu,
-                            r,
-                        ),
+                        _ev(macdonald.pleth_e, r, macdonald.b_minus_one(mu)),
                         bound,
                     )
                     if not ok:
@@ -241,15 +233,20 @@ def _suite_mac_hook(nmax, grid_bound):
                         break
                 if bad:
                     break
-            reports.append(_report("mac-hook", f"n={n} bound={bound}", not bad, bad))
-        return reports
+            yield _report("mac-hook", f"n={n} bound={bound}", not bad, bad)
 
     return _timed(run)
 
 
+def _reciprocity_side(alpha, m_b_beta, beta, pt):
+    """H_alpha[M B_beta] Pi_beta, one side of Macdonald reciprocity."""
+    return macdonald.htilde_at_alphabet(alpha, m_b_beta, pt) * macdonald.pi_mu(
+        beta, pt
+    )
+
+
 def _suite_reciprocity(nmax, grid_bound):
     def run():
-        reports = []
         for a in range(1, nmax + 1):
             for b in range(1, nmax + 1):
                 # q-degree of H[M B] Pi: coefficient degree + plethysm + Pi
@@ -258,30 +255,12 @@ def _suite_reciprocity(nmax, grid_bound):
                 )
                 bad = ""
                 for alpha in partitions_of(a):
+                    m_b_alpha = macdonald.m_alphabet() * macdonald.b_alphabet(alpha)
                     for beta in partitions_of(b):
+                        m_b_beta = macdonald.m_alphabet() * macdonald.b_alphabet(beta)
                         ok = poly_equal_by_grid(
-                            _ev(
-                                lambda al, be, pt: macdonald.htilde_at_alphabet(
-                                    al,
-                                    macdonald.m_alphabet()
-                                    * macdonald.b_alphabet(be),
-                                    pt,
-                                )
-                                * macdonald.pi_mu(be, pt),
-                                alpha,
-                                beta,
-                            ),
-                            _ev(
-                                lambda al, be, pt: macdonald.htilde_at_alphabet(
-                                    be,
-                                    macdonald.m_alphabet()
-                                    * macdonald.b_alphabet(al),
-                                    pt,
-                                )
-                                * macdonald.pi_mu(al, pt),
-                                alpha,
-                                beta,
-                            ),
+                            _ev(_reciprocity_side, alpha, m_b_beta, beta),
+                            _ev(_reciprocity_side, beta, m_b_alpha, alpha),
                             bound,
                         )
                         if not ok:
@@ -289,17 +268,13 @@ def _suite_reciprocity(nmax, grid_bound):
                             break
                     if bad:
                         break
-                reports.append(
-                    _report("reciprocity", f"|alpha|={a} |beta|={b}", not bad, bad)
-                )
-        return reports
+                yield _report("reciprocity", f"|alpha|={a} |beta|={b}", not bad, bad)
 
     return _timed(run)
 
 
 def _suite_identity_pair(name, left, right, max_size, grid_bound):
     def run():
-        reports = []
         for total in range(1, max_size + 1):
             for m in range(total + 1):
                 n = total - m
@@ -308,10 +283,7 @@ def _suite_identity_pair(name, left, right, max_size, grid_bound):
                     ok = poly_equal_by_grid(
                         _ev(left, m, n, k), _ev(right, m, n, k), bound
                     )
-                    reports.append(
-                        _report(name, f"m={m} n={n} k={k} bound={bound}", ok)
-                    )
-        return reports
+                    yield _report(name, f"m={m} n={n} k={k} bound={bound}", ok)
 
     return _timed(run)
 
@@ -324,7 +296,6 @@ def suite_delta_tiny(max_size=5, k_cap=2):
     refined statement against partially labelled paths."""
 
     def run():
-        reports = []
         for total in range(1, max_size + 1):
             for m in range(total + 1):
                 n = total - m
@@ -336,9 +307,7 @@ def suite_delta_tiny(max_size=5, k_cap=2):
                         lambda q0, t0: enum.eval(q0, t0),
                         bound,
                     )
-                    reports.append(
-                        _report("delta-hh-model", f"m={m} n={n} k={k}", ok)
-                    )
+                    yield _report("delta-hh-model", f"m={m} n={n} k={k}", ok)
         for total in range(1, max_size + 1):
             for m in range(total + 1):
                 n = total - m
@@ -357,12 +326,11 @@ def suite_delta_tiny(max_size=5, k_cap=2):
                         if not ok:
                             bad = f"content {lam}"
                             break
-                    reports.append(
+                    yield (
                         _report(
                             "delta-content", f"m={m} n={n} k={k}", not bad, bad
                         )
                     )
-        return reports
 
     return _timed(run)
 
@@ -374,7 +342,6 @@ def suite_delta_ehh(max_size=4):
     def run():
         from qtcomb.paths import word_in_runs
 
-        reports = []
         for total in range(1, max_size + 1):
             for m in range(total + 1):
                 n = total - m
@@ -416,14 +383,13 @@ def suite_delta_ehh(max_size=4):
                                 lambda q0, t0: enum.eval(q0, t0),
                                 _grid_bound(total),
                             )
-                            reports.append(
+                            yield (
                                 _report(
                                     "delta-ehh",
                                     f"m={m} n={n} k={k} e{j}h{a}h{b}",
                                     ok,
                                 )
                             )
-        return reports
 
     return _timed(run)
 
@@ -437,8 +403,7 @@ def suite_engine(degree_cap=7):
 
         from qtcomb.qt import EvalPoint
 
-        pt = EvalPoint(Fraction(3), Fraction(101))
-        reports = []
+        pt = EvalPoint(3, 101)
 
         bad = ""
         for d in range(degree_cap + 1):
@@ -447,7 +412,7 @@ def suite_engine(degree_cap=7):
                     f = macdonald.SymFun(d, "m", {lam: Fraction(1)})
                     if f.convert_to(basis).convert_to("m") != f:
                         bad = f"degree {d} basis {basis} at {tuple(lam)}"
-        reports.append(_report("engine", f"basis round trips d<={degree_cap}", not bad, bad))
+        yield _report("engine", f"basis round trips d<={degree_cap}", not bad, bad)
 
         bad = ""
         for n in range(1, 6):
@@ -458,7 +423,7 @@ def suite_engine(degree_cap=7):
                     mu, pt
                 ):
                     bad = f"<H,s_(1^n)> at {tuple(mu)}"
-        reports.append(_report("engine", "normalizations n<=5", not bad, bad))
+        yield _report("engine", "normalizations n<=5", not bad, bad)
 
         bad = ""
         for n in range(1, 6):
@@ -470,7 +435,7 @@ def suite_engine(degree_cap=7):
                 )
                 if not ok:
                     bad = f"n={n} d={d}"
-        reports.append(_report("engine", "e-h Delta pairing n<=5", not bad, bad))
+        yield _report("engine", "e-h Delta pairing n<=5", not bad, bad)
 
         bad = ""
         for (m, n, k) in ((2, 1, 0), (1, 2, 1), (3, 2, 1)):
@@ -486,8 +451,7 @@ def suite_engine(degree_cap=7):
             1, 3, 1, (2, 1), pt
         ) != macdonald.delta_lhs_by_content(1, 3, 1, (2, 1), pt.swap()):
             bad = "delta_lhs_by_content(1,3,1,(2,1))"
-        reports.append(_report("engine", "q-t swap symmetry", not bad, bad))
-        return reports
+        yield _report("engine", "q-t swap symmetry", not bad, bad)
 
     return _timed(run)
 
@@ -521,10 +485,9 @@ def suite_examples():
     def run():
         from qtcomb.paths import PolyominoPaths, polyomino_encode
 
-        reports = []
         p = EXAMPLE_LABELLED
         primary, secondary = p.dinv_pairs()
-        reports.append(
+        yield (
             _report(
                 "examples",
                 "labelled path statistics",
@@ -535,14 +498,14 @@ def suite_examples():
                 and p.reading_word() == (2, 2, 4, 1, 6, 1, 5, 3),
             )
         )
-        reports.append(
+        yield (
             _report(
                 "examples",
                 "zero composition",
                 EXAMPLE_ZEROCOMP.zero_composition() == (3, 1, 2, 1),
             )
         )
-        reports.append(
+        yield (
             _report(
                 "examples",
                 "big car composition",
@@ -552,7 +515,7 @@ def suite_examples():
         word = polyomino_encode(
             PolyominoPaths(6, 11, EXAMPLE_POLYOMINO_RED, EXAMPLE_POLYOMINO_GREEN)
         )
-        reports.append(
+        yield (
             _report(
                 "examples",
                 "polyomino codec (18-letter word)",
@@ -560,7 +523,6 @@ def suite_examples():
                 str(word),
             )
         )
-        return reports
 
     return _timed(run)
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from qtcomb.cli import main
 
 
@@ -134,3 +136,33 @@ def test_seedless_rejects_value(capsys):
 def test_missing_input_file(capsys):
     code, _, err = run(capsys, "biject", "--map", "psi", "--in", "/nonexistent.json")
     assert code == 2
+
+
+def test_empty_verify_run_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "ndinv", "--max", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: no checks ran") and err.count("\n") == 1
+
+
+def test_unknown_identity_name_exits_2(capsys):
+    code, _, err = run(capsys, "verify", "identities", "--name", "bogus")
+    assert code == 2
+    for name in ("mac-hook", "reciprocity", "new-id", "ehh-sum"):
+        assert name in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "expected a JSON object"),
+        ("{bad", "not valid JSON"),
+        ('{"labels": [1]}', "missing field 'area_word'"),
+        ('{"letters": [1]}', "malformed object"),
+    ],
+)
+def test_biject_bad_input_file_exits_2(tmp_path, capsys, text, message):
+    infile = tmp_path / "bad.json"
+    infile.write_text(text)
+    code, out, err = run(capsys, "biject", "--map", "psi", "--in", str(infile))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1

@@ -2,24 +2,30 @@
 polynomials, pairings, and the identity evaluators."""
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qtcomb import macdonald
 from qtcomb.families import FamilySpec, qt_enumerator
 from qtcomb.macdonald import (
     CapacityError,
     Partition,
     SymFun,
     b_alphabet,
+    MonomialAlphabet,
     bracket_q,
     delta_lhs_by_content,
     hall_pair,
     htilde,
+    htilde_at_alphabet,
     htilde_mcoeff,
     lhs_delta_hh,
     m_alphabet,
     mid_delta_hn,
     pair_delta_e_d,
+    pair_delta_general,
     pair_en_eh,
     pair_htilde_h,
     pair_htilde_hook,
@@ -28,6 +34,7 @@ from qtcomb.macdonald import (
     pi_mu,
     pleth_e,
     pleth_eh,
+    pleth_h,
     reciprocity_check,
     rhs_nabla_ehh,
     sum_r_lhs,
@@ -100,6 +107,42 @@ class TestPlethysm:
         lhs = (m_alphabet() * bracket_q(2)).sum_at(PT)
         rhs = (1 - PT.q0) * (1 - PT.t0) * (1 + PT.q0)
         assert lhs == rhs
+
+
+def newton_e_h(r, alphabet, pt):
+    """Reference e_r, h_r of an alphabet by Newton's recurrence from the
+    power sums, dividing by i at each step."""
+    p = [None] + [alphabet.power_sum(j, pt) for j in range(1, r + 1)]
+    e, h = [Fraction(1)], [Fraction(1)]
+    for i in range(1, r + 1):
+        e.append(
+            sum((-1) ** (j - 1) * p[j] * e[i - j] for j in range(1, i + 1)) / i
+        )
+        h.append(sum(p[j] * h[i - j] for j in range(1, i + 1)) / i)
+    return e[r], h[r]
+
+
+alphabets = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.integers(-3, 3).filter(bool),
+    max_size=5,
+).map(MonomialAlphabet)
+coords = st.one_of(
+    st.integers(-7, 7),
+    st.fractions(min_value=-7, max_value=7, max_denominator=9),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(alphabets, st.integers(0, 8), coords, coords)
+def test_pleth_matches_newton(alphabet, r, q0, t0):
+    pt = EvalPoint(q0, t0)
+    with patch.dict(macdonald._PLETH_CACHE, clear=True):
+        e, h = pleth_e(r, alphabet, pt), pleth_h(r, alphabet, pt)
+        assert (e, h) == newton_e_h(r, alphabet, pt)
+        assert h == (-1) ** r * pleth_e(r, -alphabet, pt)
+    if isinstance(q0, int) and isinstance(t0, int):
+        assert type(e) is int and type(h) is int
 
 
 def filling_oracle(mu, lam):
@@ -275,3 +318,38 @@ class TestIdentities:
     def test_qt_swap_symmetry(self):
         for fn in (mid_delta_hn, rhs_nabla_ehh, sum_r_lhs, lhs_delta_hh):
             assert fn(2, 1, 1, PT) == fn(2, 1, 1, PT.swap())
+
+
+GRID_EVALUATORS = [
+    (lhs_delta_hh, (2, 2, 1)),
+    (mid_delta_hn, (2, 2, 1)),
+    (rhs_nabla_ehh, (2, 2, 1)),
+    (sum_r_lhs, (2, 2, 1)),
+    (delta_lhs_by_content, (1, 3, 1, (2, 1))),
+    (pair_delta_general, (1, 3, 1, (1,), (1, 1))),
+    (pair_delta_e_d, (2, 3)),
+    (pair_htilde_hook, (Partition((2, 1)), 1)),
+    (htilde_at_alphabet, ((2, 1), m_alphabet() * b_alphabet(Partition((2,))))),
+    (reciprocity_check, (Partition((2, 1)), Partition((2,)))),
+]
+
+
+def _fresh_eval(fn, args, pt):
+    """fn at pt with the per-point memo tables empty, so that nothing
+    computed at an equal point of another type is reused."""
+    with patch.dict(macdonald._PLETH_CACHE, clear=True), patch.dict(
+        macdonald._WEIGHT_CACHE, clear=True
+    ), patch.dict(macdonald._AT_ALPHABET_CACHE, clear=True):
+        return fn(*args, pt)
+
+
+@pytest.mark.parametrize(
+    "fn, args", GRID_EVALUATORS, ids=[fn.__name__ for fn, _ in GRID_EVALUATORS]
+)
+def test_grid_evaluator_is_exact_at_int_and_fraction_points(fn, args):
+    at_int = _fresh_eval(fn, args, EvalPoint(2, 101))
+    at_fraction = _fresh_eval(fn, args, EvalPoint(Fraction(2), Fraction(101)))
+    # every evaluator is a polynomial in q, t: an exact int at int points
+    assert isinstance(at_int, int), type(at_int)
+    assert isinstance(at_fraction, (int, Fraction)), type(at_fraction)
+    assert at_int == at_fraction

@@ -148,3 +148,23 @@ def test_csv_rows_sorted():
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         QtPolynomial({(-1, 0): 1})
+
+
+def test_float_evaluator_rejected():
+    f = QtPolynomial({(1, 0): 1})
+    with pytest.raises(TypeError):
+        poly_equal_by_grid(lambda q0, t0: float(f.eval(q0, t0)), f.eval, 1)
+    with pytest.raises(TypeError):
+        poly_equal_by_grid(f.eval, lambda q0, t0: q0 / 1, 1)
+
+
+def test_grid_hands_out_int_points():
+    seen = []
+
+    def record(q0, t0):
+        seen.append((q0, t0))
+        return 0
+
+    assert poly_equal_by_grid(record, lambda q0, t0: 0, 1)
+    assert seen == [(2, 101), (2, 103), (3, 101), (3, 103)]
+    assert all(type(c) is int for point in seen for c in point)
