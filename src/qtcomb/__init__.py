@@ -5,7 +5,7 @@ Everything is exact: polynomial coefficients are arbitrary-precision
 integers and all specializations are rational.
 """
 
-from qtcomb.qt import QtPolynomial, QtRational, q_int, q_factorial, q_binomial
+from qtcomb.qt import QtPolynomial, q_int, q_factorial, q_binomial
 from qtcomb.paths import (
     Composition,
     DecoratedLabelledPath,
@@ -15,7 +15,6 @@ from qtcomb.paths import (
 
 __all__ = [
     "QtPolynomial",
-    "QtRational",
     "q_int",
     "q_factorial",
     "q_binomial",

@@ -17,7 +17,7 @@ The maps implemented here:
 
 from __future__ import annotations
 
-from qtcomb.families import FamilySpec, validate_family
+from qtcomb.families import FamilySpec, assemble_catalan_pld, validate_family
 from qtcomb.paths import (
     DecoratedLabelledPath,
     DomainError,
@@ -96,18 +96,8 @@ def eta(word):
             prev_a = z
         else:
             prev_a = prev_a + 1
-            rows.append(("p", prev_a))
-
-    area_word = tuple(a for _, a in rows)
-    order = sorted(
-        (i for i, (kind, _) in enumerate(rows) if kind == "p"),
-        key=lambda i: (area_word[i], i),
-    )
-    labels = [0] * len(rows)
-    for value, i in enumerate(order, start=1):
-        labels[i] = value
-    dec = tuple(i + 1 for i, (kind, _) in enumerate(rows) if kind == "p")
-    return DecoratedLabelledPath(area_word, labels, dec)
+            rows.append(("p", None))
+    return assemble_catalan_pld(rows)
 
 
 # -- psi ---------------------------------------------------------------
@@ -302,7 +292,7 @@ def pld_recursive_step(path):
     if len(rows) == 1:
         return DecoratedLabelledPath((), (), ())
     if rows[1] == ("z", 0):
-        return _assemble_pld(rows[1:])
+        return assemble_catalan_pld(rows[1:])
     # row 2 is positive here: a non-diagonal valley at row 2 would need
     # a level below 0.
     second = next(
@@ -312,23 +302,7 @@ def pld_recursive_step(path):
         ("z", z - 1) if kind == "z" else ("p", None)
         for kind, z in rows[2:second]
     ]
-    return _assemble_pld(rows[second:] + region)
-
-
-def _assemble_pld(rows):
-    word, prev = [], 0
-    for kind, z in rows:
-        prev = z if kind == "z" else prev + 1
-        word.append(prev)
-    order = sorted(
-        (i for i, (kind, _) in enumerate(rows) if kind == "p"),
-        key=lambda i: (word[i], i),
-    )
-    labels = [0] * len(rows)
-    for value, i in enumerate(order, start=1):
-        labels[i] = value
-    dec = tuple(i + 1 for i, (kind, _) in enumerate(rows) if kind == "p")
-    return DecoratedLabelledPath(word, labels, dec)
+    return assemble_catalan_pld(rows[second:] + region)
 
 
 def composite_recursive_step(path):

@@ -2,7 +2,8 @@
 and the verification suites.
 
 Exit codes: 0 all passed, 1 a verification or transport contract failed,
-2 usage or domain error.  Output is deterministic for fixed flags.
+2 usage or domain error, or a size past a capacity cap.  Output is
+deterministic for fixed flags.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from qtcomb.paths import (
     InvalidPathError,
     PolyominoWord,
 )
+from qtcomb.qt import CapacityError
 from qtcomb.suites import IDENTITY_NAMES, SUITES
 
 
@@ -244,17 +246,6 @@ def build_parser():
     common.add_argument(
         "--format", choices=("json", "csv"), default="csv", help="report format"
     )
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted for compatibility; runs are sequential",
-    )
-    common.add_argument(
-        "--seedless",
-        action="store_true",
-        help="reserved; everything is deterministic already",
-    )
     parser = argparse.ArgumentParser(
         prog="qtcomb",
         description="exact q,t-combinatorics of lattice paths and polyominoes",
@@ -312,10 +303,14 @@ def main(argv=None):
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (UsageError, FamilySpecError, DomainError, InvalidPathError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (
+        UsageError,
+        FamilySpecError,
+        DomainError,
+        InvalidPathError,
+        CapacityError,
+        FileNotFoundError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

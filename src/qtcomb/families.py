@@ -17,7 +17,7 @@ from qtcomb.paths import (
     two_shuffle_runs,
     word_in_runs,
 )
-from qtcomb.qt import QtPolynomial
+from qtcomb.qt import CapacityError, QtPolynomial
 
 FAMILIES = (
     "d",
@@ -35,10 +35,6 @@ R_SEMANTICS = ("nonghost", "ghost")
 
 class FamilySpecError(ValueError):
     """A family descriptor is malformed or inconsistent."""
-
-
-class CapacityError(RuntimeError):
-    """A generation stream exceeded its size cap."""
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,19 @@ class FamilySpec:
                 raise FamilySpecError("content must be a partition")
             object.__setattr__(self, "content", c)
         f = self.family
-        if f == "d" and (self.m or self.content):
+        unread = [
+            name
+            for name, given, readers in (
+                ("content", self.content is not None, ("ld", "pld")),
+                ("r", self.r is not None, ("pf2", "shuffle-knm")),
+                ("r_sem", self.r_sem != "ghost", ("pf2", "shuffle-knm")),
+                ("ghost", self.ghost, ("pf2",)),
+            )
+            if given and f not in readers
+        ]
+        if unread:
+            raise FamilySpecError(f"{f} does not take {', '.join(unread)}")
+        if f == "d" and self.m:
             raise FamilySpecError("d takes only n and k")
         if f in ("ld", "pld"):
             if self.content is None:
@@ -86,8 +94,6 @@ class FamilySpec:
                 raise FamilySpecError("bucket index below its semantic range")
         if f in ("two-shuffle", "shuffle-knm", "pf2") and self.k > min(self.m, self.n):
             raise FamilySpecError("k exceeds min(m, n)")
-        if f == "shuffle-knm" and self.ghost:
-            raise FamilySpecError("shuffle paths carry no ghost row")
 
     @property
     def size(self):
@@ -163,11 +169,11 @@ def _decorated(path_iter, k):
 def _gen_catalan_pld(m, n):
     """Rows are either zero valleys or positively-labelled decorated rises;
     positive labels are canonical (1..n in reading order)."""
-    rows = []  # entries: ("z", a) or ("p",)
+    rows = []  # entries: ("z", a) or ("p", None)
 
     def rec(zeros_left, pos_left, prev_a):
         if not zeros_left and not pos_left:
-            yield _assemble_catalan(rows)
+            yield assemble_catalan_pld(rows)
             return
         if rows:
             if zeros_left:
@@ -176,7 +182,7 @@ def _gen_catalan_pld(m, n):
                     yield from rec(zeros_left - 1, pos_left, z)
                     rows.pop()
             if pos_left:
-                rows.append(("p", prev_a + 1))
+                rows.append(("p", None))
                 yield from rec(zeros_left, pos_left - 1, prev_a + 1)
                 rows.pop()
         else:
@@ -187,8 +193,17 @@ def _gen_catalan_pld(m, n):
     yield from rec(m + 1, n, 0)
 
 
-def _assemble_catalan(rows):
-    word = tuple(a for _, a in rows)
+def assemble_catalan_pld(rows):
+    """The Catalan-type path of a row list with canonical positive labels.
+
+    A ("z", a) row is a zero valley at level a; a ("p", _) row is a
+    decorated rise one level above the row before it.  Positive labels
+    are 1..n in reading order (by level, then by row).
+    """
+    word, prev = [], 0
+    for kind, z in rows:
+        prev = z if kind == "z" else prev + 1
+        word.append(prev)
     order = sorted(
         (i for i, (kind, _) in enumerate(rows) if kind == "p"),
         key=lambda i: (word[i], i),

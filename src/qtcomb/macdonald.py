@@ -7,6 +7,14 @@ weights), Hall pairings against h-products, e-h products and hook Schur
 functions, and the partition-sum evaluators used for identity
 verification on the prime grid.
 
+The Delta-type identities are data for one evaluator:
+``delta_pairing(n, operators, rhs, pt)`` is the pairing of
+(product of operators) e_n with rhs, summed over the Garsia-Haiman
+expansion of e_n.  An operator is a tag tuple (``("h", a)``,
+``("e", d)``, ``("e'", b)``, ``("nabla",)``) acting on each Macdonald
+polynomial by its eigenvalue; rhs is a ``hall_pair`` tag tuple
+(``("h", nu)``, ``("eh", e_indices, h_indices)``, ``("hook", r)``).
+
 All identity evaluation happens at exact points; symbolic data (the
 Macdonald monomial coefficients, the Hall pairings built from them) are
 integer q,t-polynomials, built once per partition and evaluated per point.
@@ -14,6 +22,12 @@ At the int points of the prime grid every evaluator stays in integer
 arithmetic: a rational partition sum is carried as an integer numerator
 over a common denominator, divided once at the end.  Fraction points go
 through the same code and give equal values.
+
+Caches are ``functools.lru_cache`` tables that live as long as the
+process: the point-free ones are keyed by partition, the per-point ones
+(``pleth_e``, ``_en_weight``, the value behind ``htilde_at_alphabet``) by
+their arguments including the point, because the grid revisits the same
+points for every instance of an identity.
 """
 
 from __future__ import annotations
@@ -22,13 +36,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from qtcomb.qt import PoleError, QtPolynomial, exact_quotient
+from qtcomb.qt import CapacityError, PoleError, QtPolynomial, exact_quotient
 
+#: Largest Macdonald degree ``htilde`` and ``htilde_at_alphabet`` accept;
+#: read at call time.
 DEGREE_CAP = 7
 
 
-class CapacityError(RuntimeError):
-    """A degree beyond the configured cap was requested."""
+def _check_degree(degree):
+    if degree > DEGREE_CAP:
+        raise CapacityError(f"degree {degree} above the cap {DEGREE_CAP}")
 
 
 class DegreeMismatchError(ValueError):
@@ -105,10 +122,11 @@ class MonomialAlphabet:
     """A signed multiset of monomials eps * q^a t^b.
 
     Stored as {(a, b): multiplicity} with integer (possibly negative)
-    multiplicities.  Supports the power map used by plethysm.
+    multiplicities.  Supports the power map used by plethysm.  An
+    alphabet is never changed after construction.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
         data = {}
@@ -182,7 +200,13 @@ class MonomialAlphabet:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(self.key())
+        # computed once: the per-point caches hash the same B_mu at
+        # every lookup
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self.key())
+            return self._hash
 
     def __repr__(self):
         return "Alphabet(%s)" % ", ".join(
@@ -278,17 +302,13 @@ def partition_invariants(mu, pt=None):
 
 # -- plethystic e and h ---------------------------------------------------
 
-_PLETH_CACHE = {}
-
 
 def pleth_p(j, alphabet, pt):
-    key = ("p", j, alphabet.key(), pt.q0, pt.t0)
-    hit = _PLETH_CACHE.get(key)
-    if hit is None:
-        hit = _PLETH_CACHE[key] = alphabet.power_sum(j, pt)
-    return hit
+    """p_j of the alphabet at the point."""
+    return alphabet.power_sum(j, pt)
 
 
+@lru_cache(maxsize=None)
 def pleth_e(r, alphabet, pt):
     """e_r of the alphabet at the point; 0 for r < 0.
 
@@ -298,10 +318,6 @@ def pleth_e(r, alphabet, pt):
     """
     if r < 0:
         return 0
-    key = ("e", r, alphabet.key(), pt.q0, pt.t0)
-    hit = _PLETH_CACHE.get(key)
-    if hit is not None:
-        return hit
     series = [1] + [0] * r
     for (a, b), mult in alphabet.terms.items():
         x = pt.q0**a * pt.t0**b
@@ -311,7 +327,6 @@ def pleth_e(r, alphabet, pt):
         for _ in range(-mult):  # over (1 + x z)
             for i in range(1, r + 1):
                 series[i] -= x * series[i - 1]
-    _PLETH_CACHE[key] = series[r]
     return series[r]
 
 
@@ -319,14 +334,6 @@ def pleth_h(r, alphabet, pt):
     """h_r of the alphabet at the point, as (-1)^r e_r[-A]; 0 for r < 0."""
     value = pleth_e(r, -alphabet, pt)
     return -value if r % 2 else value
-
-
-def pleth_eh(kind, r, alphabet, pt):
-    if kind == "e":
-        return pleth_e(r, alphabet, pt)
-    if kind == "h":
-        return pleth_h(r, alphabet, pt)
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 # -- monomial-basis machinery ---------------------------------------------
@@ -563,12 +570,11 @@ def htilde_mcoeff(mu, lam):
     return out
 
 
-def htilde(mu, pt, cap=DEGREE_CAP):
+def htilde(mu, pt):
     """Monomial-basis vector of the modified Macdonald polynomial at a
     point, as a SymFun with exact coefficients (ints at int points)."""
     mu = Partition(mu)
-    if mu.size > cap:
-        raise CapacityError(f"degree {mu.size} above the cap {cap}")
+    _check_degree(mu.size)
     coeffs = {
         lam: htilde_mcoeff(tuple(mu), tuple(lam)).eval(pt.q0, pt.t0)
         for lam in partitions_of(mu.size)
@@ -595,21 +601,18 @@ def _htilde_p_coeffs(mu):
     return denom, tuple((tuple(rho), p) for rho, p in coeffs.items() if p)
 
 
-_AT_ALPHABET_CACHE = {}
-
-
-def htilde_at_alphabet(mu, alphabet, pt, cap=DEGREE_CAP):
+def htilde_at_alphabet(mu, alphabet, pt):
     """Plethystic evaluation of the Macdonald polynomial on an alphabet;
-    coefficients stay fixed, only the alphabet is raised to powers."""
-    mu = tuple(mu)
+    coefficients stay fixed, only the alphabet is raised to powers.  The
+    degree cap is checked on every call, cached value or not."""
+    _check_degree(sum(mu))
+    return _htilde_at_alphabet(tuple(mu), alphabet, pt)
+
+
+@lru_cache(maxsize=None)
+def _htilde_at_alphabet(mu, alphabet, pt):
     if not mu:
         return 1
-    if sum(mu) > cap:
-        raise CapacityError(f"degree {sum(mu)} above the cap {cap}")
-    key = (mu, alphabet.key(), pt.q0, pt.t0)
-    hit = _AT_ALPHABET_CACHE.get(key)
-    if hit is not None:
-        return hit
     denom, coeffs = _htilde_p_coeffs(mu)
     powers = [None] + [alphabet.power_sum(j, pt) for j in range(1, sum(mu) + 1)]
     total = 0
@@ -618,9 +621,7 @@ def htilde_at_alphabet(mu, alphabet, pt, cap=DEGREE_CAP):
         for part in rho:
             prod *= powers[part]
         total += prod
-    value = exact_quotient(total, denom)
-    _AT_ALPHABET_CACHE[key] = value
-    return value
+    return exact_quotient(total, denom)
 
 
 # -- Hall pairings ----------------------------------------------------------
@@ -663,7 +664,7 @@ def _expand_eh_to_h(e_indices, h_indices):
     return terms
 
 
-def pair_htilde_h(mu, nu, pt, cap=DEGREE_CAP):
+def pair_htilde_h(mu, nu, pt):
     """<H_mu, h_nu> = coefficient of m_nu, evaluated at the point."""
     return htilde_mcoeff(tuple(mu), tuple(nu)).eval(pt.q0, pt.t0)
 
@@ -683,7 +684,7 @@ def _eh_pairing(mu, e_indices, h_indices):
     return total
 
 
-def pair_htilde_eh(mu, e_indices, h_indices, pt, cap=DEGREE_CAP):
+def pair_htilde_eh(mu, e_indices, h_indices, pt):
     """<H_mu, prod e_k prod h_a> via the signed h-expansion of the e's."""
     return _eh_pairing(tuple(mu), tuple(e_indices), tuple(h_indices)).eval(
         pt.q0, pt.t0
@@ -702,21 +703,21 @@ def _hook_pairing(mu, r):
     return total
 
 
-def pair_htilde_hook(mu, r, pt, cap=DEGREE_CAP):
+def pair_htilde_hook(mu, r, pt):
     """<H_mu, s_(n-r, 1^r)> via s_(a,1^b) = sum_i (-1)^i h_(a+i) e_(b-i)."""
     return _hook_pairing(tuple(mu), r).eval(pt.q0, pt.t0)
 
 
-def hall_pair(mu, rhs, pt, cap=DEGREE_CAP):
+def hall_pair(mu, rhs, pt):
     """Hall pairing of a Macdonald polynomial against a named right side:
     ("h", nu) | ("eh", e_indices, h_indices) | ("hook", r)."""
     tag = rhs[0]
     if tag == "h":
-        return pair_htilde_h(mu, rhs[1], pt, cap=cap)
+        return pair_htilde_h(mu, rhs[1], pt)
     if tag == "eh":
-        return pair_htilde_eh(mu, rhs[1], rhs[2], pt, cap=cap)
+        return pair_htilde_eh(mu, rhs[1], rhs[2], pt)
     if tag == "hook":
-        return pair_htilde_hook(mu, rhs[1], pt, cap=cap)
+        return pair_htilde_hook(mu, rhs[1], pt)
     raise ValueError(f"unknown pairing {tag!r}")
 
 
@@ -732,75 +733,90 @@ def _fraction_free_sum(terms):
     return exact_quotient(num, den)
 
 
-_WEIGHT_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _en_weight(mu, pt):
     """Coefficient of the Macdonald polynomial of mu in the expansion of
     e_n: M B Pi / w, one reduced Fraction, with the empty partition
     contributing 1.  Callers use its numerator and denominator."""
     if mu.size == 0:
         return 1
-    key = (mu, pt.q0, pt.t0)
-    hit = _WEIGHT_CACHE.get(key)
-    if hit is not None:
-        return hit
     w = w_mu(mu, pt)
     if w == 0:
         raise PoleError("w vanishes at the evaluation point")
     M = (1 - pt.q0) * (1 - pt.t0)
-    value = Fraction(M * b_alphabet(mu).sum_at(pt) * pi_mu(mu, pt), w)
-    _WEIGHT_CACHE[key] = value
-    return value
+    return Fraction(M * b_alphabet(mu).sum_at(pt) * pi_mu(mu, pt), w)
 
 
-def _pair_e_column(mu, pt, cap=DEGREE_CAP):
+def _eigenvalue(operator, mu, pt):
+    """Eigenvalue on the Macdonald polynomial of mu of one operator:
+    ("h", a) Delta_{h_a}: h_a[B_mu] | ("e", d) Delta_{e_d}: e_d[B_mu] |
+    ("e'", b) Delta'_{e_b}: e_b[B_mu - 1] | ("nabla",): T_mu."""
+    tag = operator[0]
+    if tag == "h":
+        return pleth_h(operator[1], b_alphabet(mu), pt)
+    if tag == "e":
+        return pleth_e(operator[1], b_alphabet(mu), pt)
+    if tag == "e'":
+        return pleth_e(operator[1], b_minus_one(mu), pt)
+    if tag == "nabla":
+        return t_mu(mu, pt)
+    raise ValueError(f"unknown operator {tag!r}")
+
+
+def delta_pairing(n, operators, rhs, pt):
+    """<(product of operators) e_n, rhs> as a partition sum.
+
+    e_n = sum over mu of n of (M B_mu Pi_mu / w_mu) H_mu (Garsia-Haiman);
+    each operator acts on H_mu by its ``_eigenvalue`` and ``hall_pair``
+    pairs H_mu with rhs.  A term stops at its first zero factor.
+    """
+    terms = []
+    for mu in partitions_of(n):
+        weight = _en_weight(mu, pt)
+        value = weight.numerator
+        for operator in operators:
+            if not value:
+                break
+            value *= _eigenvalue(operator, mu, pt)
+        if value:
+            terms.append((value * hall_pair(mu, rhs, pt), weight.denominator))
+    return _fraction_free_sum(terms)
+
+
+def lhs_delta_hh(m, n, k, pt):
+    """<Delta'_{e_(m+n-k-1)} e_(m+n), h_m h_n>."""
+    return delta_pairing(m + n, (("e'", m + n - k - 1),), ("eh", (), (m, n)), pt)
+
+
+def mid_delta_hn(m, n, k, pt):
+    """<Delta_{h_n} Delta'_{e_(m-k)} e_(m+1), h_(m+1)>."""
+    return delta_pairing(m + 1, (("h", n), ("e'", m - k)), ("h", (m + 1,)), pt)
+
+
+def rhs_nabla_ehh(m, n, k, pt):
+    """<nabla e_(m+n-k), e_k h_(n-k) h_(m-k)>."""
+    return delta_pairing(m + n - k, (("nabla",),), ("eh", (k,), (n - k, m - k)), pt)
+
+
+def delta_lhs_by_content(m, n, k, lam, pt):
+    """Coefficient of m_lam in Delta_{h_m} Delta'_{e_(n-k-1)} e_n, that is
+    its pairing with h_lam."""
+    return delta_pairing(n, (("h", m), ("e'", n - k - 1)), ("h", lam), pt)
+
+
+def pair_delta_e_d(d, n, pt):
+    """<Delta_{e_d} e_n, h_n>."""
+    return delta_pairing(n, (("e", d),), ("h", (n,)), pt)
+
+
+def _pair_e_column(mu, pt):
     """<H_mu, e_n> for mu of size n (the full column hook)."""
     if mu.size == 0:
         return 1
     return pleth_e(mu.size - 1, b_minus_one(mu), pt)
 
 
-def lhs_delta_hh(m, n, k, pt, cap=DEGREE_CAP):
-    """<Delta'_{e_(m+n-k-1)} e_(m+n), h_m h_n> as a partition sum."""
-    terms = []
-    for mu in partitions_of(m + n):
-        weight = _en_weight(mu, pt)
-        if not weight:
-            continue
-        ecoef = pleth_e(m + n - k - 1, b_minus_one(mu), pt)
-        if not ecoef:
-            continue
-        pair = pair_htilde_eh(mu, (), (m, n), pt, cap=cap)
-        terms.append((ecoef * weight.numerator * pair, weight.denominator))
-    return _fraction_free_sum(terms)
-
-
-def mid_delta_hn(m, n, k, pt, cap=DEGREE_CAP):
-    """<Delta_{h_n} Delta'_{e_(m-k)} e_(m+1), h_(m+1)> as a partition sum."""
-    terms = []
-    for lam in partitions_of(m + 1):
-        weight = _en_weight(lam, pt)
-        if not weight:
-            continue
-        value = pleth_h(n, b_alphabet(lam), pt) * pleth_e(m - k, b_minus_one(lam), pt)
-        terms.append((value * weight.numerator, weight.denominator))
-    return _fraction_free_sum(terms)
-
-
-def rhs_nabla_ehh(m, n, k, pt, cap=DEGREE_CAP):
-    """<nabla e_(m+n-k), e_k h_(n-k) h_(m-k)> as a partition sum."""
-    terms = []
-    for mu in partitions_of(m + n - k):
-        weight = _en_weight(mu, pt)
-        if not weight:
-            continue
-        value = t_mu(mu, pt) * pair_htilde_eh(mu, (k,), (n - k, m - k), pt, cap=cap)
-        terms.append((value * weight.numerator, weight.denominator))
-    return _fraction_free_sum(terms)
-
-
-def sum_r_lhs(m, n, k, pt, cap=DEGREE_CAP):
+def sum_r_lhs(m, n, k, pt):
     """Sum over r of t^(m-k-r+1) <Delta_{h_(m-k-r+1)} Delta_{e_k}
     e_n[X (1-q^r)/(1-q)], e_n>, expanded through the Cauchy identity."""
     M = m_alphabet()
@@ -809,66 +825,20 @@ def sum_r_lhs(m, n, k, pt, cap=DEGREE_CAP):
         t_pow = pt.t0 ** (m - k - r + 1)
         alphabet = M * bracket_q(r)
         for mu in partitions_of(n):
-            B = b_alphabet(mu)
             w = w_mu(mu, pt)
             if w == 0:
                 raise PoleError("w vanishes at the evaluation point")
-            cauchy = htilde_at_alphabet(mu, alphabet, pt, cap=cap)
+            cauchy = htilde_at_alphabet(mu, alphabet, pt)
             if not cauchy:
                 continue
             value = (
                 t_pow
-                * pleth_h(m - k - r + 1, B, pt)
-                * pleth_e(k, B, pt)
+                * _eigenvalue(("h", m - k - r + 1), mu, pt)
+                * _eigenvalue(("e", k), mu, pt)
                 * cauchy
-                * _pair_e_column(mu, pt, cap=cap)
+                * _pair_e_column(mu, pt)
             )
             terms.append((value, w))
-    return _fraction_free_sum(terms)
-
-
-def delta_lhs_by_content(m, n, k, lam, pt, cap=DEGREE_CAP):
-    """Coefficient of m_lam in Delta_{h_m} Delta'_{e_(n-k-1)} e_n."""
-    lam = tuple(lam)
-    terms = []
-    for mu in partitions_of(n):
-        weight = _en_weight(mu, pt)
-        if not weight:
-            continue
-        value = (
-            pleth_h(m, b_alphabet(mu), pt)
-            * pleth_e(n - k - 1, b_minus_one(mu), pt)
-            * htilde_mcoeff(tuple(mu), lam).eval(pt.q0, pt.t0)
-        )
-        terms.append((value * weight.numerator, weight.denominator))
-    return _fraction_free_sum(terms)
-
-
-def pair_delta_general(m, n, k, e_indices, h_indices, pt, cap=DEGREE_CAP):
-    """<Delta_{h_m} Delta'_{e_(n-k-1)} e_n, prod e prod h>."""
-    terms = []
-    for mu in partitions_of(n):
-        weight = _en_weight(mu, pt)
-        if not weight:
-            continue
-        value = (
-            pleth_h(m, b_alphabet(mu), pt)
-            * pleth_e(n - k - 1, b_minus_one(mu), pt)
-            * pair_htilde_eh(mu, e_indices, h_indices, pt, cap=cap)
-        )
-        terms.append((value * weight.numerator, weight.denominator))
-    return _fraction_free_sum(terms)
-
-
-def pair_delta_e_d(d, n, pt, cap=DEGREE_CAP):
-    """<Delta_{e_d} e_n, h_n> as a partition sum."""
-    terms = []
-    for mu in partitions_of(n):
-        weight = _en_weight(mu, pt)
-        if not weight:
-            continue
-        value = pleth_e(d, b_alphabet(mu), pt)
-        terms.append((value * weight.numerator, weight.denominator))
     return _fraction_free_sum(terms)
 
 
@@ -882,7 +852,7 @@ def pair_en_eh(n, d, pt):
     return total
 
 
-def reciprocity_check(alpha, beta, pt, cap=DEGREE_CAP):
+def reciprocity_check(alpha, beta, pt):
     """H_alpha[M B_beta] / Pi_alpha == H_beta[M B_alpha] / Pi_beta,
     compared cross-multiplied."""
     M = m_alphabet()
@@ -890,6 +860,6 @@ def reciprocity_check(alpha, beta, pt, cap=DEGREE_CAP):
     pb = pi_mu(beta, pt)
     if pa == 0 or pb == 0:
         raise PoleError("Pi vanishes at the evaluation point")
-    lhs = htilde_at_alphabet(alpha, M * b_alphabet(beta), pt, cap=cap)
-    rhs = htilde_at_alphabet(beta, M * b_alphabet(alpha), pt, cap=cap)
+    lhs = htilde_at_alphabet(alpha, M * b_alphabet(beta), pt)
+    rhs = htilde_at_alphabet(beta, M * b_alphabet(alpha), pt)
     return lhs * pb == rhs * pa

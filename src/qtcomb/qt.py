@@ -14,14 +14,18 @@ and divide once, with ``exact_quotient``, at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 
 class PoleError(ArithmeticError):
     """An evaluator hit a vanishing denominator at a grid point."""
+
+
+class CapacityError(RuntimeError):
+    """A size or degree beyond a configured cap was requested."""
 
 
 class InfeasibleGridError(RuntimeError):
@@ -236,68 +240,19 @@ class QtPolynomial:
         return s
 
 
-class QtRational:
-    """Quotient of two QtPolynomials, evaluated exactly at rational points.
-
-    No normal form is computed; equality questions go through grid
-    evaluation.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = QtPolynomial.one()
-        if isinstance(num, int):
-            num = QtPolynomial.const(num)
-        if isinstance(den, int):
-            den = QtPolynomial.const(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator polynomial")
-        self.num = num
-        self.den = den
-
-    def __mul__(self, other):
-        if isinstance(other, (int, QtPolynomial)):
-            other = QtRational(other)
-        return QtRational(self.num * other.num, self.den * other.den)
-
-    def __add__(self, other):
-        if isinstance(other, (int, QtPolynomial)):
-            other = QtRational(other)
-        return QtRational(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self):
-        return QtRational(-self.num, self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, QtPolynomial)):
-            other = QtRational(other)
-        return self + (-other)
-
-    def eval(self, q0, t0):
-        d = self.den.eval(q0, t0)
-        if d == 0:
-            raise PoleError(f"pole at ({q0}, {t0})")
-        return Fraction(self.num.eval(q0, t0), 1) / d
-
-
-@dataclass(frozen=True)
-class EvalPoint:
-    """An exact evaluation point with an attached degree bound.
+class EvalPoint(NamedTuple):
+    """An exact evaluation point (q0, t0).
 
     The coordinates are kept as given: ints on the grid, where every
-    evaluator stays in integer arithmetic, or Fractions.
+    evaluator stays in integer arithmetic, or Fractions.  A tuple, so
+    that the per-point caches hash and compare it in C.
     """
 
     q0: int | Fraction
     t0: int | Fraction
-    degree_bound: int = 0
 
     def swap(self):
-        return EvalPoint(self.t0, self.q0, self.degree_bound)
+        return EvalPoint(self.t0, self.q0)
 
 
 # -- q-analogues -----------------------------------------------------
@@ -365,13 +320,6 @@ def q_primes(count):
 def t_primes(count):
     """t-coordinates of the grid: 101, 103, 107, ... (disjoint from q_primes)."""
     return _primes_from(101, count)
-
-
-def eval_grid(degree_bound):
-    """The deterministic (degree_bound+1)^2 grid of EvalPoints."""
-    qs = q_primes(degree_bound + 1)
-    ts = t_primes(degree_bound + 1)
-    return [EvalPoint(a, b, degree_bound) for a in qs for b in ts]
 
 
 def poly_equal_by_grid(f, g, degree_bound, max_replacements=8):

@@ -371,14 +371,13 @@ def suite_delta_ehh(max_size=4):
                                     enum += QtPolynomial.monomial(
                                         1, path.dinv(), path.area()
                                     )
+                            # <Delta_{h_m} Delta'_{e_(n-k-1)} e_n, e_j h_a h_b>
                             ok = poly_equal_by_grid(
                                 _ev(
-                                    macdonald.pair_delta_general,
-                                    m,
+                                    macdonald.delta_pairing,
                                     n,
-                                    k,
-                                    (j,),
-                                    (a, b),
+                                    (("h", m), ("e'", n - k - 1)),
+                                    ("eh", (j,), (a, b)),
                                 ),
                                 lambda q0, t0: enum.eval(q0, t0),
                                 _grid_bound(total),

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qtcomb import macdonald
 from qtcomb.cli import main
 
 
@@ -127,10 +128,34 @@ def test_bad_usage_exits_2(capsys):
 
 
 def test_seedless_rejects_value(capsys):
-    code, _, _ = run(capsys, "--seedless=yes", "verify", "examples")
-    assert code == 2
-    code, _, _ = run(capsys, "--seedless", "verify", "examples")
-    assert code == 0
+    # --seedless and --jobs did nothing and are gone: both are rejected
+    assert run(capsys, "--seedless=yes", "verify", "examples")[0] == 2
+    assert run(capsys, "--seedless", "verify", "examples")[0] == 2
+    assert run(capsys, "--jobs", "2", "verify", "examples")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--family", "pf2", "--m", "1", "--n", "1", "--content", "1,1"),
+        ("--family", "rp", "--m", "1", "--n", "1", "--r", "3"),
+        ("--family", "d", "--n", "2", "--ghost"),
+        ("--family", "catalan-pld", "--n", "2", "--r-sem", "nonghost"),
+    ],
+)
+def test_enum_rejects_unread_field(capsys, argv):
+    code, out, err = run(capsys, "enum", *argv, "--count")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "does not take" in err
+
+
+def test_degree_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(macdonald, "DEGREE_CAP", 2)
+    code, out, err = run(
+        capsys, "verify", "identities", "--name", "reciprocity", "--max", "3"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: degree 3 above the cap 2\n"
 
 
 def test_missing_input_file(capsys):

@@ -2,7 +2,6 @@
 polynomials, pairings, and the identity evaluators."""
 
 from fractions import Fraction
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +16,7 @@ from qtcomb.macdonald import (
     MonomialAlphabet,
     bracket_q,
     delta_lhs_by_content,
+    delta_pairing,
     hall_pair,
     htilde,
     htilde_at_alphabet,
@@ -25,7 +25,6 @@ from qtcomb.macdonald import (
     m_alphabet,
     mid_delta_hn,
     pair_delta_e_d,
-    pair_delta_general,
     pair_en_eh,
     pair_htilde_h,
     pair_htilde_hook,
@@ -33,7 +32,6 @@ from qtcomb.macdonald import (
     partitions_of,
     pi_mu,
     pleth_e,
-    pleth_eh,
     pleth_h,
     reciprocity_check,
     rhs_nabla_ehh,
@@ -100,8 +98,9 @@ class TestPlethysm:
         assert pleth_e(1, B1, PT) == PT.q0 + PT.t0
 
     def test_negative_index(self):
-        assert pleth_eh("e", -1, m_alphabet(), PT) == 0
-        assert pleth_eh("h", 0, m_alphabet(), PT) == 1
+        assert pleth_e(-1, m_alphabet(), PT) == 0
+        assert pleth_h(-1, m_alphabet(), PT) == 0
+        assert pleth_h(0, m_alphabet(), PT) == 1
 
     def test_alphabet_product(self):
         lhs = (m_alphabet() * bracket_q(2)).sum_at(PT)
@@ -137,10 +136,10 @@ coords = st.one_of(
 @given(alphabets, st.integers(0, 8), coords, coords)
 def test_pleth_matches_newton(alphabet, r, q0, t0):
     pt = EvalPoint(q0, t0)
-    with patch.dict(macdonald._PLETH_CACHE, clear=True):
-        e, h = pleth_e(r, alphabet, pt), pleth_h(r, alphabet, pt)
-        assert (e, h) == newton_e_h(r, alphabet, pt)
-        assert h == (-1) ** r * pleth_e(r, -alphabet, pt)
+    pleth_e.cache_clear()
+    e, h = pleth_e(r, alphabet, pt), pleth_h(r, alphabet, pt)
+    assert (e, h) == newton_e_h(r, alphabet, pt)
+    assert h == (-1) ** r * pleth_e(r, -alphabet, pt)
     if isinstance(q0, int) and isinstance(t0, int):
         assert type(e) is int and type(h) is int
 
@@ -326,7 +325,7 @@ GRID_EVALUATORS = [
     (rhs_nabla_ehh, (2, 2, 1)),
     (sum_r_lhs, (2, 2, 1)),
     (delta_lhs_by_content, (1, 3, 1, (2, 1))),
-    (pair_delta_general, (1, 3, 1, (1,), (1, 1))),
+    (delta_pairing, (3, (("h", 1), ("e'", 1)), ("eh", (1,), (1, 1)))),
     (pair_delta_e_d, (2, 3)),
     (pair_htilde_hook, (Partition((2, 1)), 1)),
     (htilde_at_alphabet, ((2, 1), m_alphabet() * b_alphabet(Partition((2,))))),
@@ -337,10 +336,9 @@ GRID_EVALUATORS = [
 def _fresh_eval(fn, args, pt):
     """fn at pt with the per-point memo tables empty, so that nothing
     computed at an equal point of another type is reused."""
-    with patch.dict(macdonald._PLETH_CACHE, clear=True), patch.dict(
-        macdonald._WEIGHT_CACHE, clear=True
-    ), patch.dict(macdonald._AT_ALPHABET_CACHE, clear=True):
-        return fn(*args, pt)
+    for cache in (pleth_e, macdonald._en_weight, macdonald._htilde_at_alphabet):
+        cache.cache_clear()
+    return fn(*args, pt)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,5 @@
 """Polynomial arithmetic, q-analogues and grid equality."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +7,6 @@ from qtcomb.qt import (
     InfeasibleGridError,
     PoleError,
     QtPolynomial,
-    QtRational,
     poly_equal_by_grid,
     q_binomial,
     q_factorial,
@@ -129,15 +126,6 @@ def test_pole_skip():
 
     with pytest.raises(InfeasibleGridError):
         poly_equal_by_grid(always_pole, f.eval, 1)
-
-
-def test_qt_rational_eval():
-    num = QtPolynomial({(1, 0): 1})
-    den = QtPolynomial({(0, 0): 1, (0, 1): -1})  # 1 - t
-    r = QtRational(num, den)
-    assert r.eval(Fraction(2), Fraction(3)) == Fraction(2, -2)
-    with pytest.raises(PoleError):
-        r.eval(Fraction(2), Fraction(1))
 
 
 def test_csv_rows_sorted():
