@@ -50,7 +50,12 @@ def _poly_csv(poly):
 def _spec_from_args(args):
     content = None
     if args.content:
-        content = tuple(int(x) for x in args.content.split(","))
+        try:
+            content = tuple(int(x) for x in args.content.split(","))
+        except ValueError as exc:
+            raise UsageError(
+                f"--content must be comma-separated integers, got {args.content!r}"
+            ) from exc
     try:
         return FamilySpec(
             family=args.family,

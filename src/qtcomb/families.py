@@ -1,8 +1,13 @@
 """Exhaustive generation of path families and exact q,t-enumerators.
 
-Members are emitted in a canonical order: lexicographic by area word,
-then by labels, then by decoration set.  Generators are streams with a
-configurable size cap.
+Members are emitted in a canonical order: row-by-row lexicographic on
+(level, label) pairs -- row 1's level, then its label, then row 2's
+level and label, and so on -- then by decoration set.  This is not the
+order of sorting on (area word, labels), where the level of row 2
+outranks the label of row 1.  Failure witnesses are the first failing
+member, so they depend on this order.  Generators are streams with a
+configurable size cap; the shuffle and decorated families are searched
+with pruning rather than filtered after generation.
 """
 
 from __future__ import annotations
@@ -125,21 +130,46 @@ def _area_words(size):
     yield from rec(0)
 
 
-def _labelled_paths(size, multiset, first_nonzero):
-    """All (area_word, labels) over a fixed label multiset, lex order."""
+def _labelled_paths(size, multiset, first_nonzero, runs=(), min_rises=0):
+    """All (area_word, labels) over a fixed label multiset, in row-by-row
+    (level, label) lexicographic order.
+
+    Two cuts prune the search without reordering what is left.  ``runs``
+    keeps the labellings whose reading word lists each (lo, hi,
+    increasing) run in its direction: a label is placed only if it agrees
+    with every earlier row of its run, and an earlier row at level a_j is
+    read before the new row at level a exactly when a_j <= a.  The labels
+    of a run must occur once each; then the pairwise test is
+    ``word_in_runs`` on the finished reading word.  ``min_rises`` drops
+    a branch once it can no longer reach that many rises.
+    """
     counts = {}
     for x in multiset:
         counts[x] = counts.get(x, 0) + 1
     values = sorted(counts)
+    run_of = {
+        v: (index, increasing)
+        for index, (lo, hi, increasing) in enumerate(runs)
+        for v in range(lo, hi + 1)
+    }
+    placed = [[] for _ in runs]  # (level, label) of the rows of each run
     word, labels = [], []
 
-    def rec(i):
+    def fits(v, a):
+        index, increasing = run_of[v]
+        return all(
+            ((u < v) == increasing) == (level <= a) for level, u in placed[index]
+        )
+
+    def rec(i, rises):
         if i == size:
             yield tuple(word), tuple(labels)
             return
+        if rises + size - i < min_rises:
+            return
         top = word[-1] + 1 if word else 0
         for a in range(top + 1):
-            rise = bool(word) and a == word[-1] + 1
+            rise = i > 0 and a == top
             for v in values:
                 if not counts[v]:
                     continue
@@ -147,23 +177,34 @@ def _labelled_paths(size, multiset, first_nonzero):
                     continue
                 if i == 0 and first_nonzero and v == 0:
                     continue
+                run = run_of.get(v)
+                if run is not None and not fits(v, a):
+                    continue
                 counts[v] -= 1
                 word.append(a)
                 labels.append(v)
-                yield from rec(i + 1)
+                if run is not None:
+                    placed[run[0]].append((a, v))
+                yield from rec(i + 1, rises + rise)
+                if run is not None:
+                    placed[run[0]].pop()
                 word.pop()
                 labels.pop()
                 counts[v] += 1
 
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
-def _decorated(path_iter, k):
-    for path in path_iter:
-        for dec in combinations(sorted(path.rises()), k):
-            yield DecoratedLabelledPath(
-                path.area_word, path.labels, dec, path.ghost_row
-            )
+def _decorated(pairs, k, ghost=False):
+    """One member per (area_word, labels) pair and k-set of its rises,
+    each built once; ``ghost`` prepends the diagonal 2-car as row 1."""
+    for word, labels in pairs:
+        rises = [i + 1 for i in range(1, len(word)) if word[i] > word[i - 1]]
+        if ghost:
+            word, labels = (0,) + word, (2,) + labels
+            rises = [i + 1 for i in rises]
+        for dec in combinations(rises, k):
+            yield DecoratedLabelledPath(word, labels, dec, ghost)
 
 
 def _gen_catalan_pld(m, n):
@@ -243,9 +284,12 @@ def _rp_decorated(words, k):
             yield PolyominoWord(w.letters, dec)
 
 
-def _parking_paths(size):
-    """Labelled Dyck paths whose labels are 1..size, each once."""
-    return _labelled_paths(size, range(1, size + 1), first_nonzero=True)
+def _parking_paths(size, runs, min_rises=0):
+    """Labelled Dyck paths whose labels are 1..size, each once, with the
+    reading word in ``runs``."""
+    return _labelled_paths(
+        size, range(1, size + 1), first_nonzero=True, runs=runs, min_rises=min_rises
+    )
 
 
 def generate(spec, cap=10_000_000):
@@ -261,53 +305,48 @@ def generate(spec, cap=10_000_000):
 def _generate(spec):
     f = spec.family
     if f == "d":
-        paths = (
-            DecoratedLabelledPath(w) for w in _area_words(spec.n)
-        )
-        yield from _decorated(paths, spec.k)
+        yield from _decorated(((w, None) for w in _area_words(spec.n)), spec.k)
     elif f in ("ld", "pld"):
         multiset = [0] * spec.m
         for i, mult in enumerate(spec.content, start=1):
             multiset += [i] * mult
-        paths = (
-            DecoratedLabelledPath(w, l)
-            for w, l in _labelled_paths(spec.size, multiset, first_nonzero=True)
+        pairs = _labelled_paths(
+            spec.size, multiset, first_nonzero=True, min_rises=spec.k
         )
-        yield from _decorated(paths, spec.k)
+        yield from _decorated(pairs, spec.k)
     elif f == "catalan-pld":
         yield from _gen_catalan_pld(spec.m, spec.n)
     elif f == "pf2":
         multiset = [1] * spec.n + [2] * spec.m
-        paths = (
-            DecoratedLabelledPath(w, l)
-            for w, l in _labelled_paths(spec.size, multiset, first_nonzero=False)
+        pairs = _labelled_paths(
+            spec.size, multiset, first_nonzero=False, min_rises=spec.k
         )
-        for path in _decorated(paths, spec.k):
-            member = path.with_ghost() if spec.ghost else path
-            if spec.r is None or bucket_index(member, spec.r_sem) == spec.r:
-                yield member
+        if spec.r is not None:
+            pairs = (
+                (w, l) for w, l in pairs if _bucket(w, l, 2, spec.r_sem) == spec.r
+            )
+        yield from _decorated(pairs, spec.k, spec.ghost)
     elif f == "two-shuffle":
         runs = two_shuffle_runs(spec.m, spec.n)
-        paths = (
-            DecoratedLabelledPath(w, l)
-            for w, l in _parking_paths(spec.size)
-        )
-        paths = (p for p in paths if word_in_runs(p.reading_word(), runs))
-        yield from _decorated(paths, spec.k)
+        pairs = _parking_paths(spec.size, runs, min_rises=spec.k)
+        yield from _decorated(pairs, spec.k)
     elif f == "shuffle-knm":
         runs = knm_runs(spec.k, spec.n, spec.m)
-        for w, l in _parking_paths(spec.size):
-            path = DecoratedLabelledPath(w, l)
-            if word_in_runs(path.reading_word(), runs):
-                if spec.r is None or shuffle_bucket_index(
-                    path, spec.n, spec.r_sem
-                ) == spec.r:
-                    yield path
+        for w, l in _parking_paths(spec.size, runs):
+            if spec.r is None or _bucket(w, l, spec.n + 1, spec.r_sem) == spec.r:
+                yield DecoratedLabelledPath(w, l)
     elif f == "rp":
         yield from _rp_decorated(_gen_rp(spec.m, spec.n), spec.k)
 
 
 # -- diagonal big-car buckets -------------------------------------------
+
+
+def _bucket(word, labels, big, r_sem):
+    """Rows on the main diagonal whose label is at least ``big``, plus
+    one for the conventional diagonal car under "ghost" semantics."""
+    count = sum(1 for a, l in zip(word, labels) if a == 0 and l >= big)
+    return count if r_sem == "nonghost" else count + 1
 
 
 def bucket_index(path, r_sem="ghost"):
@@ -318,22 +357,12 @@ def bucket_index(path, r_sem="ghost"):
     not it is materialized as a ghost row).
     """
     skip = 1 if path.ghost_row else 0
-    count = sum(
-        1
-        for i in range(skip, path.size)
-        if path.area_word[i] == 0 and path.labels[i] == 2
-    )
-    return count if r_sem == "nonghost" else count + 1
+    return _bucket(path.area_word[skip:], path.labels[skip:], 2, r_sem)
 
 
 def shuffle_bucket_index(path, n, r_sem="ghost"):
     """Diagonal big-car count of a (k,n,m)-shuffle path (labels > n)."""
-    count = sum(
-        1
-        for i in range(path.size)
-        if path.area_word[i] == 0 and path.labels[i] > n
-    )
-    return count if r_sem == "nonghost" else count + 1
+    return _bucket(path.area_word, path.labels, n + 1, r_sem)
 
 
 # -- enumerators --------------------------------------------------------

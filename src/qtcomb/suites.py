@@ -126,16 +126,14 @@ def suite_ehh(max_size=6):
                             bad = f"not injective at {path!r}"
                             break
                         seen.add(image)
-                        if (image.dinv(), image.area()) != (
-                            path.dinv(),
-                            path.area(),
-                        ):
+                        stats = (path.dinv(), path.area())
+                        if (image.dinv(), image.area()) != stats:
                             bad = f"statistics moved at {path!r}"
                             break
                         if bijections.ehh_inverse(image, k, n, m) != path:
                             bad = f"round trip failed at {path!r}"
                             break
-                        lhs += QtPolynomial.monomial(1, path.dinv(), path.area())
+                        lhs += QtPolynomial.monomial(1, *stats)
                     if not bad:
                         rhs = qt_enumerator(
                             FamilySpec("pf2", m=m, n=n, k=k, ghost=True)

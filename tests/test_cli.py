@@ -149,6 +149,15 @@ def test_enum_rejects_unread_field(capsys, argv):
     assert err.startswith("error: ") and "does not take" in err
 
 
+@pytest.mark.parametrize("content", ["1,x", "1,,1", "2.0"])
+def test_enum_bad_content_exits_2(capsys, content):
+    code, out, err = run(
+        capsys, "enum", "--family", "ld", "--n", "2", "--content", content, "--count"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_degree_cap_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(macdonald, "DEGREE_CAP", 2)
     code, out, err = run(

@@ -1,6 +1,7 @@
 """Family generation, counting oracles, and enumerators."""
 
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +14,14 @@ from qtcomb.families import (
     partitions,
     qt_enumerator,
     qt_enumerator_by_content,
+    shuffle_bucket_index,
     validate_family,
+)
+from qtcomb.paths import (
+    DecoratedLabelledPath,
+    knm_runs,
+    two_shuffle_runs,
+    word_in_runs,
 )
 from qtcomb.qt import QtPolynomial
 
@@ -103,13 +111,23 @@ def test_generated_members_validate():
 
 
 def test_canonical_order():
-    spec = FamilySpec("pf2", m=1, n=2, k=1)
-    members = list(generate(spec))
-    keys = [
-        (m.area_word, m.labels, tuple(sorted(m.decorated_rises)))
-        for m in members
-    ]
-    assert keys == sorted(keys)
+    """Row by row on (level, label), then by decoration set."""
+
+    def row_key(p):
+        rows = tuple(x for row in zip(p.area_word, p.labels) for x in row)
+        return rows, tuple(sorted(p.decorated_rises))
+
+    for spec in (
+        FamilySpec("pf2", m=1, n=2, k=1),
+        FamilySpec("shuffle-knm", m=2, n=2),
+        FamilySpec("pf2", m=2, n=2, k=1, ghost=True),
+        FamilySpec("pld", m=1, n=3, k=1, content=(2, 1)),
+    ):
+        members = list(generate(spec))
+        assert [row_key(p) for p in members] == sorted(map(row_key, members))
+    # sorting on (area word, labels) is a different order
+    members = list(generate(FamilySpec("shuffle-knm", m=2, n=2)))
+    assert members != sorted(members, key=lambda p: (p.area_word, p.labels))
 
 
 def test_ld_without_content_rejected():
@@ -243,3 +261,132 @@ def test_catalan_pld_counts_match_rp():
             a = sum(1 for _ in generate(FamilySpec("catalan-pld", m=m, n=n)))
             b = sum(1 for _ in generate(FamilySpec("rp", m=m, n=n)))
             assert a == b, (m, n)
+
+
+# -- oracle: generate-then-filter -------------------------------------------
+
+
+def reference_labelled_paths(size, multiset, first_nonzero):
+    """Every labelled Dyck path over the multiset, undecorated, in
+    row-by-row (level, label) lexicographic order, with no pruning."""
+    values = sorted(set(multiset))
+    out = []
+
+    def rec(word, labels, left):
+        if len(word) == size:
+            out.append(DecoratedLabelledPath(word, labels))
+            return
+        top = word[-1] + 1 if word else 0
+        for a in range(top + 1):
+            for v in values:
+                if not left.count(v):
+                    continue
+                if word and a == top and v <= labels[-1]:
+                    continue
+                if not word and first_nonzero and v == 0:
+                    continue
+                rest = list(left)
+                rest.remove(v)
+                rec(word + [a], labels + [v], rest)
+
+    rec([], [], list(multiset))
+    return out
+
+
+def reference_decorated(paths, k):
+    return [
+        DecoratedLabelledPath(p.area_word, p.labels, dec, p.ghost_row)
+        for p in paths
+        for dec in combinations(sorted(p.rises()), k)
+    ]
+
+
+def reference_members(spec):
+    """The family as filtered from every candidate of its size."""
+    f, size = spec.family, spec.size
+    if f in ("shuffle-knm", "two-shuffle"):
+        runs = (
+            knm_runs(spec.k, spec.n, spec.m)
+            if f == "shuffle-knm"
+            else two_shuffle_runs(spec.m, spec.n)
+        )
+        paths = [
+            p
+            for p in reference_labelled_paths(size, range(1, size + 1), True)
+            if word_in_runs(p.reading_word(), runs)
+        ]
+        if f == "two-shuffle":
+            return reference_decorated(paths, spec.k)
+        return [
+            p
+            for p in paths
+            if spec.r is None or shuffle_bucket_index(p, spec.n, spec.r_sem) == spec.r
+        ]
+    if f == "pf2":
+        paths = reference_labelled_paths(size, [1] * spec.n + [2] * spec.m, False)
+        members = reference_decorated(paths, spec.k)
+        if spec.ghost:
+            members = [p.with_ghost() for p in members]
+        return [
+            p
+            for p in members
+            if spec.r is None or bucket_index(p, spec.r_sem) == spec.r
+        ]
+    multiset = [0] * spec.m + [
+        i for i, mult in enumerate(spec.content, start=1) for _ in range(mult)
+    ]
+    return reference_decorated(reference_labelled_paths(size, multiset, True), spec.k)
+
+
+ORACLE_CASES = {
+    "shuffle-knm": [
+        FamilySpec("shuffle-knm", m=m, n=n, k=k)
+        for k in range(6)
+        for n in range(k, 6)
+        for m in range(k, 6)
+        if 0 < m + n - k <= 5
+    ]
+    + [FamilySpec("shuffle-knm", m=3, n=3), FamilySpec("shuffle-knm", m=4, n=4, k=2)],
+    "shuffle-knm-r": [
+        FamilySpec("shuffle-knm", m=3, n=2, k=1, r=r, r_sem=sem)
+        for sem, lo in (("nonghost", 0), ("ghost", 1))
+        for r in range(lo, lo + 4)
+    ],
+    "two-shuffle": [
+        FamilySpec("two-shuffle", m=m, n=n, k=k)
+        for m in range(6)
+        for n in range(6 - m)
+        for k in range(min(m, n) + 1)
+    ],
+    "pf2": [
+        FamilySpec("pf2", m=m, n=n, k=k, ghost=ghost)
+        for m in range(6)
+        for n in range(6 - m)
+        for k in range(min(m, n) + 1)
+        for ghost in (False, True)
+    ],
+    "pf2-r": [
+        FamilySpec("pf2", m=m, n=n, k=k, r=r, r_sem=sem, ghost=ghost)
+        for m in range(1, 4)
+        for n in range(1, 5 - m)
+        for k in range(min(m, n) + 1)
+        for ghost in (False, True)
+        for sem, lo in (("nonghost", 0), ("ghost", 1))
+        for r in range(lo, lo + m + 1)
+    ],
+    "ld-pld": [
+        FamilySpec("pld" if m else "ld", m=m, n=n, k=k, content=lam)
+        for m in range(3)
+        for n in range(2, 6 - m)
+        for k in range(1, n)
+        for lam in partitions(n)
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_generate_matches_filtered_reference(case):
+    """The pruned search yields the filtered family, member for member
+    and in order."""
+    for spec in ORACLE_CASES[case]:
+        assert list(generate(spec)) == reference_members(spec), spec

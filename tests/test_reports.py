@@ -1,5 +1,5 @@
 """Byte-identical reports: the CLI calls of the benchmark's exhaustive
-grid workloads reproduce the report digests recorded with them."""
+workloads reproduce the report digests recorded with them."""
 
 import sys
 from pathlib import Path
@@ -13,7 +13,9 @@ from workloads import WORKLOADS, report_digest, report_rows  # noqa: E402
 from qtcomb.cli import main  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["grid-identities", "enumerator-grid"])
+@pytest.mark.parametrize(
+    "name", ["grid-identities", "enumerator-grid", "paths-exhaustive"]
+)
 def test_workload_reports_match_recorded_digest(capsys, name):
     workload = WORKLOADS[name]
     row_lists = []
