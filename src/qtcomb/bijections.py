@@ -17,6 +17,8 @@ The maps implemented here:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from qtcomb.families import FamilySpec, assemble_catalan_pld, validate_family
 from qtcomb.paths import (
     DecoratedLabelledPath,
@@ -26,6 +28,12 @@ from qtcomb.paths import (
     polyomino_decode,
     polyomino_encode,
 )
+
+
+# The membership checks below build the same few specs on every call;
+# each is built and validated once.  A spec that raises is not cached,
+# so an invalid one raises on every call.
+_spec = lru_cache(maxsize=None)(FamilySpec)
 
 
 def _require(obj, spec, what):
@@ -49,7 +57,7 @@ def eta_inverse(path):
     n = len(path.positive_rows())
     if m < 0:
         raise DomainError("eta_inverse: path has no zero valleys")
-    _require(path, FamilySpec("catalan-pld", m=m, n=n), "eta_inverse")
+    _require(path, _spec("catalan-pld", m=m, n=n), "eta_inverse")
 
     red, green = [], []
     y_red = 0
@@ -232,7 +240,7 @@ def _as_dominoes(obj, n=None):
                 raise DomainError(
                     "two-shuffle input needs the split parameter n"
                 )
-            spec = FamilySpec("two-shuffle", m=obj.size - n, n=n)
+            spec = _spec("two-shuffle", m=obj.size - n, n=n)
             _require(
                 DecoratedLabelledPath(obj.area_word, obj.labels),
                 spec,
@@ -284,7 +292,7 @@ def pld_recursive_step(path):
     n = len(path.positive_rows())
     if m < 0:
         raise DomainError("pld_recursive_step: path has no zero valleys")
-    _require(path, FamilySpec("catalan-pld", m=m, n=n), "pld_recursive_step")
+    _require(path, _spec("catalan-pld", m=m, n=n), "pld_recursive_step")
     rows = [
         ("z", path.area_word[i]) if path.labels[i] == 0 else ("p", None)
         for i in range(path.size)
@@ -324,7 +332,7 @@ def ehh_forward(path, k, n, m):
     i = k down to 1, a decorated 2-car rise is inserted directly above
     the car i, which itself becomes a 1-car.
     """
-    _require(path, FamilySpec("shuffle-knm", m=m, n=n, k=k), "ehh_forward")
+    _require(path, _spec("shuffle-knm", m=m, n=n, k=k), "ehh_forward")
     rows = []
     for a, l in zip(path.area_word, path.labels):
         if l <= k:
@@ -344,7 +352,7 @@ def ehh_forward(path, k, n, m):
     dec = tuple(i + 2 for i, r in enumerate(rows) if r[2])
     image = DecoratedLabelledPath(word, labels, dec, ghost_row=True)
     _require(
-        image, FamilySpec("pf2", m=m, n=n, k=k, ghost=True), "ehh_forward image"
+        image, _spec("pf2", m=m, n=n, k=k, ghost=True), "ehh_forward image"
     )
     return image
 
@@ -352,27 +360,30 @@ def ehh_forward(path, k, n, m):
 def ehh_inverse(path, k, n, m):
     """Inverse of ehh_forward."""
     _require(
-        path, FamilySpec("pf2", m=m, n=n, k=k, ghost=True), "ehh_inverse"
+        path, _spec("pf2", m=m, n=n, k=k, ghost=True), "ehh_inverse"
     )
-    body = path.without_ghost()
-    dec = sorted(body.decorated_rises)
+    # the body below the ghost row, read in place: rows and decorations
+    # are 1-based in the body
+    word, labels = path.area_word[1:], path.labels[1:]
+    decorated = frozenset(i - 1 for i in path.decorated_rises)
+    dec = sorted(decorated)
     for i in dec:
-        if i + 1 <= body.size and i + 1 in body.rises():
+        if i < len(word) and word[i] > word[i - 1]:
             raise DomainError(
                 "ehh_inverse: more than two consecutive vertical steps"
             )
-        if body.labels[i - 1] != 2 or body.labels[i - 2] != 1:
+        if labels[i - 1] != 2 or labels[i - 2] != 1:
             raise DomainError("ehh_inverse: decorated rise not above a 1-car")
     companions = {i - 1 for i in dec}
 
-    order = body.reading_order()
-    new_labels = list(body.labels)
+    order = [i + 1 for i in sorted(range(len(word)), key=word.__getitem__)]
+    new_labels = list(labels)
     next_one = n
     next_two = m + n - k
     for row in order:
-        if row in companions or row in body.decorated_rises:
+        if row in companions or row in decorated:
             continue
-        if body.labels[row - 1] == 1:
+        if labels[row - 1] == 1:
             new_labels[row - 1] = next_one
             next_one -= 1
         else:
@@ -382,11 +393,11 @@ def ehh_inverse(path, k, n, m):
     for value, row in enumerate(comp_order, start=1):
         new_labels[row - 1] = value
 
-    keep = [i for i in range(body.size) if i + 1 not in body.decorated_rises]
-    word = tuple(body.area_word[i] for i in keep)
+    keep = [i for i in range(len(word)) if i + 1 not in decorated]
+    word = tuple(word[i] for i in keep)
     labels = tuple(new_labels[i] for i in keep)
     out = DecoratedLabelledPath(word, labels)
-    _require(out, FamilySpec("shuffle-knm", m=m, n=n, k=k), "ehh_inverse image")
+    _require(out, _spec("shuffle-knm", m=m, n=n, k=k), "ehh_inverse image")
     return out
 
 
@@ -402,7 +413,7 @@ def shuffle_recursion_step(path, k, n, m):
     small count h, the diagonal small+medium count s, the diagonal big
     count, and the level-1 big count of the input.
     """
-    _require(path, FamilySpec("shuffle-knm", m=m, n=n, k=k), "shuffle_recursion_step")
+    _require(path, _spec("shuffle-knm", m=m, n=n, k=k), "shuffle_recursion_step")
 
     def kind(l):
         return "small" if l <= k else ("medium" if l <= n else "big")
@@ -447,7 +458,7 @@ def shuffle_recursion_step(path, k, n, m):
     # when anything survived the diagonal deletions
     k2, n2, m2 = k - h, n - s, m - diag_big - (1 if deleted_first else 0)
     word = tuple(a for _, a in rows)
-    order = sorted(range(len(rows)), key=lambda i: (rows[i][1], i))
+    order = sorted(range(len(rows)), key=word.__getitem__)
     labels = [0] * len(rows)
     next_small = 1
     next_medium = n2
@@ -465,6 +476,6 @@ def shuffle_recursion_step(path, k, n, m):
             next_big -= 1
     image = DecoratedLabelledPath(word, labels)
     _require(
-        image, FamilySpec("shuffle-knm", m=m2, n=n2, k=k2), "shuffle_recursion_step image"
+        image, _spec("shuffle-knm", m=m2, n=n2, k=k2), "shuffle_recursion_step image"
     )
     return image, summary

@@ -247,7 +247,7 @@ def assemble_catalan_pld(rows):
         word.append(prev)
     order = sorted(
         (i for i, (kind, _) in enumerate(rows) if kind == "p"),
-        key=lambda i: (word[i], i),
+        key=word.__getitem__,
     )
     labels = [0] * len(rows)
     for value, i in enumerate(order, start=1):
@@ -370,10 +370,9 @@ def shuffle_bucket_index(path, n, r_sem="ghost"):
 
 def qt_enumerator(spec, cap=10_000_000):
     """Sum of q^dinv t^area over the family."""
-    total = QtPolynomial.zero()
-    for member in generate(spec, cap=cap):
-        total += QtPolynomial.monomial(1, member.dinv(), member.area())
-    return total
+    return QtPolynomial(
+        ((member.dinv(), member.area()), 1) for member in generate(spec, cap=cap)
+    )
 
 
 def qt_enumerator_by_content(m, n, k, cap=10_000_000):
@@ -474,14 +473,15 @@ def validate_family(obj, spec):
         return True, "ok"
 
     if f == "pf2":
-        body = obj.without_ghost() if obj.ghost_row else obj
+        # the body is the path below its ghost row, read in place
+        labels = obj.labels[1:] if obj.ghost_row else obj.labels
         if spec.ghost != obj.ghost_row:
             return False, "ghost row flag mismatch"
-        if body.size != spec.m + spec.n:
+        if len(labels) != spec.m + spec.n:
             return False, "wrong size"
-        if body.labels.count(1) != spec.n or body.labels.count(2) != spec.m:
+        if labels.count(1) != spec.n or labels.count(2) != spec.m:
             return False, "wrong car counts"
-        if set(body.labels) - {1, 2}:
+        if set(labels) - {1, 2}:
             return False, "labels must be 1 or 2"
         if len(obj.decorated_rises) != spec.k:
             return False, f"expected {spec.k} decorated rises"

@@ -332,8 +332,15 @@ def pleth_e(r, alphabet, pt):
 
 def pleth_h(r, alphabet, pt):
     """h_r of the alphabet at the point, as (-1)^r e_r[-A]; 0 for r < 0."""
-    value = pleth_e(r, -alphabet, pt)
+    value = pleth_e(r, _negated(alphabet), pt)
     return -value if r % 2 else value
+
+
+@lru_cache(maxsize=None)
+def _negated(alphabet):
+    """-A, built once per alphabet, so the ``pleth_e`` cache keys share
+    one object and its stored hash."""
+    return -alphabet
 
 
 # -- monomial-basis machinery ---------------------------------------------

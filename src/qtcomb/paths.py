@@ -2,7 +2,9 @@
 
 Paths are represented canonically by area words: a labelled Dyck path of
 size N is the word a_1..a_N (a_1 = 0, a_{i+1} <= a_i + 1) together with
-per-row labels and a set of decorated rises.  Reduced parallelogram
+per-row labels and a set of decorated rises.  ``dinv_pairs`` lists the
+inverting pairs and is the reference form of the statistic; ``dinv``
+counts the same pairs without building them.  Reduced parallelogram
 polyominoes are area words over the doubled alphabet
 0 < 0b < 1 < 1b < 2 < ... (b marks a barred letter), with the ghost
 letter 0 at index 0.  Step-grid geometry is derived, not stored.
@@ -62,29 +64,31 @@ class DecoratedLabelledPath:
         n = len(a)
         if n and a[0] != 0:
             raise InvalidPathError("area word must start with 0")
-        for i in range(1, n):
-            if a[i] < 0 or a[i] > a[i - 1] + 1:
-                raise InvalidPathError(
-                    f"area word steps by more than +1 at row {i + 1}"
-                )
-        if self.labels is not None:
-            if len(self.labels) != n:
+        for row, (prev, x) in enumerate(zip(a, a[1:]), start=2):
+            if x < 0 or x > prev + 1:
+                raise InvalidPathError(f"area word steps by more than +1 at row {row}")
+        labels = self.labels
+        if labels is not None:
+            if len(labels) != n:
                 raise InvalidPathError("labels length differs from area word")
-            if any(l < 0 for l in self.labels):
+            if any(l < 0 for l in labels):
                 raise InvalidPathError("labels must be non-negative")
-            for i in range(1, n):
-                if a[i] == a[i - 1] + 1 and self.labels[i] <= self.labels[i - 1]:
+            for row, (prev, x, below, label) in enumerate(
+                zip(a, a[1:], labels, labels[1:]), start=2
+            ):
+                if x == prev + 1 and label <= below:
                     raise InvalidPathError(
-                        f"labels not strictly increasing in column at row {i + 1}"
+                        f"labels not strictly increasing in column at row {row}"
                     )
-        rises = self.rises()
-        for i in self.decorated_rises:
-            if i not in rises:
-                raise InvalidPathError(f"decorated index {i} is not a rise")
+        if self.decorated_rises:
+            rises = self.rises()
+            for i in self.decorated_rises:
+                if i not in rises:
+                    raise InvalidPathError(f"decorated index {i} is not a rise")
         if self.ghost_row:
-            if self.labels is None or n == 0:
+            if labels is None or n == 0:
                 raise InvalidPathError("ghost row requires a labelled row 1")
-            if self.labels[0] != 2 or a[0] != 0:
+            if labels[0] != 2 or a[0] != 0:
                 raise InvalidPathError("ghost row must be the car 2 at level 0")
 
     # -- basic structure ----------------------------------------------
@@ -130,11 +134,9 @@ class DecoratedLabelledPath:
     # -- statistics ---------------------------------------------------
 
     def area(self):
-        return sum(
-            a
-            for i, a in enumerate(self.area_word, start=1)
-            if i not in self.decorated_rises
-        )
+        """Sum of the area word over the rows that are not decorated."""
+        a = self.area_word
+        return sum(a) - sum(a[i - 1] for i in self.decorated_rises)
 
     def dinv_pairs(self):
         """(primary, secondary) lists of inverting index pairs (1-based)."""
@@ -150,22 +152,43 @@ class DecoratedLabelledPath:
         return primary, secondary
 
     def dinv(self):
-        primary, secondary = self.dinv_pairs()
-        return len(primary) + len(secondary)
+        """The number of pairs ``dinv_pairs`` lists, counted directly: each
+        row against the earlier rows at its own level and one level up."""
+        a, l = self.area_word, self.labels
+        count = 0
+        if l is None:
+            rows_at = {}  # level -> rows so far at that level
+            for x in a:
+                count += rows_at.get(x, 0) + rows_at.get(x + 1, 0)
+                rows_at[x] = rows_at.get(x, 0) + 1
+            return count
+        labels_at = {}  # level -> labels of the rows so far at that level
+        for x, u in zip(a, l):
+            same = labels_at.get(x)
+            if same is None:
+                same = labels_at[x] = []
+            for v in same:
+                count += v < u
+            for v in labels_at.get(x + 1, ()):
+                count += v > u
+            same.append(u)
+        return count
 
     def reading_word(self):
         """Positive labels read along diagonals bottom to top."""
         if self.labels is None:
             raise DomainError("reading word needs labels")
-        rows = sorted(range(self.size), key=lambda i: (self.area_word[i], i))
-        return tuple(self.labels[i] for i in rows if self.labels[i] > 0)
+        labels = self.labels
+        return tuple(labels[i] for i in self._reading_rows() if labels[i] > 0)
 
     def reading_order(self):
         """All 1-based row indices sorted by (level, row)."""
-        return tuple(
-            i + 1
-            for i in sorted(range(self.size), key=lambda i: (self.area_word[i], i))
-        )
+        return tuple(i + 1 for i in self._reading_rows())
+
+    def _reading_rows(self):
+        """0-based rows by (level, row): a stable sort on the level."""
+        a = self.area_word
+        return sorted(range(len(a)), key=a.__getitem__)
 
     def zero_composition(self):
         """Groups of 0-labels split at the 0-labels on the main diagonal."""

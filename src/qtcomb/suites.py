@@ -116,7 +116,7 @@ def suite_ehh(max_size=6):
                     seen = set()
                     bad = ""
                     count = 0
-                    lhs = QtPolynomial.zero()
+                    stats = []  # (dinv, area) of each member
                     for path in generate(
                         FamilySpec("shuffle-knm", m=m, n=n, k=k)
                     ):
@@ -126,15 +126,15 @@ def suite_ehh(max_size=6):
                             bad = f"not injective at {path!r}"
                             break
                         seen.add(image)
-                        stats = (path.dinv(), path.area())
-                        if (image.dinv(), image.area()) != stats:
+                        stats.append((path.dinv(), path.area()))
+                        if (image.dinv(), image.area()) != stats[-1]:
                             bad = f"statistics moved at {path!r}"
                             break
                         if bijections.ehh_inverse(image, k, n, m) != path:
                             bad = f"round trip failed at {path!r}"
                             break
-                        lhs += QtPolynomial.monomial(1, *stats)
                     if not bad:
+                        lhs = QtPolynomial((pair, 1) for pair in stats)
                         rhs = qt_enumerator(
                             FamilySpec("pf2", m=m, n=n, k=k, ghost=True)
                         )
@@ -356,7 +356,6 @@ def suite_delta_ehh(max_size=4):
                                 (j + 1, j + a, False),
                                 (j + a + 1, n, False),
                             ]
-                            enum = QtPolynomial.zero()
                             spec = FamilySpec(
                                 "pld" if m else "ld",
                                 m=m,
@@ -364,11 +363,11 @@ def suite_delta_ehh(max_size=4):
                                 k=k,
                                 content=tuple([1] * n),
                             )
-                            for path in generate(spec):
-                                if word_in_runs(path.reading_word(), runs):
-                                    enum += QtPolynomial.monomial(
-                                        1, path.dinv(), path.area()
-                                    )
+                            enum = QtPolynomial(
+                                ((path.dinv(), path.area()), 1)
+                                for path in generate(spec)
+                                if word_in_runs(path.reading_word(), runs)
+                            )
                             # <Delta_{h_m} Delta'_{e_(n-k-1)} e_n, e_j h_a h_b>
                             ok = poly_equal_by_grid(
                                 _ev(

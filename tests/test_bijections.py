@@ -196,6 +196,39 @@ class TestEhh:
         with pytest.raises(DomainError):
             ehh_inverse(SHUFFLE_IMG, 2, 5, 6)
 
+    @pytest.mark.parametrize(
+        "word, labels, dec, knm, message",
+        [
+            # body 0,1,2 with the rise at row 2 decorated: a third step up
+            (
+                (0, 0, 1, 2),
+                (2, 1, 2, 1),
+                (3,),
+                (1, 2, 1),
+                "ehh_inverse: more than two consecutive vertical steps",
+            ),
+            # body 0,0,1 with the rise at row 3 decorated over a 2-car
+            (
+                (0, 0, 0, 1),
+                (2, 1, 2, 2),
+                (4,),
+                (1, 1, 2),
+                "ehh_inverse: decorated rise not above a 1-car",
+            ),
+        ],
+    )
+    def test_inverse_shape_guards(self, word, labels, dec, knm, message):
+        # A validated two-car path cannot take either shape (a rise
+        # needs a larger label above it), so the input is built without
+        # the constructor's checks; it still passes the pf2 membership
+        # check, which reads only sizes, car counts and decorations.
+        path = object.__new__(DecoratedLabelledPath)
+        path.area_word, path.labels = word, labels
+        path.decorated_rises, path.ghost_row = frozenset(dec), True
+        with pytest.raises(DomainError) as info:
+            ehh_inverse(path, *knm)
+        assert str(info.value) == message
+
     def test_bijection_exhaustive(self):
         for k in range(0, 4):
             for n in range(k, 5):

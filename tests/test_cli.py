@@ -200,3 +200,13 @@ def test_biject_bad_input_file_exits_2(tmp_path, capsys, text, message):
     code, out, err = run(capsys, "biject", "--map", "psi", "--in", str(infile))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_biject_ghost_candidate_rising_at_row_2_exits_2(tmp_path, capsys):
+    path = {"area_word": [0, 1, 0], "labels": [2, 3, 1], "ghost_row": True}
+    infile = tmp_path / "f.json"
+    infile.write_text(json.dumps(path))
+    argv = ("biject", "--map", "ehh-inv", "--m", "1", "--n", "1", "--k", "0")
+    code, out, err = run(capsys, *argv, "--in", str(infile))
+    assert code == 2 and out == ""
+    assert err == "error: ehh_inverse: wrong car counts\n"

@@ -197,6 +197,14 @@ def test_membership_examples():
     assert not ok and "shuffle" in why
 
 
+def test_ghost_pf2_candidate_rising_at_row_2_is_rejected_not_raised():
+    # the body below the ghost row would start at level 1; membership
+    # answers with a diagnostic instead of rebuilding that body
+    path = DecoratedLabelledPath((0, 1, 0), (2, 3, 1), ghost_row=True)
+    spec = FamilySpec("pf2", m=1, n=1, ghost=True)
+    assert validate_family(path, spec) == (False, "wrong car counts")
+
+
 def test_catalan_member_reads_canonically():
     from qtcomb.paths import DecoratedLabelledPath
 

@@ -243,3 +243,55 @@ class TestRuns:
 def test_path_json_roundtrip():
     p = DecoratedLabelledPath((0, 1, 1), (1, 2, 3), (2,))
     assert DecoratedLabelledPath.from_json(p.to_json("ld")) == p
+
+
+def _dinv_oracle_specs():
+    """Small instances of every family whose members the suites call
+    ``dinv`` on."""
+    from qtcomb.families import FamilySpec, partitions
+
+    for n in range(7):
+        yield FamilySpec("d", n=n)
+    for total in range(6):
+        for m in range(total + 1):
+            n = total - m
+            yield FamilySpec("catalan-pld", m=m, n=n)
+            for k in range(min(m, n) + 1):
+                yield FamilySpec("pf2", m=m, n=n, k=k, ghost=True)
+            for lam in partitions(n) if n else ():
+                yield FamilySpec("pld" if m else "ld", m=m, n=n, content=lam)
+    for k in range(6):
+        for n in range(k, 6 + k):
+            for m in range(k, 6 + k):
+                if 0 < m + n - k <= 5:
+                    yield FamilySpec("shuffle-knm", m=m, n=n, k=k)
+
+
+def test_dinv_counts_the_listed_pairs():
+    from qtcomb.families import generate
+
+    members = 0
+    for spec in _dinv_oracle_specs():
+        for p in generate(spec):
+            primary, secondary = p.dinv_pairs()
+            assert p.dinv() == len(primary) + len(secondary), (spec, p)
+            members += 1
+    assert members > 5000
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # an area-word fault at row 3 and a column fault at row 2
+        (((0, 1, 3), (2, 1, 5)), "area word steps by more than +1 at row 3"),
+        # a column fault at row 2 and an undecorated rise at row 3
+        (
+            ((0, 1, 0), (2, 1, 3), (3,)),
+            "labels not strictly increasing in column at row 2",
+        ),
+    ],
+)
+def test_first_of_two_faults_is_raised(args, message):
+    with pytest.raises(InvalidPathError) as info:
+        DecoratedLabelledPath(*args)
+    assert str(info.value) == message
