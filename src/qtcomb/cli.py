@@ -199,14 +199,10 @@ def cmd_verify(args):
             reports += suite(
                 names=idnames, max_size=args.max, grid_bound=args.grid_bound
             )
-        elif name in ("ndinv", "ehh", "delta-ehh"):
-            reports += suite(max_size=args.max)
-        elif name == "recursion-reconcile":
-            reports += suite(max_size=min(args.max, 5))
-        elif name == "delta-tiny":
-            reports += suite(max_size=min(args.max, 5))
-        else:
+        elif name in ("examples", "engine"):
             reports += suite()
+        else:
+            reports += suite(max_size=args.max)
     if not reports:
         raise UsageError(f"no checks ran: verify {args.suite} --max {args.max}")
     rows = sorted(r.row() for r in reports)

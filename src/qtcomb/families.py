@@ -5,9 +5,9 @@ Members are emitted in a canonical order: row-by-row lexicographic on
 level and label, and so on -- then by decoration set.  This is not the
 order of sorting on (area word, labels), where the level of row 2
 outranks the label of row 1.  Failure witnesses are the first failing
-member, so they depend on this order.  Generators are streams with a
-configurable size cap; the shuffle and decorated families are searched
-with pruning rather than filtered after generation.
+member, so they depend on this order.  Generators are streams of at
+most ``MEMBER_CAP`` members; the shuffle and decorated families are
+searched with pruning rather than filtered after generation.
 """
 
 from __future__ import annotations
@@ -23,6 +23,10 @@ from qtcomb.paths import (
     word_in_runs,
 )
 from qtcomb.qt import CapacityError, QtPolynomial
+
+#: Largest number of members ``generate`` streams from one family; read
+#: when a stream starts.
+MEMBER_CAP = 10_000_000
 
 FAMILIES = (
     "d",
@@ -292,8 +296,10 @@ def _parking_paths(size, runs, min_rises=0):
     )
 
 
-def generate(spec, cap=10_000_000):
-    """Stream the members of a family once each, in canonical order."""
+def generate(spec):
+    """Stream the members of a family once each, in canonical order, at
+    most ``MEMBER_CAP`` of them."""
+    cap = MEMBER_CAP
     count = 0
     for member in _generate(spec):
         count += 1
@@ -368,19 +374,19 @@ def shuffle_bucket_index(path, n, r_sem="ghost"):
 # -- enumerators --------------------------------------------------------
 
 
-def qt_enumerator(spec, cap=10_000_000):
+def qt_enumerator(spec):
     """Sum of q^dinv t^area over the family."""
     return QtPolynomial(
-        ((member.dinv(), member.area()), 1) for member in generate(spec, cap=cap)
+        ((member.dinv(), member.area()), 1) for member in generate(spec)
     )
 
 
-def qt_enumerator_by_content(m, n, k, cap=10_000_000):
+def qt_enumerator_by_content(m, n, k):
     """Map from content partition to the enumerator of matching members."""
     out = {}
     for lam in partitions(n):
         spec = FamilySpec("pld" if m else "ld", m=m, n=n, k=k, content=lam)
-        out[lam] = qt_enumerator(spec, cap=cap)
+        out[lam] = qt_enumerator(spec)
     return out
 
 

@@ -96,10 +96,6 @@ class Partition(tuple):
             sum(1 for p in self if p > c) for c in range(self[0])
         )
 
-    def n_stat(self):
-        """Sum of colegs."""
-        return sum(i * p for i, p in enumerate(self))
-
 
 @lru_cache(maxsize=None)
 def partitions_of(n, max_part=None):
@@ -390,15 +386,6 @@ def _mono_times_mono(alpha, beta):
         if count:
             out[lam] = count
     return out
-
-
-def _mono_mul(expansion, beta):
-    """Multiply an m-expansion {lam: coeff} by m_beta."""
-    out = {}
-    for lam, c in expansion.items():
-        for nu, c2 in _mono_times_mono(tuple(lam), tuple(beta)).items():
-            out[nu] = out.get(nu, 0) + c * c2
-    return {k: v for k, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
@@ -859,14 +846,14 @@ def pair_en_eh(n, d, pt):
     return total
 
 
-def reciprocity_check(alpha, beta, pt):
-    """H_alpha[M B_beta] / Pi_alpha == H_beta[M B_alpha] / Pi_beta,
-    compared cross-multiplied."""
-    M = m_alphabet()
-    pa = pi_mu(alpha, pt)
-    pb = pi_mu(beta, pt)
-    if pa == 0 or pb == 0:
-        raise PoleError("Pi vanishes at the evaluation point")
-    lhs = htilde_at_alphabet(alpha, M * b_alphabet(beta), pt)
-    rhs = htilde_at_alphabet(beta, M * b_alphabet(alpha), pt)
-    return lhs * pb == rhs * pa
+def reciprocity_side(alpha, beta, pt):
+    """H_alpha[M B_beta] Pi_beta.  Macdonald reciprocity says it is
+    symmetric in alpha and beta."""
+    return htilde_at_alphabet(alpha, _m_b_alphabet(beta), pt) * pi_mu(beta, pt)
+
+
+@lru_cache(maxsize=None)
+def _m_b_alphabet(mu):
+    """M B_mu, built once per partition, so the ``htilde_at_alphabet``
+    cache keys share one alphabet and its stored hash."""
+    return m_alphabet() * b_alphabet(mu)

@@ -27,6 +27,23 @@ class GeometryError(ValueError):
     """A step-path pair does not form a valid reduced polyomino."""
 
 
+def _json_int(value, name):
+    # bool is an int subclass, but true is not a row index or a level
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_ints(values, name):
+    return tuple(_json_int(v, name) for v in values)
+
+
+def _json_bool(value, name):
+    if type(value) is not bool:
+        raise TypeError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 class Composition(tuple):
     """A composition: positive parts with a fixed total."""
 
@@ -178,17 +195,10 @@ class DecoratedLabelledPath:
         """Positive labels read along diagonals bottom to top."""
         if self.labels is None:
             raise DomainError("reading word needs labels")
-        labels = self.labels
-        return tuple(labels[i] for i in self._reading_rows() if labels[i] > 0)
-
-    def reading_order(self):
-        """All 1-based row indices sorted by (level, row)."""
-        return tuple(i + 1 for i in self._reading_rows())
-
-    def _reading_rows(self):
-        """0-based rows by (level, row): a stable sort on the level."""
-        a = self.area_word
-        return sorted(range(len(a)), key=a.__getitem__)
+        a, labels = self.area_word, self.labels
+        # rows by (level, row): a stable sort on the level
+        rows = sorted(range(len(a)), key=a.__getitem__)
+        return tuple(labels[i] for i in rows if labels[i] > 0)
 
     def zero_composition(self):
         """Groups of 0-labels split at the 0-labels on the main diagonal."""
@@ -264,13 +274,16 @@ class DecoratedLabelledPath:
 
     @classmethod
     def from_json(cls, obj):
+        """The path of a JSON object; TypeError on an entry that is not an
+        int or a flag that is not a bool."""
         if isinstance(obj, str):
             obj = json.loads(obj)
+        labels = obj.get("labels")
         return cls(
-            obj["area_word"],
-            obj.get("labels"),
-            obj.get("decorated_rises", ()),
-            obj.get("ghost_row", False),
+            _json_ints(obj["area_word"], "area_word"),
+            None if labels is None else _json_ints(labels, "labels"),
+            _json_ints(obj.get("decorated_rises", ()), "decorated_rises"),
+            _json_bool(obj.get("ghost_row", False), "ghost_row"),
         )
 
     def __eq__(self, other):
@@ -386,11 +399,16 @@ class PolyominoWord:
 
     @classmethod
     def from_json(cls, obj):
+        """The word of a JSON object; TypeError on a value that is not an
+        int or a flag that is not a bool."""
         if isinstance(obj, str):
             obj = json.loads(obj)
         return cls(
-            [(d["v"], d["barred"]) for d in obj["letters"]],
-            obj.get("decorated_rises", ()),
+            [
+                (_json_int(d["v"], "v"), _json_bool(d["barred"], "barred"))
+                for d in obj["letters"]
+            ],
+            _json_ints(obj.get("decorated_rises", ()), "decorated_rises"),
         )
 
     @classmethod

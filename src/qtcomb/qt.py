@@ -322,7 +322,12 @@ def t_primes(count):
     return _primes_from(101, count)
 
 
-def poly_equal_by_grid(f, g, degree_bound, max_replacements=8):
+#: Further t-primes ``poly_equal_by_grid`` tries for one grid cell before
+#: it gives up on the cell.
+MAX_REPLACEMENTS = 8
+
+
+def poly_equal_by_grid(f, g, degree_bound):
     """Decide f == g for evaluators of polynomials of per-variable degree
     <= degree_bound.
 
@@ -337,11 +342,11 @@ def poly_equal_by_grid(f, g, degree_bound, max_replacements=8):
     """
     m = degree_bound + 1
     qs = q_primes(m)
-    ts = t_primes(m * (max_replacements + 1))
+    ts = t_primes(m * (MAX_REPLACEMENTS + 1))
     for i in range(m):
         q0 = qs[i]
         for j in range(m):
-            for rep in range(max_replacements + 1):
+            for rep in range(MAX_REPLACEMENTS + 1):
                 t0 = ts[j + rep * m]
                 if t0 == q0:
                     continue

@@ -24,6 +24,7 @@ r = b - 1 is the fully emptied state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from qtcomb.families import FamilySpec, bucket_index, generate, qt_enumerator
@@ -66,15 +67,9 @@ def _qb(n, k):
     return q_binomial(n, k)
 
 
-_MEMO = {}
-
-
+@lru_cache(maxsize=None)
 def pf2_recursion(m, r, n, k, variant=RECONCILED_VARIANT):
     """Evaluate the recursion template; memo-stable per variant."""
-    key = (variant, m, r, n, k)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
     b = variant.base_shift
     if n < 0 or k < 0 or m < -1:
         value = QtPolynomial.zero()
@@ -111,7 +106,6 @@ def pf2_recursion(m, r, n, k, variant=RECONCILED_VARIANT):
                     if sub.is_zero():
                         continue
                     value += mid * _qb(s + u - h - 1, u - h) * sub
-    _MEMO[key] = value
     return value
 
 

@@ -4,12 +4,19 @@ Each suite runs a batch of exact checks and returns a list of
 VerificationReport rows.  Reports are deterministic: rows are emitted in
 a fixed order and the comparable portion carries no wall-clock data
 (timings live in a separate field that serializers skip).
+
+The grid suites are data: a row generator yields one (instance, checks)
+pair per report row, each check a (witness, left, right, bound) tuple of
+two exact evaluators and the degree bound of their polynomials, and
+``_grid_rows`` runs every row the same way.  A new check is one more
+row from a row generator, not a new loop.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from qtcomb import bijections, macdonald, recursion
 from qtcomb.families import (
@@ -19,8 +26,13 @@ from qtcomb.families import (
     qt_enumerator_by_content,
 )
 from qtcomb.macdonald import partitions_of
-from qtcomb.qt import QtPolynomial, poly_equal_by_grid
-from qtcomb.paths import DecoratedLabelledPath
+from qtcomb.paths import (
+    DecoratedLabelledPath,
+    PolyominoPaths,
+    polyomino_encode,
+    word_in_runs,
+)
+from qtcomb.qt import EvalPoint, QtPolynomial, poly_equal_by_grid
 
 
 @dataclass
@@ -140,14 +152,8 @@ def suite_ehh(max_size=6):
                         )
                         if lhs != rhs:
                             bad = f"enumerators differ: {lhs!r} vs {rhs!r}"
-                    yield (
-                        _report(
-                            "ehh",
-                            f"k={k} n={n} m={m} members={count}",
-                            not bad,
-                            bad,
-                        )
-                    )
+                    instance = f"k={k} n={n} m={m} members={count}"
+                    yield _report("ehh", instance, not bad, bad)
 
     return _timed(run)
 
@@ -170,7 +176,25 @@ def suite_recursion(max_size=5):
     return _timed(run)
 
 
-# -- identity suites ---------------------------------------------------------
+# -- grid suites -------------------------------------------------------------
+
+#: Largest k of the content-refined and three-run Delta checks.
+DELTA_K_CAP = 2
+
+#: Largest degree of the engine's basis round trips.
+ENGINE_DEGREE = 7
+
+#: The two-sided identities checked at every (m, n, k): name -> the
+#: ``macdonald`` evaluators of the left and the right side, by name, so
+#: that each is looked up when its suite runs.
+IDENTITY_PAIRS = {
+    "new-id": ("mid_delta_hn", "rhs_nabla_ehh"),
+    "delta-hh-sum": ("sum_r_lhs", "mid_delta_hn"),
+    "deltahh-ehh": ("lhs_delta_hh", "rhs_nabla_ehh"),
+    "ehh-sum": ("sum_r_lhs", "rhs_nabla_ehh"),
+}
+
+IDENTITY_NAMES = ("mac-hook", "reciprocity", *IDENTITY_PAIRS)
 
 
 def _grid_bound(n):
@@ -179,19 +203,41 @@ def _grid_bound(n):
 
 
 def _ev(fn, *args):
-    from qtcomb.qt import EvalPoint
-
     return lambda q0, t0: fn(*args, EvalPoint(q0, t0))
 
 
-IDENTITY_NAMES = (
-    "mac-hook",
-    "reciprocity",
-    "new-id",
-    "delta-hh-sum",
-    "deltahh-ehh",
-    "ehh-sum",
-)
+def _grid_rows(suite, rows):
+    """Reports of grid rows.  A row is (instance, checks) and a check is
+    (witness, left, right, bound): two evaluators of (q0, t0) and the
+    per-variable degree bound of their polynomials.  A row fails at its
+    first check that fails on the grid, with that check's witness.  The
+    rows are consumed inside ``_timed``, so a row's time includes building
+    it (an enumerator, say)."""
+
+    def run():
+        for instance, checks in rows:
+            failed = next(
+                (
+                    witness
+                    for witness, left, right, bound in checks
+                    if not poly_equal_by_grid(left, right, bound)
+                ),
+                None,
+            )
+            yield _report(suite, instance, failed is None, failed)
+
+    return _timed(run)
+
+
+def _instances(max_size, k_cap=None):
+    """(m, n, k) with 1 <= m+n <= max_size, by size, then m, then k:
+    k <= min(m, n), or with ``k_cap`` k <= min(k_cap, n - 1)."""
+    for total in range(1, max_size + 1):
+        for m in range(total + 1):
+            n = total - m
+            k_max = min(m, n) if k_cap is None else min(k_cap, n - 1)
+            for k in range(k_max + 1):
+                yield m, n, k
 
 
 def suite_identities(names=None, max_size=6, grid_bound=None):
@@ -199,216 +245,146 @@ def suite_identities(names=None, max_size=6, grid_bound=None):
     names = names or IDENTITY_NAMES
     reports = []
     if "mac-hook" in names:
-        reports += _suite_mac_hook(min(max_size, 5), grid_bound)
+        reports += _grid_rows(
+            "mac-hook", _mac_hook_rows(min(max_size, 5), grid_bound)
+        )
     if "reciprocity" in names:
-        reports += _suite_reciprocity(min(max_size, 4), grid_bound)
-    pairs = {
-        "new-id": (macdonald.mid_delta_hn, macdonald.rhs_nabla_ehh),
-        "delta-hh-sum": (macdonald.sum_r_lhs, macdonald.mid_delta_hn),
-        "deltahh-ehh": (macdonald.lhs_delta_hh, macdonald.rhs_nabla_ehh),
-        "ehh-sum": (macdonald.sum_r_lhs, macdonald.rhs_nabla_ehh),
-    }
+        reports += _grid_rows(
+            "reciprocity", _reciprocity_rows(min(max_size, 4), grid_bound)
+        )
     for name in names:
-        if name in pairs:
-            reports += _suite_identity_pair(name, *pairs[name], max_size, grid_bound)
+        if name in IDENTITY_PAIRS:
+            left, right = (getattr(macdonald, fn) for fn in IDENTITY_PAIRS[name])
+            reports += _grid_rows(
+                name, _pair_rows(left, right, max_size, grid_bound)
+            )
     return reports
 
 
-def _suite_mac_hook(nmax, grid_bound):
-    def run():
-        for n in range(1, nmax + 1):
-            bound = grid_bound or _grid_bound(n)
-            bad = ""
-            for mu in partitions_of(n):
-                for r in range(n):
-                    ok = poly_equal_by_grid(
-                        _ev(macdonald.pair_htilde_hook, mu, r),
-                        _ev(macdonald.pleth_e, r, macdonald.b_minus_one(mu)),
-                        bound,
-                    )
-                    if not ok:
-                        bad = f"mu={tuple(mu)} r={r}"
-                        break
-                if bad:
-                    break
-            yield _report("mac-hook", f"n={n} bound={bound}", not bad, bad)
-
-    return _timed(run)
+def _mac_hook_rows(nmax, grid_bound):
+    for n in range(1, nmax + 1):
+        bound = grid_bound or _grid_bound(n)
+        yield f"n={n} bound={bound}", (
+            (
+                f"mu={tuple(mu)} r={r}",
+                _ev(macdonald.pair_htilde_hook, mu, r),
+                _ev(macdonald.pleth_e, r, macdonald.b_minus_one(mu)),
+                bound,
+            )
+            for mu in partitions_of(n)
+            for r in range(n)
+        )
 
 
-def _reciprocity_side(alpha, m_b_beta, beta, pt):
-    """H_alpha[M B_beta] Pi_beta, one side of Macdonald reciprocity."""
-    return macdonald.htilde_at_alphabet(alpha, m_b_beta, pt) * macdonald.pi_mu(
-        beta, pt
-    )
-
-
-def _suite_reciprocity(nmax, grid_bound):
-    def run():
-        for a in range(1, nmax + 1):
-            for b in range(1, nmax + 1):
-                # q-degree of H[M B] Pi: coefficient degree + plethysm + Pi
-                bound = grid_bound or (
-                    a * (a - 1) // 2 + a * b + b * (b - 1) // 2
+def _reciprocity_rows(nmax, grid_bound):
+    for a in range(1, nmax + 1):
+        for b in range(1, nmax + 1):
+            # q-degree of H[M B] Pi: coefficient degree + plethysm + Pi
+            bound = grid_bound or (a * (a - 1) // 2 + a * b + b * (b - 1) // 2)
+            yield f"|alpha|={a} |beta|={b}", (
+                (
+                    f"alpha={tuple(alpha)} beta={tuple(beta)}",
+                    _ev(macdonald.reciprocity_side, alpha, beta),
+                    _ev(macdonald.reciprocity_side, beta, alpha),
+                    bound,
                 )
-                bad = ""
-                for alpha in partitions_of(a):
-                    m_b_alpha = macdonald.m_alphabet() * macdonald.b_alphabet(alpha)
-                    for beta in partitions_of(b):
-                        m_b_beta = macdonald.m_alphabet() * macdonald.b_alphabet(beta)
-                        ok = poly_equal_by_grid(
-                            _ev(_reciprocity_side, alpha, m_b_beta, beta),
-                            _ev(_reciprocity_side, beta, m_b_alpha, alpha),
-                            bound,
-                        )
-                        if not ok:
-                            bad = f"alpha={tuple(alpha)} beta={tuple(beta)}"
-                            break
-                    if bad:
-                        break
-                yield _report("reciprocity", f"|alpha|={a} |beta|={b}", not bad, bad)
-
-    return _timed(run)
+                for alpha in partitions_of(a)
+                for beta in partitions_of(b)
+            )
 
 
-def _suite_identity_pair(name, left, right, max_size, grid_bound):
-    def run():
-        for total in range(1, max_size + 1):
-            for m in range(total + 1):
-                n = total - m
-                for k in range(min(m, n) + 1):
-                    bound = grid_bound or _grid_bound(total)
-                    ok = poly_equal_by_grid(
-                        _ev(left, m, n, k), _ev(right, m, n, k), bound
-                    )
-                    yield _report(name, f"m={m} n={n} k={k} bound={bound}", ok)
-
-    return _timed(run)
+def _pair_rows(left, right, max_size, grid_bound):
+    for m, n, k in _instances(max_size):
+        bound = grid_bound or _grid_bound(m + n)
+        yield f"m={m} n={n} k={k} bound={bound}", [
+            ("", _ev(left, m, n, k), _ev(right, m, n, k), bound)
+        ]
 
 
 # -- Delta conjecture, tiny sizes ---------------------------------------------
 
 
-def suite_delta_tiny(max_size=5, k_cap=2):
+def suite_delta_tiny(max_size=5):
     """(i) the two-part case against the two-car model; (ii) the content-
     refined statement against partially labelled paths."""
+    return _grid_rows("delta-hh-model", _delta_hh_rows(max_size)) + _grid_rows(
+        "delta-content", _delta_content_rows(max_size)
+    )
 
-    def run():
-        for total in range(1, max_size + 1):
-            for m in range(total + 1):
-                n = total - m
-                for k in range(min(m, n) + 1):
-                    enum = qt_enumerator(FamilySpec("pf2", m=m, n=n, k=k))
-                    bound = _grid_bound(total)
-                    ok = poly_equal_by_grid(
-                        _ev(macdonald.lhs_delta_hh, m, n, k),
-                        lambda q0, t0: enum.eval(q0, t0),
-                        bound,
-                    )
-                    yield _report("delta-hh-model", f"m={m} n={n} k={k}", ok)
-        for total in range(1, max_size + 1):
-            for m in range(total + 1):
-                n = total - m
-                if n == 0:
-                    continue
-                for k in range(min(k_cap, n - 1) + 1):
-                    by_content = qt_enumerator_by_content(m, n, k)
-                    bound = _grid_bound(total)
-                    bad = ""
-                    for lam, enum in sorted(by_content.items()):
-                        ok = poly_equal_by_grid(
-                            _ev(macdonald.delta_lhs_by_content, m, n, k, lam),
-                            lambda q0, t0: enum.eval(q0, t0),
-                            bound,
-                        )
-                        if not ok:
-                            bad = f"content {lam}"
-                            break
-                    yield (
-                        _report(
-                            "delta-content", f"m={m} n={n} k={k}", not bad, bad
-                        )
-                    )
 
-    return _timed(run)
+def _delta_hh_rows(max_size):
+    for m, n, k in _instances(max_size):
+        enum = qt_enumerator(FamilySpec("pf2", m=m, n=n, k=k))
+        yield f"m={m} n={n} k={k}", [
+            ("", _ev(macdonald.lhs_delta_hh, m, n, k), enum.eval, _grid_bound(m + n))
+        ]
+
+
+def _delta_content_rows(max_size):
+    for m, n, k in _instances(max_size, DELTA_K_CAP):
+        by_content = qt_enumerator_by_content(m, n, k)
+        yield f"m={m} n={n} k={k}", [
+            (
+                f"content {lam}",
+                _ev(macdonald.delta_lhs_by_content, m, n, k, lam),
+                enum.eval,
+                _grid_bound(m + n),
+            )
+            for lam, enum in sorted(by_content.items())
+        ]
 
 
 def suite_delta_ehh(max_size=4):
     """Finite checks of the three-run case of the generalized statement:
     scalar products against e_j h_a h_b versus shuffle-filtered paths."""
+    return _grid_rows("delta-ehh", _delta_ehh_rows(max_size))
 
-    def run():
-        from qtcomb.paths import word_in_runs
 
-        for total in range(1, max_size + 1):
-            for m in range(total + 1):
-                n = total - m
-                if n == 0:
+def _delta_ehh_rows(max_size):
+    for m, n, k in _instances(max_size, DELTA_K_CAP):
+        spec = FamilySpec(
+            "pld" if m else "ld", m=m, n=n, k=k, content=tuple([1] * n)
+        )
+        for j in range(n + 1):
+            for a in range(n - j + 1):
+                b = n - j - a
+                if a < b:
                     continue
-                for k in range(min(2, n - 1) + 1):
-                    for j in range(n + 1):
-                        for a in range(n - j + 1):
-                            b = n - j - a
-                            if a < b:
-                                continue
-                            runs = [
-                                (1, j, True),
-                                (j + 1, j + a, False),
-                                (j + a + 1, n, False),
-                            ]
-                            spec = FamilySpec(
-                                "pld" if m else "ld",
-                                m=m,
-                                n=n,
-                                k=k,
-                                content=tuple([1] * n),
-                            )
-                            enum = QtPolynomial(
-                                ((path.dinv(), path.area()), 1)
-                                for path in generate(spec)
-                                if word_in_runs(path.reading_word(), runs)
-                            )
-                            # <Delta_{h_m} Delta'_{e_(n-k-1)} e_n, e_j h_a h_b>
-                            ok = poly_equal_by_grid(
-                                _ev(
-                                    macdonald.delta_pairing,
-                                    n,
-                                    (("h", m), ("e'", n - k - 1)),
-                                    ("eh", (j,), (a, b)),
-                                ),
-                                lambda q0, t0: enum.eval(q0, t0),
-                                _grid_bound(total),
-                            )
-                            yield (
-                                _report(
-                                    "delta-ehh",
-                                    f"m={m} n={n} k={k} e{j}h{a}h{b}",
-                                    ok,
-                                )
-                            )
-
-    return _timed(run)
+                runs = [(1, j, True), (j + 1, j + a, False), (j + a + 1, n, False)]
+                enum = QtPolynomial(
+                    ((path.dinv(), path.area()), 1)
+                    for path in generate(spec)
+                    if word_in_runs(path.reading_word(), runs)
+                )
+                # <Delta_{h_m} Delta'_{e_(n-k-1)} e_n, e_j h_a h_b>
+                side = _ev(
+                    macdonald.delta_pairing,
+                    n,
+                    (("h", m), ("e'", n - k - 1)),
+                    ("eh", (j,), (a, b)),
+                )
+                yield f"m={m} n={n} k={k} e{j}h{a}h{b}", [
+                    ("", side, enum.eval, _grid_bound(m + n))
+                ]
 
 
 # -- engine self-validation ------------------------------------------------
 
 
-def suite_engine(degree_cap=7):
+def suite_engine():
+    pt = EvalPoint(3, 101)
+
     def run():
-        from fractions import Fraction
-
-        from qtcomb.qt import EvalPoint
-
-        pt = EvalPoint(3, 101)
-
         bad = ""
-        for d in range(degree_cap + 1):
+        for d in range(ENGINE_DEGREE + 1):
             for basis in ("h", "e", "p"):
                 for lam in partitions_of(d):
                     f = macdonald.SymFun(d, "m", {lam: Fraction(1)})
                     if f.convert_to(basis).convert_to("m") != f:
                         bad = f"degree {d} basis {basis} at {tuple(lam)}"
-        yield _report("engine", f"basis round trips d<={degree_cap}", not bad, bad)
+        yield _report(
+            "engine", f"basis round trips d<={ENGINE_DEGREE}", not bad, bad
+        )
 
         bad = ""
         for n in range(1, 6):
@@ -420,18 +396,6 @@ def suite_engine(degree_cap=7):
                 ):
                     bad = f"<H,s_(1^n)> at {tuple(mu)}"
         yield _report("engine", "normalizations n<=5", not bad, bad)
-
-        bad = ""
-        for n in range(1, 6):
-            for d in range(n + 1):
-                ok = poly_equal_by_grid(
-                    _ev(macdonald.pair_delta_e_d, d, n),
-                    lambda q0, t0: macdonald.pair_en_eh(n, d, None),
-                    _grid_bound(n),
-                )
-                if not ok:
-                    bad = f"n={n} d={d}"
-        yield _report("engine", "e-h Delta pairing n<=5", not bad, bad)
 
         bad = ""
         for (m, n, k) in ((2, 1, 0), (1, 2, 1), (3, 2, 1)):
@@ -449,7 +413,19 @@ def suite_engine(degree_cap=7):
             bad = "delta_lhs_by_content(1,3,1,(2,1))"
         yield _report("engine", "q-t swap symmetry", not bad, bad)
 
-    return _timed(run)
+    e_h_checks = (
+        (
+            f"n={n} d={d}",
+            _ev(macdonald.pair_delta_e_d, d, n),
+            _ev(macdonald.pair_en_eh, n, d),
+            _grid_bound(n),
+        )
+        for n in range(1, 6)
+        for d in range(n + 1)
+    )
+    return _timed(run) + _grid_rows(
+        "engine", [("e-h Delta pairing n<=5", e_h_checks)]
+    )
 
 
 # -- worked examples ----------------------------------------------------------
@@ -479,45 +455,35 @@ EXAMPLE_POLYOMINO_CAPTION = "0 0b 1 1b 2 1b 1b 1 0b 0b 0 0b 0b 0b 1 1 1b 1b"
 
 def suite_examples():
     def run():
-        from qtcomb.paths import PolyominoPaths, polyomino_encode
-
         p = EXAMPLE_LABELLED
         primary, secondary = p.dinv_pairs()
-        yield (
-            _report(
-                "examples",
-                "labelled path statistics",
-                p.area() == 8
-                and p.dinv() == 6
-                and primary == [(2, 7), (4, 7)]
-                and secondary == [(2, 6), (3, 4), (3, 8), (5, 8)]
-                and p.reading_word() == (2, 2, 4, 1, 6, 1, 5, 3),
-            )
+        yield _report(
+            "examples",
+            "labelled path statistics",
+            p.area() == 8
+            and p.dinv() == 6
+            and primary == [(2, 7), (4, 7)]
+            and secondary == [(2, 6), (3, 4), (3, 8), (5, 8)]
+            and p.reading_word() == (2, 2, 4, 1, 6, 1, 5, 3),
         )
-        yield (
-            _report(
-                "examples",
-                "zero composition",
-                EXAMPLE_ZEROCOMP.zero_composition() == (3, 1, 2, 1),
-            )
+        yield _report(
+            "examples",
+            "zero composition",
+            EXAMPLE_ZEROCOMP.zero_composition() == (3, 1, 2, 1),
         )
-        yield (
-            _report(
-                "examples",
-                "big car composition",
-                EXAMPLE_TWOCAR.big_car_composition() == (3, 3, 1),
-            )
+        yield _report(
+            "examples",
+            "big car composition",
+            EXAMPLE_TWOCAR.big_car_composition() == (3, 3, 1),
         )
         word = polyomino_encode(
             PolyominoPaths(6, 11, EXAMPLE_POLYOMINO_RED, EXAMPLE_POLYOMINO_GREEN)
         )
-        yield (
-            _report(
-                "examples",
-                "polyomino codec (18-letter word)",
-                str(word) == EXAMPLE_POLYOMINO_WORD and word.area() == 11,
-                str(word),
-            )
+        yield _report(
+            "examples",
+            "polyomino codec (18-letter word)",
+            str(word) == EXAMPLE_POLYOMINO_WORD and word.area() == 11,
+            str(word),
         )
 
     return _timed(run)

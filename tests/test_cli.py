@@ -210,3 +210,37 @@ def test_biject_ghost_candidate_rising_at_row_2_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, *argv, "--in", str(infile))
     assert code == 2 and out == ""
     assert err == "error: ehh_inverse: wrong car counts\n"
+
+
+@pytest.mark.parametrize(
+    "map_name, obj, message",
+    [
+        (
+            "psi-inv",
+            {"area_word": [0, 0.5], "labels": [2, 1], "ghost_row": True},
+            "area_word must be an integer, got 0.5",
+        ),
+        (
+            "psi",
+            {
+                "letters": [
+                    {"v": 0, "barred": False},
+                    {"v": 0.9, "barred": "no"},
+                ]
+            },
+            "v must be an integer, got 0.9",
+        ),
+    ],
+)
+def test_biject_non_integer_entry_exits_2(tmp_path, capsys, map_name, obj, message):
+    infile = tmp_path / "bad.json"
+    infile.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "biject", "--map", map_name, "--in", str(infile))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "malformed object" in err and message in err
+
+
+def test_verify_size_is_not_clamped(capsys):
+    code, out, _ = run(capsys, "verify", "recursion-reconcile", "--max", "6")
+    assert code == 0 and "max_size=6 " in out

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from qtcomb import families
 from qtcomb.families import (
     CapacityError,
     FamilySpec,
@@ -140,9 +141,10 @@ def test_pld_k_bound():
         FamilySpec("pld", m=1, n=2, k=2, content=(1, 1))
 
 
-def test_capacity_guard():
+def test_capacity_guard(monkeypatch):
+    monkeypatch.setattr(families, "MEMBER_CAP", 3)
     with pytest.raises(CapacityError):
-        list(generate(FamilySpec("d", n=5), cap=3))
+        list(generate(FamilySpec("d", n=5)))
 
 
 def test_enumerator_ghost_invariant():

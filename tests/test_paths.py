@@ -245,6 +245,33 @@ def test_path_json_roundtrip():
     assert DecoratedLabelledPath.from_json(p.to_json("ld")) == p
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("area_word", [0, 1.0, 1]),
+        ("area_word", [0, True, 1]),
+        ("labels", [1, "2", 3]),
+        ("decorated_rises", [2.0]),
+        ("ghost_row", 0),
+    ],
+)
+def test_path_json_rejects_non_integer_entries(field, value):
+    obj = DecoratedLabelledPath((0, 1, 1), (1, 2, 3), (2,)).to_json("ld")
+    obj[field] = value
+    with pytest.raises(TypeError):
+        DecoratedLabelledPath.from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "letter", [{"v": False, "barred": True}, {"v": 0, "barred": 1}]
+)
+def test_word_json_rejects_non_integer_letters(letter):
+    obj = PolyominoWord.from_string("0 0b 1").to_json()
+    obj["letters"][1] = letter
+    with pytest.raises(TypeError):
+        PolyominoWord.from_json(obj)
+
+
 def _dinv_oracle_specs():
     """Small instances of every family whose members the suites call
     ``dinv`` on."""

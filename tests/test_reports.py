@@ -1,5 +1,6 @@
 """Byte-identical reports: the CLI calls of the benchmark's exhaustive
-workloads reproduce the report digests recorded with them."""
+workloads reproduce the report digests recorded with them, and so do the
+reports no workload runs."""
 
 import sys
 from pathlib import Path
@@ -25,3 +26,34 @@ def test_workload_reports_match_recorded_digest(capsys, name):
         assert len(rows) == call.rows, call.argv
         row_lists.append(rows)
     assert report_digest(row_lists) == workload.report_sha256
+
+
+#: (argv, rows, sha256 of the sorted rows), recorded before the suites
+#: became row generators for one grid runner.
+OTHER_REPORTS = [
+    (
+        ("verify", "delta-ehh", "--max", "4"),
+        95,
+        "a7139f966e29a5b15813ba902ea3f865ce6ec829fd81653e7c55c068614957ef",
+    ),
+    (
+        ("verify", "examples"),
+        4,
+        "f09306d047c6e6ca90b9a7d038169072c6d2f5f85d1b16530a34cdbed3a73455",
+    ),
+    (
+        ("verify", "identities", "--name", "reciprocity", "--max", "4"),
+        16,
+        "1edccc45c81b291253e22ed4aec2d2348c1914410a24597b77aeed9d492bbf74",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, count, sha256", OTHER_REPORTS, ids=[" ".join(a) for a, _, _ in OTHER_REPORTS]
+)
+def test_report_matches_recorded_digest(capsys, argv, count, sha256):
+    assert main(list(argv)) == 0
+    rows = report_rows(capsys.readouterr().out)
+    assert len(rows) == count
+    assert report_digest([rows]) == sha256

@@ -1,8 +1,10 @@
-"""Suite plumbing: per-instance timing of report rows."""
+"""Suite plumbing: per-instance timing of report rows, and grid rows
+that fail."""
 
 from types import SimpleNamespace
 
-from qtcomb import suites
+from qtcomb import macdonald, suites
+from qtcomb.cli import main
 
 
 def test_each_row_gets_its_own_instance_time(monkeypatch):
@@ -18,4 +20,63 @@ def test_each_row_gets_its_own_instance_time(monkeypatch):
     assert [r.seconds for r in reports] == [0.5, 3.0, 0.25]
     assert [r.row() for r in reports] == [
         ("demo", name, "pass", "") for name in ("a", "b", "c")
+    ]
+
+
+def _failed_rows(reports):
+    return [r.row() for r in reports if r.status != "pass"]
+
+
+def test_mac_hook_row_fails_at_its_first_failing_check(monkeypatch, capsys):
+    hook = macdonald.pair_htilde_hook
+
+    def wrong_at_r1(mu, r, pt):
+        return hook(mu, r, pt) + (sum(mu) == 3 and r == 1)
+
+    monkeypatch.setattr(macdonald, "pair_htilde_hook", wrong_at_r1)
+    reports = suites.suite_identities(names=("mac-hook",), max_size=4)
+    # partitions of 3 run (3,), (2, 1), (1, 1, 1); each fails at r=1
+    row = ("mac-hook", "n=3 bound=3", "fail", "mu=(3,) r=1")
+    assert _failed_rows(reports) == [row]
+    assert len(reports) == 4
+    argv = ["verify", "identities", "--name", "mac-hook", "--max", "4"]
+    assert main(argv) == 1
+    assert '"mac-hook","n=3 bound=3","fail","mu=(3,) r=1"' in capsys.readouterr().out
+
+
+def test_delta_content_row_fails_at_its_first_failing_content(monkeypatch, capsys):
+    by_content = macdonald.delta_lhs_by_content
+
+    def wrong_at_m0_n3(m, n, k, lam, pt):
+        wrong = (m, n, k) == (0, 3, 0) and lam != (3,)
+        return by_content(m, n, k, lam, pt) + wrong
+
+    monkeypatch.setattr(macdonald, "delta_lhs_by_content", wrong_at_m0_n3)
+    reports = suites.suite_delta_tiny(max_size=3)
+    # contents run in sorted order: (1, 1, 1), (2, 1), (3,)
+    row = ("delta-content", "m=0 n=3 k=0", "fail", "content (1, 1, 1)")
+    assert _failed_rows(reports) == [row]
+    assert main(["verify", "delta-tiny", "--max", "3"]) == 1
+    assert '"delta-content","m=0 n=3 k=0","fail","content (1, 1, 1)"' in (
+        capsys.readouterr().out
+    )
+
+
+def test_grid_row_without_a_witness_fails_as_mismatch():
+    def differ(q0, t0):
+        return q0 + 1
+
+    def same(q0, t0):
+        return q0
+
+    reports = suites._grid_rows(
+        "demo",
+        [
+            ("equal", [("w", same, same, 1)]),
+            ("differ", [("", same, same, 1), ("", same, differ, 1)]),
+        ],
+    )
+    assert [r.row() for r in reports] == [
+        ("demo", "equal", "pass", ""),
+        ("demo", "differ", "fail", "mismatch"),
     ]
