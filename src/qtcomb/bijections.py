@@ -13,6 +13,10 @@ The maps implemented here:
   two-car parking functions ((dinv, area)-preserving).
 * ``shuffle_recursion_step``: the diagonal-deletion step on shuffle
   paths feeding the bucketed recursion.
+
+The maps that end on a shuffle or Catalan-type path (``eta``,
+``pld_recursive_step``, ``ehh_inverse``, ``shuffle_recursion_step``)
+assign each row to a run and leave the labels to ``paths.run_labels``.
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ from qtcomb.paths import (
     DomainError,
     PolyominoPaths,
     PolyominoWord,
+    knm_runs,
     polyomino_decode,
     polyomino_encode,
+    run_labels,
 )
 
 
@@ -328,28 +334,18 @@ def ehh_forward(path, k, n, m):
     """(k,n,m)-shuffle path -> two-car parking function with k decorated
     rises and the leading diagonal 2-car; preserves (dinv, area).
 
-    Cars k+1..n become 1-cars and n+1..m+n-k become 2-cars; then, for
-    i = k down to 1, a decorated 2-car rise is inserted directly above
-    the car i, which itself becomes a 1-car.
+    Cars 1..n become 1-cars and n+1..m+n-k become 2-cars, and each car
+    i <= k gets a decorated 2-car rise directly above it.
     """
     _require(path, _spec("shuffle-knm", m=m, n=n, k=k), "ehh_forward")
-    rows = []
+    word, labels, dec = [0], [2], []
     for a, l in zip(path.area_word, path.labels):
+        word.append(a)
+        labels.append(1 if l <= n else 2)
         if l <= k:
-            rows.append([a, ("small", l), False])
-        elif l <= n:
-            rows.append([a, ("one",), False])
-        else:
-            rows.append([a, ("two",), False])
-    for i in range(k, 0, -1):
-        pos = next(
-            j for j, row in enumerate(rows) if row[1] == ("small", i)
-        )
-        rows[pos][1] = ("one",)
-        rows.insert(pos + 1, [rows[pos][0] + 1, ("two",), True])
-    word = (0,) + tuple(r[0] for r in rows)
-    labels = (2,) + tuple(1 if r[1] == ("one",) else 2 for r in rows)
-    dec = tuple(i + 2 for i, r in enumerate(rows) if r[2])
+            word.append(a + 1)
+            labels.append(2)
+            dec.append(len(word))
     image = DecoratedLabelledPath(word, labels, dec, ghost_row=True)
     _require(
         image, _spec("pf2", m=m, n=n, k=k, ghost=True), "ehh_forward image"
@@ -366,36 +362,20 @@ def ehh_inverse(path, k, n, m):
     # are 1-based in the body
     word, labels = path.area_word[1:], path.labels[1:]
     decorated = frozenset(i - 1 for i in path.decorated_rises)
-    dec = sorted(decorated)
-    for i in dec:
+    for i in sorted(decorated):
         if i < len(word) and word[i] > word[i - 1]:
             raise DomainError(
                 "ehh_inverse: more than two consecutive vertical steps"
             )
         if labels[i - 1] != 2 or labels[i - 2] != 1:
             raise DomainError("ehh_inverse: decorated rise not above a 1-car")
-    companions = {i - 1 for i in dec}
-
-    order = [i + 1 for i in sorted(range(len(word)), key=word.__getitem__)]
-    new_labels = list(labels)
-    next_one = n
-    next_two = m + n - k
-    for row in order:
-        if row in companions or row in decorated:
-            continue
-        if labels[row - 1] == 1:
-            new_labels[row - 1] = next_one
-            next_one -= 1
-        else:
-            new_labels[row - 1] = next_two
-            next_two -= 1
-    comp_order = [row for row in order if row in companions]
-    for value, row in enumerate(comp_order, start=1):
-        new_labels[row - 1] = value
-
-    keep = [i for i in range(len(word)) if i + 1 not in decorated]
-    word = tuple(word[i] for i in keep)
-    labels = tuple(new_labels[i] for i in keep)
+    # a companion (the 1-car under a decorated rise) is a small car, run
+    # 0; every other car's label is its run index
+    companions = {i - 1 for i in decorated}
+    keep = [i for i in range(1, len(word) + 1) if i not in decorated]
+    word = tuple(word[i - 1] for i in keep)
+    row_runs = [0 if i in companions else labels[i - 1] for i in keep]
+    labels = run_labels(word, row_runs, knm_runs(k, n, m))
     out = DecoratedLabelledPath(word, labels)
     _require(out, _spec("shuffle-knm", m=m, n=n, k=k), "ehh_inverse image")
     return out
@@ -415,17 +395,16 @@ def shuffle_recursion_step(path, k, n, m):
     """
     _require(path, _spec("shuffle-knm", m=m, n=n, k=k), "shuffle_recursion_step")
 
-    def kind(l):
-        return "small" if l <= k else ("medium" if l <= n else "big")
+    def run(l):
+        # the car's run of knm_runs: small 0, medium 1, big 2
+        return 0 if l <= k else (1 if l <= n else 2)
 
-    diag = [i for i in range(path.size) if path.area_word[i] == 0]
-    h = sum(1 for i in diag if kind(path.labels[i]) == "small")
-    s = h + sum(1 for i in diag if kind(path.labels[i]) == "medium")
-    diag_big = sum(1 for i in diag if kind(path.labels[i]) == "big")
+    diag = [run(l) for a, l in zip(path.area_word, path.labels) if a == 0]
+    h = diag.count(0)
+    s = h + diag.count(1)
+    diag_big = diag.count(2)
     level1_big = sum(
-        1
-        for i in range(path.size)
-        if path.area_word[i] == 1 and kind(path.labels[i]) == "big"
+        1 for a, l in zip(path.area_word, path.labels) if a == 1 and run(l) == 2
     )
     summary = {
         "s": s,
@@ -437,18 +416,15 @@ def shuffle_recursion_step(path, k, n, m):
     if n == 0:
         return DecoratedLabelledPath((), (), ()), summary
 
-    rows = []
-    for i in range(path.size):
-        a, l = path.area_word[i], path.labels[i]
-        if a == 0 and kind(l) in ("medium", "big"):
-            continue
-        if a == 0:
-            rows.append(("big", 0))
-        else:
-            rows.append((kind(l), a - 1))
+    rows = []  # (run, level) of the surviving cars
+    for a, l in zip(path.area_word, path.labels):
+        if a > 0:
+            rows.append((run(l), a - 1))
+        elif run(l) == 0:
+            rows.append((2, 0))
     deleted_first = bool(rows)
     if rows:
-        if rows[0] != ("big", 0):
+        if rows[0] != (2, 0):
             raise DomainError(
                 "shuffle_recursion_step: first car is not a big on the diagonal"
             )
@@ -458,22 +434,7 @@ def shuffle_recursion_step(path, k, n, m):
     # when anything survived the diagonal deletions
     k2, n2, m2 = k - h, n - s, m - diag_big - (1 if deleted_first else 0)
     word = tuple(a for _, a in rows)
-    order = sorted(range(len(rows)), key=word.__getitem__)
-    labels = [0] * len(rows)
-    next_small = 1
-    next_medium = n2
-    next_big = m2 + n2 - k2
-    for i in order:
-        c = rows[i][0]
-        if c == "small":
-            labels[i] = next_small
-            next_small += 1
-        elif c == "medium":
-            labels[i] = next_medium
-            next_medium -= 1
-        else:
-            labels[i] = next_big
-            next_big -= 1
+    labels = run_labels(word, [r for r, _ in rows], knm_runs(k2, n2, m2))
     image = DecoratedLabelledPath(word, labels)
     _require(
         image, _spec("shuffle-knm", m=m2, n=n2, k=k2), "shuffle_recursion_step image"

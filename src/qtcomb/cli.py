@@ -145,6 +145,9 @@ _MAPS = {
     ),
 }
 
+# the maps that take a polyomino word; every other map takes a path
+_WORD_MAPS = ("eta", "psi")
+
 # transport contracts checked after applying a map: (dinv preserved,
 # area preserved)
 _CONTRACTS = {
@@ -159,6 +162,10 @@ _CONTRACTS = {
 
 def cmd_biject(args):
     obj = _load_object(args.infile)
+    takes = "polyomino word" if args.map in _WORD_MAPS else "path"
+    kind = "polyomino word" if isinstance(obj, PolyominoWord) else "path"
+    if kind != takes:
+        raise UsageError(f"--map {args.map} takes a {takes}, got a {kind}")
     summary = None
     image = _MAPS[args.map](obj, args)
     if args.map == "shuffle-step":
@@ -187,6 +194,8 @@ def cmd_biject(args):
 
 
 def cmd_verify(args):
+    if args.grid_bound is not None and args.grid_bound < 0:
+        raise UsageError(f"--grid-bound must be >= 0, got {args.grid_bound}")
     if args.suite == "all":
         names = [n for n in SUITES if n != "delta-ehh"]
     else:

@@ -19,6 +19,7 @@ from qtcomb.paths import (
     DecoratedLabelledPath,
     PolyominoWord,
     knm_runs,
+    run_labels,
     two_shuffle_runs,
     word_in_runs,
 )
@@ -249,14 +250,9 @@ def assemble_catalan_pld(rows):
     for kind, z in rows:
         prev = z if kind == "z" else prev + 1
         word.append(prev)
-    order = sorted(
-        (i for i, (kind, _) in enumerate(rows) if kind == "p"),
-        key=word.__getitem__,
-    )
-    labels = [0] * len(rows)
-    for value, i in enumerate(order, start=1):
-        labels[i] = value
     dec = tuple(i + 1 for i, (kind, _) in enumerate(rows) if kind == "p")
+    row_runs = [0 if kind == "p" else None for kind, _ in rows]
+    labels = run_labels(word, row_runs, [(1, len(dec), True)])
     return DecoratedLabelledPath(word, labels, dec)
 
 

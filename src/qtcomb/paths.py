@@ -4,7 +4,10 @@ Paths are represented canonically by area words: a labelled Dyck path of
 size N is the word a_1..a_N (a_1 = 0, a_{i+1} <= a_i + 1) together with
 per-row labels and a set of decorated rises.  ``dinv_pairs`` lists the
 inverting pairs and is the reference form of the statistic; ``dinv``
-counts the same pairs without building them.  Reduced parallelogram
+counts the same pairs without building them.  Canonical labels, those
+of the Catalan-type and shuffle paths, are written by ``run_labels``:
+each row takes the next label of its run in reading order, and
+``word_in_runs`` checks such a reading word.  Reduced parallelogram
 polyominoes are area words over the doubled alphabet
 0 < 0b < 1 < 1b < 2 < ... (b marks a barred letter), with the ghost
 letter 0 at index 0.  Step-grid geometry is derived, not stored.
@@ -249,16 +252,6 @@ class DecoratedLabelledPath:
             (2,) + self.labels,
             frozenset(i + 1 for i in self.decorated_rises),
             ghost_row=True,
-        )
-
-    def without_ghost(self):
-        if not self.ghost_row:
-            raise DomainError("path has no ghost row")
-        return DecoratedLabelledPath(
-            self.area_word[1:],
-            self.labels[1:],
-            frozenset(i - 1 for i in self.decorated_rises),
-            ghost_row=False,
         )
 
     # -- serialization ------------------------------------------------
@@ -618,6 +611,23 @@ def word_in_runs(word, runs):
         if sub != want:
             return False
     return True
+
+
+def run_labels(area_word, row_runs, runs):
+    """Labels written in reading order (by level, then by row): row i takes
+    the next label of its run ``runs[row_runs[i]]``, counting up in an
+    increasing (lo, hi, True) run and down in a decreasing one; a row
+    whose run is None gets 0.  The reading word of the result then lists
+    each run in its direction, as ``word_in_runs`` checks."""
+    next_label = [lo if increasing else hi for lo, hi, increasing in runs]
+    step = [1 if increasing else -1 for _, _, increasing in runs]
+    labels = [0] * len(area_word)
+    for i in sorted(range(len(area_word)), key=area_word.__getitem__):
+        run = row_runs[i]
+        if run is not None:
+            labels[i] = next_label[run]
+            next_label[run] += step[run]
+    return labels
 
 
 def knm_runs(k, n, m):

@@ -338,8 +338,11 @@ def poly_equal_by_grid(f, g, degree_bound):
     at degree_bound+1 distinct t-values, which forces the zero polynomial.
     A point where a side reports a pole (or where the two prime lists
     would collide) is replaced by a further t-prime at the same q, so the
-    column argument stays intact.
+    column argument stays intact.  A negative bound is a ValueError: it
+    would check no point at all.
     """
+    if degree_bound < 0:
+        raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
     m = degree_bound + 1
     qs = q_primes(m)
     ts = t_primes(m * (MAX_REPLACEMENTS + 1))

@@ -345,6 +345,12 @@ def _delta_ehh_rows(max_size):
         spec = FamilySpec(
             "pld" if m else "ld", m=m, n=n, k=k, content=tuple([1] * n)
         )
+        # (dinv, area) of the members, grouped by reading word
+        stats = {}
+        for path in generate(spec):
+            stats.setdefault(path.reading_word(), []).append(
+                (path.dinv(), path.area())
+            )
         for j in range(n + 1):
             for a in range(n - j + 1):
                 b = n - j - a
@@ -352,9 +358,10 @@ def _delta_ehh_rows(max_size):
                     continue
                 runs = [(1, j, True), (j + 1, j + a, False), (j + a + 1, n, False)]
                 enum = QtPolynomial(
-                    ((path.dinv(), path.area()), 1)
-                    for path in generate(spec)
-                    if word_in_runs(path.reading_word(), runs)
+                    (pair, 1)
+                    for word, pairs in stats.items()
+                    if word_in_runs(word, runs)
+                    for pair in pairs
                 )
                 # <Delta_{h_m} Delta'_{e_(n-k-1)} e_n, e_j h_a h_b>
                 side = _ev(

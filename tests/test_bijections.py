@@ -1,7 +1,10 @@
 """Bijections: eta, psi, phi/ndinv, the recursive steps, and the
 shuffle <-> two-car map."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtcomb.bijections import (
     DominoSequence,
@@ -17,8 +20,15 @@ from qtcomb.bijections import (
     psi_inverse,
     shuffle_recursion_step,
 )
-from qtcomb.families import FamilySpec, generate, qt_enumerator
-from qtcomb.paths import DecoratedLabelledPath, DomainError, PolyominoWord
+from qtcomb.families import FamilySpec, generate, qt_enumerator, validate_family
+from qtcomb.paths import (
+    DecoratedLabelledPath,
+    DomainError,
+    InvalidPathError,
+    PolyominoWord,
+    knm_runs,
+    run_labels,
+)
 from qtcomb.qt import QtPolynomial
 
 # Worked pair: the Catalan-type path and its polyomino (area 13).
@@ -246,6 +256,40 @@ class TestEhh:
                     rhs = qt_enumerator(FamilySpec("pf2", m=m, n=n, k=k, ghost=True))
                     assert lhs == rhs, (k, n, m)
                     assert len(images) == lhs.eval(1, 1)
+
+
+def _random_shuffle_path(rng):
+    """A (k,n,m)-shuffle path of size 8-10 and its (k, n, m): a random area
+    word and a random assignment of its rows to the three runs, labelled
+    by ``run_labels``; drawn again until its columns increase."""
+    while True:
+        size = rng.randint(8, 10)
+        k = rng.randint(0, size)
+        medium = rng.randint(0, size - k)
+        n, m = k + medium, size - medium
+        word = [0]
+        for _ in range(size - 1):
+            word.append(rng.randint(0, word[-1] + 1))
+        row_runs = [0] * k + [1] * (n - k) + [2] * (m - k)
+        rng.shuffle(row_runs)
+        labels = run_labels(word, row_runs, knm_runs(k, n, m))
+        try:
+            return DecoratedLabelledPath(word, labels), (k, n, m)
+        except InvalidPathError:
+            continue
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_shuffle_maps_past_the_exhaustive_sizes(seed):
+    p, (k, n, m) = _random_shuffle_path(random.Random(seed))
+    img = ehh_forward(p, k, n, m)
+    assert (img.dinv(), img.area()) == (p.dinv(), p.area())
+    assert ehh_inverse(img, k, n, m) == p
+    step, summary = shuffle_recursion_step(p, k, n, m)
+    k2, n2 = k - summary["h"], n - summary["s"]
+    spec = FamilySpec("shuffle-knm", m=step.size + k2 - n2, n=n2, k=k2)
+    assert validate_family(step, spec) == (True, "ok")
 
 
 class TestShuffleStep:

@@ -244,3 +244,34 @@ def test_biject_non_integer_entry_exits_2(tmp_path, capsys, map_name, obj, messa
 def test_verify_size_is_not_clamped(capsys):
     code, out, _ = run(capsys, "verify", "recursion-reconcile", "--max", "6")
     assert code == 0 and "max_size=6 " in out
+
+
+def test_verify_negative_grid_bound_exits_2(capsys):
+    argv = ("verify", "identities", "--name", "new-id", "--max", "3")
+    code, out, err = run(capsys, *argv, "--grid-bound", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --grid-bound") and err.count("\n") == 1
+
+
+_PATH_JSON = {"area_word": [0, 1], "labels": [1, 2]}
+_WORD_JSON = {"letters": [{"v": 0, "barred": False}, {"v": 0, "barred": True}]}
+
+
+@pytest.mark.parametrize(
+    "map_name, obj, takes",
+    [
+        ("eta", _PATH_JSON, "polyomino word"),
+        ("psi", _PATH_JSON, "polyomino word"),
+        ("eta-inv", _WORD_JSON, "path"),
+        ("psi-inv", _WORD_JSON, "path"),
+        ("phi", _WORD_JSON, "path"),
+        ("pld-step", _WORD_JSON, "path"),
+    ],
+)
+def test_biject_wrong_object_type_exits_2(tmp_path, capsys, map_name, obj, takes):
+    infile = tmp_path / "obj.json"
+    infile.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "biject", "--map", map_name, "--in", str(infile))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --map {map_name} takes a {takes}")
+    assert err.count("\n") == 1

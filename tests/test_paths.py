@@ -1,5 +1,7 @@
 """Path objects, statistics, compositions, and the polyomino codec."""
 
+from itertools import product
+
 import pytest
 
 from qtcomb.paths import (
@@ -10,9 +12,11 @@ from qtcomb.paths import (
     InvalidPathError,
     PolyominoPaths,
     PolyominoWord,
+    knm_runs,
     letter_successor,
     polyomino_decode,
     polyomino_encode,
+    run_labels,
     word_in_runs,
 )
 
@@ -141,7 +145,7 @@ class TestGhost:
         p = DecoratedLabelledPath((0, 1), (1, 2))
         g = p.with_ghost()
         assert g.ghost_row and g.size == 3
-        assert g.without_ghost() == p
+        assert (g.area_word, g.labels) == ((0, 0, 1), (2, 1, 2))
 
     def test_ghost_preserves_statistics(self):
         from qtcomb.families import FamilySpec, generate
@@ -238,6 +242,28 @@ class TestRuns:
     def test_word_in_runs(self):
         assert word_in_runs((5, 1, 8, 2, 7, 3, 6, 4), [(1, 3, True), (4, 5, False), (6, 8, False)])
         assert not word_in_runs((1, 2), [(1, 2, False)])
+
+    def test_run_labels_worked(self):
+        # reading order: rows 1, 4 (level 0), then rows 2, 3 (level 1)
+        runs = [(1, 1, True), (2, 3, False)]
+        assert run_labels((0, 1, 1, 0), (1, 0, None, 1), runs) == [3, 1, 0, 2]
+
+    def test_run_labels_read_in_their_runs(self):
+        # every area word of size <= 6 and every assignment of its rows to
+        # the three runs of knm_runs
+        from qtcomb.families import FamilySpec, generate
+
+        for size in range(7):
+            for p in generate(FamilySpec("d", n=size)):
+                word = p.area_word
+                order = sorted(range(size), key=word.__getitem__)
+                for row_runs in product(range(3), repeat=size):
+                    k = row_runs.count(0)
+                    runs = knm_runs(k, k + row_runs.count(1), k + row_runs.count(2))
+                    labels = run_labels(word, row_runs, runs)
+                    assert sorted(labels) == list(range(1, size + 1))
+                    reading = [labels[i] for i in order]
+                    assert word_in_runs(reading, runs), (word, row_runs)
 
 
 def test_path_json_roundtrip():

@@ -156,3 +156,9 @@ def test_grid_hands_out_int_points():
     assert poly_equal_by_grid(record, lambda q0, t0: 0, 1)
     assert seen == [(2, 101), (2, 103), (3, 101), (3, 103)]
     assert all(type(c) is int for point in seen for c in point)
+
+
+def test_negative_degree_bound_rejected():
+    # a bound of -1 would check no grid point and still read as equal
+    with pytest.raises(ValueError, match="degree bound"):
+        poly_equal_by_grid(lambda q0, t0: 0, lambda q0, t0: 1, -1)
