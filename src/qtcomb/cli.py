@@ -194,6 +194,10 @@ def cmd_biject(args):
 
 
 def cmd_verify(args):
+    if args.suite != "identities":
+        for flag, value in (("--name", args.name), ("--grid-bound", args.grid_bound)):
+            if value is not None:
+                raise UsageError(f"verify {args.suite} does not take {flag}")
     if args.grid_bound is not None and args.grid_bound < 0:
         raise UsageError(f"--grid-bound must be >= 0, got {args.grid_bound}")
     if args.suite == "all":

@@ -8,12 +8,14 @@ functions, and the partition-sum evaluators used for identity
 verification on the prime grid.
 
 The Delta-type identities are data for one evaluator:
-``delta_pairing(n, operators, rhs, pt)`` is the pairing of
-(product of operators) e_n with rhs, summed over the Garsia-Haiman
-expansion of e_n.  An operator is a tag tuple (``("h", a)``,
-``("e", d)``, ``("e'", b)``, ``("nabla",)``) acting on each Macdonald
-polynomial by its eigenvalue; rhs is a ``hall_pair`` tag tuple
-(``("h", nu)``, ``("eh", e_indices, h_indices)``, ``("hook", r)``).
+``delta_pairing(n, operators, rhs, pt, r=1)`` is the pairing of
+(product of operators) e_n[X [r]_q] with rhs, summed over the Cauchy
+expansion e_n[X [r]_q] = sum_mu H_mu[M [r]_q] H_mu / w_mu; at r = 1 the
+weight is the Garsia-Haiman closed form M B_mu Pi_mu / w_mu.  An
+operator is a tag tuple (``("h", a)``, ``("e", d)``, ``("e'", b)``,
+``("nabla",)``) acting on each Macdonald polynomial by its eigenvalue;
+rhs is a ``hall_pair`` tag tuple (``("h", nu)``,
+``("eh", e_indices, h_indices)``, ``("hook", r)``).
 
 All identity evaluation happens at exact points; symbolic data (the
 Macdonald monomial coefficients, the Hall pairings built from them) are
@@ -27,7 +29,9 @@ Caches are ``functools.lru_cache`` tables that live as long as the
 process: the point-free ones are keyed by partition, the per-point ones
 (``pleth_e``, ``_en_weight``, the value behind ``htilde_at_alphabet``) by
 their arguments including the point, because the grid revisits the same
-points for every instance of an identity.
+points for every instance of an identity.  Alphabets built from others
+(``_negated``, ``_m_times``) are cached too, so equal cache keys share
+one object and its stored hash.
 """
 
 from __future__ import annotations
@@ -659,7 +663,10 @@ def _expand_eh_to_h(e_indices, h_indices):
 
 
 def pair_htilde_h(mu, nu, pt):
-    """<H_mu, h_nu> = coefficient of m_nu, evaluated at the point."""
+    """<H_mu, h_nu> = coefficient of m_nu, evaluated at the point.  At
+    nu = (n) it is 1: the one filling with content (n) has inv = maj = 0."""
+    if tuple(nu) == (sum(mu),):
+        return 1
     return htilde_mcoeff(tuple(mu), tuple(nu)).eval(pt.q0, pt.t0)
 
 
@@ -728,17 +735,21 @@ def _fraction_free_sum(terms):
 
 
 @lru_cache(maxsize=None)
-def _en_weight(mu, pt):
-    """Coefficient of the Macdonald polynomial of mu in the expansion of
-    e_n: M B Pi / w, one reduced Fraction, with the empty partition
-    contributing 1.  Callers use its numerator and denominator."""
+def _en_weight(mu, r, pt):
+    """Coefficient of the Macdonald polynomial of mu in the Cauchy
+    expansion of e_n[X [r]_q]: H_mu[M [r]_q] / w_mu, one reduced Fraction,
+    with the empty partition contributing 1.  At r = 1 it is the closed
+    form M B Pi / w (Garsia-Haiman), which needs no Macdonald coefficients.
+    Callers use its numerator and denominator."""
     if mu.size == 0:
         return 1
     w = w_mu(mu, pt)
     if w == 0:
         raise PoleError("w vanishes at the evaluation point")
-    M = (1 - pt.q0) * (1 - pt.t0)
-    return Fraction(M * b_alphabet(mu).sum_at(pt) * pi_mu(mu, pt), w)
+    if r == 1:
+        M = (1 - pt.q0) * (1 - pt.t0)
+        return Fraction(M * b_alphabet(mu).sum_at(pt) * pi_mu(mu, pt), w)
+    return Fraction(htilde_at_alphabet(mu, _m_times(bracket_q(r)), pt), w)
 
 
 def _eigenvalue(operator, mu, pt):
@@ -757,16 +768,17 @@ def _eigenvalue(operator, mu, pt):
     raise ValueError(f"unknown operator {tag!r}")
 
 
-def delta_pairing(n, operators, rhs, pt):
-    """<(product of operators) e_n, rhs> as a partition sum.
+def delta_pairing(n, operators, rhs, pt, r=1):
+    """<(product of operators) e_n[X [r]_q], rhs> as a partition sum.
 
-    e_n = sum over mu of n of (M B_mu Pi_mu / w_mu) H_mu (Garsia-Haiman);
-    each operator acts on H_mu by its ``_eigenvalue`` and ``hall_pair``
-    pairs H_mu with rhs.  A term stops at its first zero factor.
+    e_n[X [r]_q] = sum over mu of n of (H_mu[M [r]_q] / w_mu) H_mu (the
+    Cauchy identity; at r = 1 the weight is M B_mu Pi_mu / w_mu); each
+    operator acts on H_mu by its ``_eigenvalue`` and ``hall_pair`` pairs
+    H_mu with rhs.  A term stops at its first zero factor.
     """
     terms = []
     for mu in partitions_of(n):
-        weight = _en_weight(mu, pt)
+        weight = _en_weight(mu, r, pt)
         value = weight.numerator
         for operator in operators:
             if not value:
@@ -803,37 +815,16 @@ def pair_delta_e_d(d, n, pt):
     return delta_pairing(n, (("e", d),), ("h", (n,)), pt)
 
 
-def _pair_e_column(mu, pt):
-    """<H_mu, e_n> for mu of size n (the full column hook)."""
-    if mu.size == 0:
-        return 1
-    return pleth_e(mu.size - 1, b_minus_one(mu), pt)
-
-
 def sum_r_lhs(m, n, k, pt):
     """Sum over r of t^(m-k-r+1) <Delta_{h_(m-k-r+1)} Delta_{e_k}
-    e_n[X (1-q^r)/(1-q)], e_n>, expanded through the Cauchy identity."""
-    M = m_alphabet()
-    terms = []
-    for r in range(1, m - k + 2):
-        t_pow = pt.t0 ** (m - k - r + 1)
-        alphabet = M * bracket_q(r)
-        for mu in partitions_of(n):
-            w = w_mu(mu, pt)
-            if w == 0:
-                raise PoleError("w vanishes at the evaluation point")
-            cauchy = htilde_at_alphabet(mu, alphabet, pt)
-            if not cauchy:
-                continue
-            value = (
-                t_pow
-                * _eigenvalue(("h", m - k - r + 1), mu, pt)
-                * _eigenvalue(("e", k), mu, pt)
-                * cauchy
-                * _pair_e_column(mu, pt)
-            )
-            terms.append((value, w))
-    return _fraction_free_sum(terms)
+    e_n[X [r]_q], e_n>: one ``delta_pairing`` row per r.  The r = 1 row
+    uses no Macdonald coefficients, so the degree cap is checked here."""
+    _check_degree(n)
+    return sum(
+        pt.t0 ** (m - k - r + 1)
+        * delta_pairing(n, (("h", m - k - r + 1), ("e", k)), ("eh", (n,), ()), pt, r)
+        for r in range(1, m - k + 2)
+    )
 
 
 def pair_en_eh(n, d, pt):
@@ -849,11 +840,12 @@ def pair_en_eh(n, d, pt):
 def reciprocity_side(alpha, beta, pt):
     """H_alpha[M B_beta] Pi_beta.  Macdonald reciprocity says it is
     symmetric in alpha and beta."""
-    return htilde_at_alphabet(alpha, _m_b_alphabet(beta), pt) * pi_mu(beta, pt)
+    return htilde_at_alphabet(alpha, _m_times(b_alphabet(beta)), pt) * pi_mu(beta, pt)
 
 
 @lru_cache(maxsize=None)
-def _m_b_alphabet(mu):
-    """M B_mu, built once per partition, so the ``htilde_at_alphabet``
-    cache keys share one alphabet and its stored hash."""
-    return m_alphabet() * b_alphabet(mu)
+def _m_times(alphabet):
+    """M times the alphabet, built once per alphabet, so the
+    ``htilde_at_alphabet`` cache keys share one alphabet and its stored
+    hash."""
+    return m_alphabet() * alphabet

@@ -263,7 +263,7 @@ def suite_identities(names=None, max_size=6, grid_bound=None):
 
 def _mac_hook_rows(nmax, grid_bound):
     for n in range(1, nmax + 1):
-        bound = grid_bound or _grid_bound(n)
+        bound = _grid_bound(n) if grid_bound is None else grid_bound
         yield f"n={n} bound={bound}", (
             (
                 f"mu={tuple(mu)} r={r}",
@@ -280,7 +280,9 @@ def _reciprocity_rows(nmax, grid_bound):
     for a in range(1, nmax + 1):
         for b in range(1, nmax + 1):
             # q-degree of H[M B] Pi: coefficient degree + plethysm + Pi
-            bound = grid_bound or (a * (a - 1) // 2 + a * b + b * (b - 1) // 2)
+            bound = grid_bound
+            if bound is None:
+                bound = a * (a - 1) // 2 + a * b + b * (b - 1) // 2
             yield f"|alpha|={a} |beta|={b}", (
                 (
                     f"alpha={tuple(alpha)} beta={tuple(beta)}",
@@ -295,7 +297,7 @@ def _reciprocity_rows(nmax, grid_bound):
 
 def _pair_rows(left, right, max_size, grid_bound):
     for m, n, k in _instances(max_size):
-        bound = grid_bound or _grid_bound(m + n)
+        bound = _grid_bound(m + n) if grid_bound is None else grid_bound
         yield f"m={m} n={n} k={k} bound={bound}", [
             ("", _ev(left, m, n, k), _ev(right, m, n, k), bound)
         ]

@@ -253,6 +253,24 @@ def test_verify_negative_grid_bound_exits_2(capsys):
     assert err.startswith("error: --grid-bound") and err.count("\n") == 1
 
 
+def test_verify_grid_bound_zero_is_honoured(capsys):
+    argv = ("verify", "identities", "--name", "new-id", "--max", "2")
+    code, out, _ = run(capsys, *argv, "--grid-bound", "0")
+    rows = out.splitlines()[1:]
+    assert code == 0 and rows
+    assert all("bound=0" in row for row in rows)
+
+
+@pytest.mark.parametrize("suite", ["delta-tiny", "ndinv", "all"])
+@pytest.mark.parametrize(
+    "flag, value", [("--name", "new-id"), ("--grid-bound", "0")]
+)
+def test_verify_flag_of_identities_only_exits_2(capsys, suite, flag, value):
+    code, out, err = run(capsys, "verify", suite, "--max", "2", flag, value)
+    assert code == 2 and out == ""
+    assert err == f"error: verify {suite} does not take {flag}\n"
+
+
 _PATH_JSON = {"area_word": [0, 1], "labels": [1, 2]}
 _WORD_JSON = {"letters": [{"v": 0, "barred": False}, {"v": 0, "barred": True}]}
 

@@ -319,6 +319,50 @@ class TestIdentities:
             assert fn(2, 1, 1, PT) == fn(2, 1, 1, PT.swap())
 
 
+def _sum_r_row(m, n, k, r, pt):
+    """The r-th term of ``sum_r_lhs``: t^(m-k-r+1) <Delta_{h_(m-k-r+1)}
+    Delta_{e_k} e_n[X [r]_q], e_n>."""
+    return pt.t0 ** (m - k - r + 1) * delta_pairing(
+        n, (("h", m - k - r + 1), ("e", k)), ("eh", (n,), ()), pt, r
+    )
+
+
+class TestCauchyWeight:
+    @pytest.mark.parametrize("pt", [EvalPoint(2, 101), EvalPoint(3, 103)])
+    def test_r1_weight_is_the_closed_form(self, pt):
+        # H_mu[M] = M B_mu Pi_mu, the form the r = 1 weight is computed by
+        m_times_1 = macdonald._m_times(bracket_q(1))
+        for n in range(1, 7):
+            for mu in partitions_of(n):
+                cauchy = htilde_at_alphabet(mu, m_times_1, pt)
+                assert macdonald._en_weight(mu, 1, pt) == Fraction(
+                    cauchy, w_mu(mu, pt)
+                ), mu
+
+    def test_sum_r_rows_match_ghost_pf2_buckets(self):
+        rows = [
+            (m, size - m, k, r)
+            for size in range(1, 5)
+            for m in range(size + 1)
+            for k in range(min(m, size - m) + 1)
+            for r in range(1, m - k + 2)
+        ]
+        assert len(rows) == 45
+        for m, n, k, r in rows:
+            assert isinstance(_sum_r_row(m, n, k, r, EvalPoint(2, 101)), int)
+            enum = qt_enumerator(FamilySpec("pf2", m=m, n=n, k=k, r=r))
+            assert poly_equal_by_grid(
+                lambda q0, t0: _sum_r_row(m, n, k, r, EvalPoint(q0, t0)),
+                enum.eval,
+                max((m + n) * (m + n - 1) // 2, 1),
+            ), (m, n, k, r)
+
+    def test_sum_r_lhs_checks_the_degree_cap(self, monkeypatch):
+        monkeypatch.setattr(macdonald, "DEGREE_CAP", 2)
+        with pytest.raises(CapacityError):
+            sum_r_lhs(0, 3, 0, PT)
+
+
 GRID_EVALUATORS = [
     (lhs_delta_hh, (2, 2, 1)),
     (mid_delta_hn, (2, 2, 1)),

@@ -30,7 +30,8 @@ def test_workload_reports_match_recorded_digest(capsys, name):
 
 #: (argv, rows, sha256 of the sorted rows), each recorded before a change
 #: to the code behind it: the suites becoming row generators for one grid
-#: runner, and ``delta-ehh`` generating each family once.
+#: runner, ``delta-ehh`` generating each family once, and ``sum_r_lhs``
+#: becoming ``delta_pairing`` rows over the Cauchy weight.
 OTHER_REPORTS = [
     (
         ("verify", "delta-ehh", "--max", "4"),
@@ -51,6 +52,16 @@ OTHER_REPORTS = [
         ("verify", "identities", "--name", "reciprocity", "--max", "4"),
         16,
         "1edccc45c81b291253e22ed4aec2d2348c1914410a24597b77aeed9d492bbf74",
+    ),
+    (
+        ("verify", "identities", "--name", "delta-hh-sum", "--max", "6"),
+        49,
+        "1cb910a9438ad2d86d1568d4bebbd641b6a99753ad5d06ce7d16b10de7a1c5a6",
+    ),
+    (
+        ("verify", "identities", "--name", "ehh-sum", "--max", "6"),
+        49,
+        "5d923a7398a188a6c9daf91756aad40964c23ff2c7696239ab70987de895eafe",
     ),
 ]
 
