@@ -194,7 +194,7 @@ def cmd_biject(args):
 
 
 def cmd_verify(args):
-    if args.suite != "identities":
+    if args.suite not in ("identities", "all"):
         for flag, value in (("--name", args.name), ("--grid-bound", args.grid_bound)):
             if value is not None:
                 raise UsageError(f"verify {args.suite} does not take {flag}")

@@ -736,11 +736,10 @@ def _fraction_free_sum(terms):
 
 @lru_cache(maxsize=None)
 def _en_weight(mu, r, pt):
-    """Coefficient of the Macdonald polynomial of mu in the Cauchy
-    expansion of e_n[X [r]_q]: H_mu[M [r]_q] / w_mu, one reduced Fraction,
-    with the empty partition contributing 1.  At r = 1 it is the closed
-    form M B Pi / w (Garsia-Haiman), which needs no Macdonald coefficients.
-    Callers use its numerator and denominator."""
+    """Coefficient of H_mu in the Cauchy expansion of e_n[X [r]_q]:
+    H_mu[M [r]_q] / w_mu as one reduced Fraction (1 for the empty
+    partition), read by its numerator and denominator.  At r = 1 it is the
+    Garsia-Haiman closed form M B Pi / w: no Macdonald coefficients."""
     if mu.size == 0:
         return 1
     w = w_mu(mu, pt)
@@ -817,12 +816,13 @@ def pair_delta_e_d(d, n, pt):
 
 def sum_r_lhs(m, n, k, pt):
     """Sum over r of t^(m-k-r+1) <Delta_{h_(m-k-r+1)} Delta_{e_k}
-    e_n[X [r]_q], e_n>: one ``delta_pairing`` row per r.  The r = 1 row
-    uses no Macdonald coefficients, so the degree cap is checked here."""
+    e_n[X [r]_q], e_n> as <nabla F, h_n>, one ``delta_pairing`` row per r.
+    Row r = 1 reads no Macdonald coefficient, so the cap is checked here."""
     _check_degree(n)
+    ops = (("e", k), ("nabla",))
     return sum(
         pt.t0 ** (m - k - r + 1)
-        * delta_pairing(n, (("h", m - k - r + 1), ("e", k)), ("eh", (n,), ()), pt, r)
+        * delta_pairing(n, (("h", m - k - r + 1), *ops), ("h", (n,)), pt, r)
         for r in range(1, m - k + 2)
     )
 

@@ -398,7 +398,7 @@ def suite_engine():
         bad = ""
         for n in range(1, 6):
             for mu in partitions_of(n):
-                if macdonald.pair_htilde_h(mu, (n,), pt) != 1:
+                if macdonald.htilde_mcoeff(tuple(mu), (n,)).eval(pt.q0, pt.t0) != 1:
                     bad = f"<H,{'s_(n)'}> at {tuple(mu)}"
                 if macdonald.pair_htilde_hook(mu, n - 1, pt) != macdonald.t_mu(
                     mu, pt

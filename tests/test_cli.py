@@ -6,6 +6,7 @@ import pytest
 
 from qtcomb import macdonald
 from qtcomb.cli import main
+from qtcomb.suites import IDENTITY_NAMES
 
 
 def run(capsys, *argv):
@@ -261,7 +262,7 @@ def test_verify_grid_bound_zero_is_honoured(capsys):
     assert all("bound=0" in row for row in rows)
 
 
-@pytest.mark.parametrize("suite", ["delta-tiny", "ndinv", "all"])
+@pytest.mark.parametrize("suite", ["delta-tiny", "ndinv", "engine"])
 @pytest.mark.parametrize(
     "flag, value", [("--name", "new-id"), ("--grid-bound", "0")]
 )
@@ -269,6 +270,16 @@ def test_verify_flag_of_identities_only_exits_2(capsys, suite, flag, value):
     code, out, err = run(capsys, "verify", suite, "--max", "2", flag, value)
     assert code == 2 and out == ""
     assert err == f"error: verify {suite} does not take {flag}\n"
+
+
+def test_verify_all_passes_identity_flags_on(capsys):
+    argv = ("verify", "all", "--max", "2", "--name", "new-id", "--grid-bound", "0")
+    code, out, _ = run(capsys, *argv)
+    suites = [row.split(",")[0].strip('"') for row in out.splitlines()[1:]]
+    assert code == 0 and "engine" in suites
+    identity_rows = [row for row in out.splitlines() if row.startswith('"new-id"')]
+    assert identity_rows and all("bound=0" in row for row in identity_rows)
+    assert not set(suites) & (set(IDENTITY_NAMES) - {"new-id"})
 
 
 _PATH_JSON = {"area_word": [0, 1], "labels": [1, 2]}

@@ -319,12 +319,16 @@ class TestIdentities:
             assert fn(2, 1, 1, PT) == fn(2, 1, 1, PT.swap())
 
 
-def _sum_r_row(m, n, k, r, pt):
+def _sum_r_row(m, n, k, r, pt, against_e_n=False):
     """The r-th term of ``sum_r_lhs``: t^(m-k-r+1) <Delta_{h_(m-k-r+1)}
-    Delta_{e_k} e_n[X [r]_q], e_n>."""
-    return pt.t0 ** (m - k - r + 1) * delta_pairing(
-        n, (("h", m - k - r + 1), ("e", k)), ("eh", (n,), ()), pt, r
-    )
+    Delta_{e_k} e_n[X [r]_q], e_n>, paired as ``sum_r_lhs`` does, through
+    nabla and h_n, or directly against e_n."""
+    operators = (("h", m - k - r + 1), ("e", k))
+    if against_e_n:
+        rhs = ("eh", (n,), ())
+    else:
+        operators, rhs = operators + (("nabla",),), ("h", (n,))
+    return pt.t0 ** (m - k - r + 1) * delta_pairing(n, operators, rhs, pt, r)
 
 
 class TestCauchyWeight:
@@ -349,7 +353,9 @@ class TestCauchyWeight:
         ]
         assert len(rows) == 45
         for m, n, k, r in rows:
-            assert isinstance(_sum_r_row(m, n, k, r, EvalPoint(2, 101)), int)
+            row = _sum_r_row(m, n, k, r, EvalPoint(2, 101))
+            assert isinstance(row, int)
+            assert row == _sum_r_row(m, n, k, r, EvalPoint(2, 101), True)
             enum = qt_enumerator(FamilySpec("pf2", m=m, n=n, k=k, r=r))
             assert poly_equal_by_grid(
                 lambda q0, t0: _sum_r_row(m, n, k, r, EvalPoint(q0, t0)),
