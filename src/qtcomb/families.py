@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from qtcomb.macdonald import partitions_of
 from qtcomb.paths import (
     DecoratedLabelledPath,
     PolyominoWord,
@@ -388,15 +389,7 @@ def qt_enumerator_by_content(m, n, k):
 
 def partitions(n, max_part=None):
     """Partitions of n, largest part first, in reverse lex order."""
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        return [()]
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions(n - first, first):
-            out.append((first,) + rest)
-    return out
+    return partitions_of(n, max_part)
 
 
 # -- family validation ----------------------------------------------------

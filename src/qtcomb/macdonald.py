@@ -1,8 +1,8 @@
 """A small exact symmetric-function engine.
 
-Partitions with cell statistics, signed monomial alphabets, plethystic
-evaluation of e_r/h_r, modified Macdonald polynomials in the monomial
-basis (computed from the combinatorial filling formula with inv and maj
+Partitions with cell statistics, plethystic evaluation of p_j/e_r/h_r
+on alphabets, modified Macdonald polynomials in the monomial basis
+(computed from the combinatorial filling formula with inv and maj
 weights), Hall pairings against h-products, e-h products and hook Schur
 functions, and the partition-sum evaluators used for identity
 verification on the prime grid.
@@ -29,9 +29,11 @@ Caches are ``functools.lru_cache`` tables that live as long as the
 process: the point-free ones are keyed by partition, the per-point ones
 (``pleth_e``, ``_en_weight``, the value behind ``htilde_at_alphabet``) by
 their arguments including the point, because the grid revisits the same
-points for every instance of an identity.  Alphabets built from others
-(``_negated``, ``_m_times``) are cached too, so equal cache keys share
-one object and its stored hash.
+points for every instance of an identity.  An alphabet is a
+``QtPolynomial`` (B_mu = sum of q^coarm t^coleg, M = (1-q)(1-t),
+[r]_q), and p_j[A] = A(q^j, t^j); a polynomial stores its hash, and the
+alphabets built from others (``b_minus_one``, ``_negated``, ``_m_times``)
+are cached too, so equal cache keys share one object and its stored hash.
 """
 
 from __future__ import annotations
@@ -40,7 +42,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from qtcomb.qt import CapacityError, PoleError, QtPolynomial, exact_quotient
+from qtcomb.qt import (
+    CapacityError,
+    PoleError,
+    QtPolynomial,
+    exact_quotient,
+    q_int,
+)
 
 #: Largest Macdonald degree ``htilde`` and ``htilde_at_alphabet`` accept;
 #: read at call time.
@@ -115,103 +123,7 @@ def partitions_of(n, max_part=None):
     return tuple(out)
 
 
-# -- signed monomial alphabets -------------------------------------------
-
-
-class MonomialAlphabet:
-    """A signed multiset of monomials eps * q^a t^b.
-
-    Stored as {(a, b): multiplicity} with integer (possibly negative)
-    multiplicities.  Supports the power map used by plethysm.  An
-    alphabet is never changed after construction.
-    """
-
-    __slots__ = ("terms", "_hash")
-
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for (a, b), mult in items:
-                mult = data.get((a, b), 0) + mult
-                if mult:
-                    data[(a, b)] = mult
-                else:
-                    data.pop((a, b), None)
-        self.terms = data
-
-    @classmethod
-    def unit(cls):
-        return cls({(0, 0): 1})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, m in other.terms.items():
-            m = out.get(k, 0) + m
-            if m:
-                out[k] = m
-            else:
-                out.pop(k, None)
-        res = MonomialAlphabet.__new__(MonomialAlphabet)
-        res.terms = out
-        return res
-
-    def __neg__(self):
-        res = MonomialAlphabet.__new__(MonomialAlphabet)
-        res.terms = {k: -m for k, m in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def minus_one(self):
-        return self - MonomialAlphabet.unit()
-
-    def __mul__(self, other):
-        out = {}
-        for (a1, b1), m1 in self.terms.items():
-            for (a2, b2), m2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                m = out.get(k, 0) + m1 * m2
-                if m:
-                    out[k] = m
-                else:
-                    del out[k]
-        res = MonomialAlphabet.__new__(MonomialAlphabet)
-        res.terms = out
-        return res
-
-    def power_sum(self, j, pt):
-        """p_j of the alphabet at the point: each monomial to the j-th power."""
-        total = 0
-        for (a, b), mult in self.terms.items():
-            total += mult * pt.q0 ** (j * a) * pt.t0 ** (j * b)
-        return total
-
-    def sum_at(self, pt):
-        return self.power_sum(1, pt)
-
-    def key(self):
-        return tuple(sorted(self.terms.items()))
-
-    def __eq__(self, other):
-        if not isinstance(other, MonomialAlphabet):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        # computed once: the per-point caches hash the same B_mu at
-        # every lookup
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash(self.key())
-            return self._hash
-
-    def __repr__(self):
-        return "Alphabet(%s)" % ", ".join(
-            f"{m}*q^{a}t^{b}" for (a, b), m in sorted(self.terms.items())
-        )
+# -- alphabets and partition invariants ------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -225,25 +137,25 @@ def _cell_stats(mu):
 
 @lru_cache(maxsize=None)
 def b_alphabet(mu):
-    """B_mu = sum of q^coarm t^coleg over the cells.  Built once per
-    partition; the alphabet is shared, so callers must not mutate it."""
-    return MonomialAlphabet([((a, l), 1) for a, l, _, _ in _cell_stats(mu)])
+    """B_mu = sum of q^coarm t^coleg over the cells, built once per
+    partition."""
+    return QtPolynomial([((a, l), 1) for a, l, _, _ in _cell_stats(mu)])
 
 
 @lru_cache(maxsize=None)
 def b_minus_one(mu):
     """B_mu - 1, the alphabet of the e_r coefficients; built once."""
-    return b_alphabet(mu).minus_one()
+    return b_alphabet(mu) - 1
 
 
 def m_alphabet():
-    """M = (1-q)(1-t) as an alphabet."""
-    return MonomialAlphabet({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
+    """M = (1-q)(1-t)."""
+    return QtPolynomial({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
 
 
 def bracket_q(r):
-    """[r]_q = 1 + q + ... + q^(r-1) as an alphabet."""
-    return MonomialAlphabet({(j, 0): 1 for j in range(r)})
+    """[r]_q = 1 + q + ... + q^(r-1)."""
+    return q_int(r)
 
 
 def t_mu(mu, pt=None):
@@ -288,14 +200,11 @@ def w_mu(mu, pt=None):
 
 
 def partition_invariants(mu, pt=None):
-    """(B, T, Pi, w, M) for a partition; exact values at a point (ints at
-    int points), polynomials/alphabets symbolically."""
+    """(B, T, Pi, w, M) for a partition; B is the alphabet B_mu, the rest
+    are exact values at a point (ints at int points), or polynomials."""
     B = b_alphabet(mu)
     if pt is None:
-        M = (QtPolynomial.one() - QtPolynomial.q()) * (
-            QtPolynomial.one() - QtPolynomial.t()
-        )
-        return B, t_mu(mu), pi_mu(mu), w_mu(mu), M
+        return B, t_mu(mu), pi_mu(mu), w_mu(mu), m_alphabet()
     M = (1 - pt.q0) * (1 - pt.t0)
     return B, t_mu(mu, pt), pi_mu(mu, pt), w_mu(mu, pt), M
 
@@ -304,8 +213,8 @@ def partition_invariants(mu, pt=None):
 
 
 def pleth_p(j, alphabet, pt):
-    """p_j of the alphabet at the point."""
-    return alphabet.power_sum(j, pt)
+    """p_j of the alphabet at the point: p_j[A] = A(q^j, t^j)."""
+    return alphabet.eval(pt.q0**j, pt.t0**j)
 
 
 @lru_cache(maxsize=None)
@@ -553,19 +462,21 @@ def htilde_mcoeff(mu, lam):
         return QtPolynomial.one()
     _, below, arms, legs, attacks = _diagram_data(tuple(mu))
     content = [i for i, mult in enumerate(lam, start=1) for _ in range(mult)]
-    out = QtPolynomial.zero()
-    for filling in _multiset_perms(content):
-        maj = 0
-        arm_sum = 0
-        for i, b in enumerate(below):
-            if b >= 0 and filling[i] > filling[b]:
-                maj += legs[i] + 1
-                arm_sum += arms[i]
-        inv = sum(1 for i, j in attacks if filling[i] > filling[j]) - arm_sum
-        if inv < 0:
-            raise AssertionError("negative inv statistic; orientation broken")
-        out += QtPolynomial.monomial(1, inv, maj)
-    return out
+
+    def weights():
+        for filling in _multiset_perms(content):
+            maj = 0
+            arm_sum = 0
+            for i, b in enumerate(below):
+                if b >= 0 and filling[i] > filling[b]:
+                    maj += legs[i] + 1
+                    arm_sum += arms[i]
+            inv = sum(1 for i, j in attacks if filling[i] > filling[j]) - arm_sum
+            if inv < 0:
+                raise AssertionError("negative inv statistic; orientation broken")
+            yield (inv, maj), 1
+
+    return QtPolynomial(weights())
 
 
 def htilde(mu, pt):
@@ -612,7 +523,7 @@ def _htilde_at_alphabet(mu, alphabet, pt):
     if not mu:
         return 1
     denom, coeffs = _htilde_p_coeffs(mu)
-    powers = [None] + [alphabet.power_sum(j, pt) for j in range(1, sum(mu) + 1)]
+    powers = [None] + [pleth_p(j, alphabet, pt) for j in range(1, sum(mu) + 1)]
     total = 0
     for rho, poly in coeffs:
         prod = poly.eval(pt.q0, pt.t0)
@@ -747,7 +658,8 @@ def _en_weight(mu, r, pt):
         raise PoleError("w vanishes at the evaluation point")
     if r == 1:
         M = (1 - pt.q0) * (1 - pt.t0)
-        return Fraction(M * b_alphabet(mu).sum_at(pt) * pi_mu(mu, pt), w)
+        B = b_alphabet(mu).eval(pt.q0, pt.t0)
+        return Fraction(M * B * pi_mu(mu, pt), w)
     return Fraction(htilde_at_alphabet(mu, _m_times(bracket_q(r)), pt), w)
 
 

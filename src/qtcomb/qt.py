@@ -1,8 +1,11 @@
 """Exact bivariate polynomials in q and t, q-analogues, and grid-based
 polynomial equality testing.
 
-Coefficients are Python ints (arbitrary precision).  Specializations are
-exact: at int points an integer polynomial evaluates to an int, at
+Coefficients are Python ints (arbitrary precision).  A polynomial is
+never changed after it is built and stores its hash once, so it is a
+cheap cache key: the plethystic alphabets of ``macdonald`` (B_mu, M,
+[r]_q) are ``QtPolynomial``s.  Specializations are exact: at int
+points an integer polynomial evaluates to an int, at
 ``fractions.Fraction`` points to a Fraction, by the same code.  Equality
 of evaluator-defined polynomials is decided on a deterministic grid of
 prime points, handed to the evaluators as plain ints: q-values are drawn
@@ -36,10 +39,13 @@ class QtPolynomial:
     """Sparse polynomial in q and t with exact integer coefficients.
 
     Terms are stored as ``{(q_exp, t_exp): coeff}`` with no zero
-    coefficients and no negative exponents.
+    coefficients and no negative exponents.  A polynomial is never changed
+    after it is built, so its hash is computed once and stored: the
+    per-point caches key on plethystic alphabets such as B_mu, which are
+    polynomials too, and hash the same one at every lookup.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
         data = {}
@@ -160,7 +166,11 @@ class QtPolynomial:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.terms.items()))
+            return self._hash
 
     def __bool__(self):
         return bool(self.terms)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from qtcomb.families import FamilySpec, bucket_index, generate, qt_enumerator
+from qtcomb.families import FamilySpec, bucket_index, generate
 from qtcomb.qt import QtPolynomial, binom2, q_binomial
 
 
@@ -210,8 +210,8 @@ def reconcile_recursion(max_size, variants=None):
     sums_ok = True
     for v in survivors:
         shift = 0 if v.r_sem == "nonghost" else 1
-        for m, n, k, _ in instances:
-            total = qt_enumerator(FamilySpec("pf2", m=m, n=n, k=k))
+        for m, n, k, buckets in instances:
+            total = sum(buckets.values(), QtPolynomial.zero())
             sigma = QtPolynomial.zero()
             for r in range(shift, m + shift + 1):
                 sigma += pf2_recursion(m, r, n, k, v)

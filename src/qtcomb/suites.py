@@ -254,9 +254,8 @@ def suite_identities(names=None, max_size=6, grid_bound=None):
         )
     for name in names:
         if name in IDENTITY_PAIRS:
-            left, right = (getattr(macdonald, fn) for fn in IDENTITY_PAIRS[name])
             reports += _grid_rows(
-                name, _pair_rows(left, right, max_size, grid_bound)
+                name, _pair_rows(*IDENTITY_PAIRS[name], max_size, grid_bound)
             )
     return reports
 
@@ -296,10 +295,13 @@ def _reciprocity_rows(nmax, grid_bound):
 
 
 def _pair_rows(left, right, max_size, grid_bound):
+    """Rows of one identity pair, named by its two ``macdonald`` sides."""
+    witness = f"{left} != {right}"
+    left, right = getattr(macdonald, left), getattr(macdonald, right)
     for m, n, k in _instances(max_size):
         bound = _grid_bound(m + n) if grid_bound is None else grid_bound
         yield f"m={m} n={n} k={k} bound={bound}", [
-            ("", _ev(left, m, n, k), _ev(right, m, n, k), bound)
+            (witness, _ev(left, m, n, k), _ev(right, m, n, k), bound)
         ]
 
 
@@ -318,7 +320,12 @@ def _delta_hh_rows(max_size):
     for m, n, k in _instances(max_size):
         enum = qt_enumerator(FamilySpec("pf2", m=m, n=n, k=k))
         yield f"m={m} n={n} k={k}", [
-            ("", _ev(macdonald.lhs_delta_hh, m, n, k), enum.eval, _grid_bound(m + n))
+            (
+                "lhs_delta_hh != pf2 enumerator",
+                _ev(macdonald.lhs_delta_hh, m, n, k),
+                enum.eval,
+                _grid_bound(m + n),
+            )
         ]
 
 
@@ -373,7 +380,12 @@ def _delta_ehh_rows(max_size):
                     ("eh", (j,), (a, b)),
                 )
                 yield f"m={m} n={n} k={k} e{j}h{a}h{b}", [
-                    ("", side, enum.eval, _grid_bound(m + n))
+                    (
+                        f"delta_pairing != {spec.family} enumerator",
+                        side,
+                        enum.eval,
+                        _grid_bound(m + n),
+                    )
                 ]
 
 

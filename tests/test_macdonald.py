@@ -13,7 +13,6 @@ from qtcomb.macdonald import (
     Partition,
     SymFun,
     b_alphabet,
-    MonomialAlphabet,
     bracket_q,
     delta_lhs_by_content,
     delta_pairing,
@@ -33,13 +32,14 @@ from qtcomb.macdonald import (
     pi_mu,
     pleth_e,
     pleth_h,
+    pleth_p,
     reciprocity_side,
     rhs_nabla_ehh,
     sum_r_lhs,
     t_mu,
     w_mu,
 )
-from qtcomb.qt import EvalPoint, QtPolynomial, poly_equal_by_grid
+from qtcomb.qt import EvalPoint, QtPolynomial, poly_equal_by_grid, q_int
 
 PT = EvalPoint(Fraction(2), Fraction(101))
 
@@ -66,6 +66,15 @@ class TestInvariants:
     def test_b_21(self):
         B = b_alphabet(Partition((2, 1)))
         assert B.terms == {(0, 0): 1, (1, 0): 1, (0, 1): 1}
+        assert B == 1 + QtPolynomial.q() + QtPolynomial.t()
+
+    def test_alphabets_are_polynomials(self):
+        q, t = QtPolynomial.q(), QtPolynomial.t()
+        assert bracket_q(3) == q_int(3)
+        assert m_alphabet() == (1 - q) * (1 - t)
+        # equal polynomials built in different ways hash equal
+        assert hash(m_alphabet()) == hash((1 - q) * (1 - t))
+        assert hash(b_alphabet(Partition((2, 1))) - 1) == hash(q + t)
 
     def test_t_22(self):
         assert t_mu(Partition((2, 2))) == QtPolynomial.monomial(1, 2, 2)
@@ -94,7 +103,7 @@ class TestPlethysm:
         assert pleth_e(1, m_alphabet(), PT) == (1 - PT.q0) * (1 - PT.t0)
 
     def test_e1_drop_unit(self):
-        B1 = b_alphabet(Partition((2, 1))).minus_one()
+        B1 = b_alphabet(Partition((2, 1))) - 1
         assert pleth_e(1, B1, PT) == PT.q0 + PT.t0
 
     def test_negative_index(self):
@@ -103,7 +112,7 @@ class TestPlethysm:
         assert pleth_h(0, m_alphabet(), PT) == 1
 
     def test_alphabet_product(self):
-        lhs = (m_alphabet() * bracket_q(2)).sum_at(PT)
+        lhs = (m_alphabet() * bracket_q(2)).eval(PT.q0, PT.t0)
         rhs = (1 - PT.q0) * (1 - PT.t0) * (1 + PT.q0)
         assert lhs == rhs
 
@@ -111,7 +120,7 @@ class TestPlethysm:
 def newton_e_h(r, alphabet, pt):
     """Reference e_r, h_r of an alphabet by Newton's recurrence from the
     power sums, dividing by i at each step."""
-    p = [None] + [alphabet.power_sum(j, pt) for j in range(1, r + 1)]
+    p = [None] + [pleth_p(j, alphabet, pt) for j in range(1, r + 1)]
     e, h = [Fraction(1)], [Fraction(1)]
     for i in range(1, r + 1):
         e.append(
@@ -125,7 +134,7 @@ alphabets = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
     st.integers(-3, 3).filter(bool),
     max_size=5,
-).map(MonomialAlphabet)
+).map(QtPolynomial)
 coords = st.one_of(
     st.integers(-7, 7),
     st.fractions(min_value=-7, max_value=7, max_denominator=9),
@@ -258,7 +267,7 @@ class TestPairings:
             for mu in partitions_of(n):
                 for r in range(n):
                     lhs = pair_htilde_hook(mu, r, PT)
-                    rhs = pleth_e(r, b_alphabet(mu).minus_one(), PT)
+                    rhs = pleth_e(r, b_alphabet(mu) - 1, PT)
                     assert lhs == rhs, (mu, r)
 
     def test_column_pairing_is_t(self):

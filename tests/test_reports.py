@@ -30,8 +30,9 @@ def test_workload_reports_match_recorded_digest(capsys, name):
 
 #: (argv, rows, sha256 of the sorted rows), each recorded before a change
 #: to the code behind it: the suites becoming row generators for one grid
-#: runner, ``delta-ehh`` generating each family once, and ``sum_r_lhs``
-#: becoming ``delta_pairing`` rows over the Cauchy weight.
+#: runner, ``delta-ehh`` generating each family once, ``sum_r_lhs``
+#: becoming ``delta_pairing`` rows over the Cauchy weight, and the
+#: plethystic alphabets becoming ``QtPolynomial``s.
 OTHER_REPORTS = [
     (
         ("verify", "delta-ehh", "--max", "4"),
@@ -52,6 +53,16 @@ OTHER_REPORTS = [
         ("verify", "identities", "--name", "reciprocity", "--max", "4"),
         16,
         "1edccc45c81b291253e22ed4aec2d2348c1914410a24597b77aeed9d492bbf74",
+    ),
+    (
+        ("verify", "identities", "--name", "new-id", "--max", "6"),
+        49,
+        "b171680e8f94688c93b8ef4036b49b1783ee2764af1e9dec06f37aaa3773ef2c",
+    ),
+    (
+        ("verify", "identities", "--name", "deltahh-ehh", "--max", "6"),
+        49,
+        "98c66af87006bf32006d69d24c2aea7a3e654b602df5d7eeaebb0bd627034c90",
     ),
     (
         ("verify", "identities", "--name", "delta-hh-sum", "--max", "6"),

@@ -62,6 +62,23 @@ def test_delta_content_row_fails_at_its_first_failing_content(monkeypatch, capsy
     )
 
 
+def test_identity_pair_row_names_its_two_sides(monkeypatch, capsys):
+    rhs = macdonald.rhs_nabla_ehh
+
+    def wrong_at_211(m, n, k, pt):
+        return rhs(m, n, k, pt) + ((m, n, k) == (2, 1, 1))
+
+    monkeypatch.setattr(macdonald, "rhs_nabla_ehh", wrong_at_211)
+    reports = suites.suite_identities(names=("new-id",), max_size=3)
+    row = ("new-id", "m=2 n=1 k=1 bound=3", "fail", "mid_delta_hn != rhs_nabla_ehh")
+    assert _failed_rows(reports) == [row]
+    assert main(["verify", "identities", "--name", "new-id", "--max", "3"]) == 1
+    assert (
+        '"new-id","m=2 n=1 k=1 bound=3","fail","mid_delta_hn != rhs_nabla_ehh"'
+        in capsys.readouterr().out
+    )
+
+
 def test_grid_row_without_a_witness_fails_as_mismatch():
     def differ(q0, t0):
         return q0 + 1
