@@ -194,10 +194,14 @@ def cmd_biject(args):
 
 
 def cmd_verify(args):
-    if args.suite not in ("identities", "all"):
-        for flag, value in (("--name", args.name), ("--grid-bound", args.grid_bound)):
-            if value is not None:
-                raise UsageError(f"verify {args.suite} does not take {flag}")
+    for flag, value, readers in (
+        ("--name", args.name, ("identities", "all")),
+        ("--grid-bound", args.grid_bound, ("identities", "all")),
+        ("--max", args.max, (set(SUITES) | {"all"}) - {"examples", "engine"}),
+    ):
+        if value is not None and args.suite not in readers:
+            raise UsageError(f"verify {args.suite} does not take {flag}")
+    max_size = 5 if args.max is None else args.max
     if args.grid_bound is not None and args.grid_bound < 0:
         raise UsageError(f"--grid-bound must be >= 0, got {args.grid_bound}")
     if args.suite == "all":
@@ -210,14 +214,14 @@ def cmd_verify(args):
         if name == "identities":
             idnames = (args.name,) if args.name else None
             reports += suite(
-                names=idnames, max_size=args.max, grid_bound=args.grid_bound
+                names=idnames, max_size=max_size, grid_bound=args.grid_bound
             )
         elif name in ("examples", "engine"):
             reports += suite()
         else:
-            reports += suite(max_size=args.max)
+            reports += suite(max_size=max_size)
     if not reports:
-        raise UsageError(f"no checks ran: verify {args.suite} --max {args.max}")
+        raise UsageError(f"no checks ran: verify {args.suite} --max {max_size}")
     rows = sorted(r.row() for r in reports)
     if args.format == "json":
         text = (
@@ -257,13 +261,9 @@ def cmd_verify(args):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this file")
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="csv", help="report format"
-    )
     parser = argparse.ArgumentParser(
         prog="qtcomb",
         description="exact q,t-combinatorics of lattice paths and polyominoes",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -298,7 +298,10 @@ def build_parser():
     p_verify.add_argument(
         "suite", choices=sorted(SUITES) + ["all"], help="suite name"
     )
-    p_verify.add_argument("--max", type=int, default=5, help="size bound")
+    p_verify.add_argument(
+        "--format", choices=("json", "csv"), default="csv", help="report format"
+    )
+    p_verify.add_argument("--max", type=int, help="size bound (default 5)")
     p_verify.add_argument(
         "--name",
         choices=IDENTITY_NAMES,

@@ -1,5 +1,12 @@
 """Exhaustive generation of path families and exact q,t-enumerators.
 
+Every labelled family (all but ``d`` and ``rp``) is described once, by
+its shape ``(labels, runs, decorations, big)``: the sorted label
+multiset (ghost row excluded), the (lo, hi, increasing) runs of its
+reading word, its number of decorated rises, and the least big-car
+label of its bucket ``r``.  ``generate`` searches that shape and
+``validate_family`` checks membership against the same shape.
+
 Members are emitted in a canonical order: row-by-row lexicographic on
 (level, label) pairs -- row 1's level, then its label, then row 2's
 level and label, and so on -- then by decoration set.  This is not the
@@ -13,6 +20,7 @@ searched with pruning rather than filtered after generation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from qtcomb.macdonald import partitions_of
@@ -50,7 +58,9 @@ class FamilySpecError(ValueError):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Parameters naming one finite path family."""
+    """Parameters naming one finite path family.  ``shape`` is derived
+    from them (None for ``d`` and ``rp``); it is no constructor argument
+    and no part of ``repr``, ``==`` or ``hash``."""
 
     family: str
     m: int = 0
@@ -77,6 +87,8 @@ class FamilySpec:
         unread = [
             name
             for name, given, readers in (
+                ("m", self.m, set(FAMILIES) - {"d", "ld"}),
+                ("k", self.k, set(FAMILIES) - {"catalan-pld"}),
                 ("content", self.content is not None, ("ld", "pld")),
                 ("r", self.r is not None, ("pf2", "shuffle-knm")),
                 ("r_sem", self.r_sem != "ghost", ("pf2", "shuffle-knm")),
@@ -86,35 +98,53 @@ class FamilySpec:
         ]
         if unread:
             raise FamilySpecError(f"{f} does not take {', '.join(unread)}")
-        if f == "d" and self.m:
-            raise FamilySpecError("d takes only n and k")
         if f in ("ld", "pld"):
             if self.content is None:
                 raise FamilySpecError(f"{f} enumeration requires a content partition")
             if sum(self.content) != self.n:
                 raise FamilySpecError("content weight must equal n")
-            if f == "ld" and self.m:
-                raise FamilySpecError("ld has no zero labels")
             if self.k and self.k >= self.n:
                 raise FamilySpecError("pld requires n > k >= 0")
-        if f == "catalan-pld" and self.k:
-            raise FamilySpecError("catalan-pld decorations are forced, k must be 0")
         if f == "pf2" and self.r is not None:
             lo = 0 if self.r_sem == "nonghost" else 1
             if self.r < lo:
                 raise FamilySpecError("bucket index below its semantic range")
         if f in ("two-shuffle", "shuffle-knm", "pf2") and self.k > min(self.m, self.n):
             raise FamilySpecError("k exceeds min(m, n)")
+        object.__setattr__(
+            self, "shape", _shape(f, self.m, self.n, self.k, self.content)
+        )
 
     @property
     def size(self):
         if self.family == "d":
             return self.n
-        if self.family == "shuffle-knm":
-            return self.m + self.n - self.k
         if self.family == "rp":
             return self.m + self.n + 1
-        return self.m + self.n
+        return len(self.shape[0])
+
+
+@lru_cache(maxsize=None)
+def _shape(family, m, n, k, content):
+    """The ``(labels, runs, decorations, big)`` shape of a labelled family
+    (see the module docstring); None for the unlabelled ``d`` and ``rp``."""
+    runs, decorations, big = (), k, 2
+    if family in ("ld", "pld"):
+        labels = [0] * m + [i for i, c in enumerate(content, 1) for _ in range(c)]
+    elif family == "pf2":
+        labels = [1] * n + [2] * m
+    elif family == "catalan-pld":
+        labels = [0] * (m + 1) + list(range(1, n + 1))
+        runs, decorations = ((1, n, True),), n
+    elif family == "two-shuffle":
+        labels = range(1, m + n + 1)
+        runs = two_shuffle_runs(m, n)
+    elif family == "shuffle-knm":
+        labels = range(1, m + n - k + 1)
+        runs, decorations, big = knm_runs(k, n, m), 0, n + 1
+    else:
+        return None
+    return tuple(sorted(labels)), tuple(runs), decorations, big
 
 
 # -- raw generators (lexicographic) ------------------------------------
@@ -136,9 +166,9 @@ def _area_words(size):
     yield from rec(0)
 
 
-def _labelled_paths(size, multiset, first_nonzero, runs=(), min_rises=0):
-    """All (area_word, labels) over a fixed label multiset, in row-by-row
-    (level, label) lexicographic order.
+def _labelled_paths(size, multiset, runs=(), min_rises=0):
+    """All (area_word, labels) over a fixed label multiset, with a nonzero
+    label in row 1, in row-by-row (level, label) lexicographic order.
 
     Two cuts prune the search without reordering what is left.  ``runs``
     keeps the labellings whose reading word lists each (lo, hi,
@@ -181,7 +211,7 @@ def _labelled_paths(size, multiset, first_nonzero, runs=(), min_rises=0):
                     continue
                 if rise and v <= labels[-1]:
                     continue
-                if i == 0 and first_nonzero and v == 0:
+                if i == 0 and v == 0:
                     continue
                 run = run_of.get(v)
                 if run is not None and not fits(v, a):
@@ -285,14 +315,6 @@ def _rp_decorated(words, k):
             yield PolyominoWord(w.letters, dec)
 
 
-def _parking_paths(size, runs, min_rises=0):
-    """Labelled Dyck paths whose labels are 1..size, each once, with the
-    reading word in ``runs``."""
-    return _labelled_paths(
-        size, range(1, size + 1), first_nonzero=True, runs=runs, min_rises=min_rises
-    )
-
-
 def generate(spec):
     """Stream the members of a family once each, in canonical order, at
     most ``MEMBER_CAP`` of them."""
@@ -309,37 +331,18 @@ def _generate(spec):
     f = spec.family
     if f == "d":
         yield from _decorated(((w, None) for w in _area_words(spec.n)), spec.k)
-    elif f in ("ld", "pld"):
-        multiset = [0] * spec.m
-        for i, mult in enumerate(spec.content, start=1):
-            multiset += [i] * mult
-        pairs = _labelled_paths(
-            spec.size, multiset, first_nonzero=True, min_rises=spec.k
-        )
-        yield from _decorated(pairs, spec.k)
-    elif f == "catalan-pld":
-        yield from _gen_catalan_pld(spec.m, spec.n)
-    elif f == "pf2":
-        multiset = [1] * spec.n + [2] * spec.m
-        pairs = _labelled_paths(
-            spec.size, multiset, first_nonzero=False, min_rises=spec.k
-        )
-        if spec.r is not None:
-            pairs = (
-                (w, l) for w, l in pairs if _bucket(w, l, 2, spec.r_sem) == spec.r
-            )
-        yield from _decorated(pairs, spec.k, spec.ghost)
-    elif f == "two-shuffle":
-        runs = two_shuffle_runs(spec.m, spec.n)
-        pairs = _parking_paths(spec.size, runs, min_rises=spec.k)
-        yield from _decorated(pairs, spec.k)
-    elif f == "shuffle-knm":
-        runs = knm_runs(spec.k, spec.n, spec.m)
-        for w, l in _parking_paths(spec.size, runs):
-            if spec.r is None or _bucket(w, l, spec.n + 1, spec.r_sem) == spec.r:
-                yield DecoratedLabelledPath(w, l)
     elif f == "rp":
         yield from _rp_decorated(_gen_rp(spec.m, spec.n), spec.k)
+    elif f == "catalan-pld":
+        yield from _gen_catalan_pld(spec.m, spec.n)
+    else:
+        labels, runs, decorations, big = spec.shape
+        pairs = _labelled_paths(len(labels), labels, runs, min_rises=decorations)
+        if spec.r is not None:
+            pairs = (
+                (w, l) for w, l in pairs if _bucket(w, l, big, spec.r_sem) == spec.r
+            )
+        yield from _decorated(pairs, decorations, spec.ghost)
 
 
 # -- diagonal big-car buckets -------------------------------------------
@@ -424,81 +427,25 @@ def validate_family(obj, spec):
 
     if obj.labels is None:
         return False, "family requires labels"
-
-    if f == "ld":
-        if obj.size != spec.n:
-            return False, "wrong size"
-        if any(l < 1 for l in obj.labels):
-            return False, "labels must be positive"
-        return True, "ok"
-
-    if f == "pld":
-        if obj.size != spec.m + spec.n:
-            return False, "wrong size"
-        if sum(1 for l in obj.labels if l == 0) != spec.m:
-            return False, f"expected {spec.m} zero labels"
-        if obj.labels and obj.labels[0] == 0:
-            return False, "zero label in the bottom-left corner"
-        if len(obj.decorated_rises) != spec.k:
-            return False, f"expected {spec.k} decorated rises"
-        if spec.content is not None and obj.content() != tuple(
-            sorted(
-                [i for i, mult in enumerate(spec.content, 1) for _ in range(mult)]
-            )
-        ):
-            return False, "content mismatch"
-        return True, "ok"
-
+    labels, runs, decorations, big = spec.shape
+    if spec.ghost != obj.ghost_row:
+        return False, "ghost row flag mismatch"
+    # the body is the path below its ghost row, read in place
+    skip = 1 if obj.ghost_row else 0
+    body = obj.labels[skip:]
+    if tuple(sorted(body)) != labels:
+        return False, "wrong car counts"
     if f == "catalan-pld":
-        if obj.size != spec.m + 1 + spec.n:
-            return False, "wrong size"
-        zeros = [i for i, l in enumerate(obj.labels, 1) if l == 0]
-        if len(zeros) != spec.m + 1:
-            return False, f"expected {spec.m + 1} zero labels"
-        zv = obj.zero_valleys()
-        if set(zeros) != set(zv):
-            return False, "every zero label must be a zero valley"
-        pos = obj.positive_rows()
-        if len(pos) != spec.n:
-            return False, f"expected {spec.n} positive labels"
-        if obj.decorated_rises != frozenset(pos):
+        if obj.decorated_rises != frozenset(obj.positive_rows()):
             return False, "every positive step must be a decorated rise"
-        if list(obj.reading_word()) != list(range(1, spec.n + 1)):
-            return False, "positive labels must read 1..n"
-        return True, "ok"
-
-    if f == "pf2":
-        # the body is the path below its ghost row, read in place
-        labels = obj.labels[1:] if obj.ghost_row else obj.labels
-        if spec.ghost != obj.ghost_row:
-            return False, "ghost row flag mismatch"
-        if len(labels) != spec.m + spec.n:
-            return False, "wrong size"
-        if labels.count(1) != spec.n or labels.count(2) != spec.m:
-            return False, "wrong car counts"
-        if set(labels) - {1, 2}:
-            return False, "labels must be 1 or 2"
-        if len(obj.decorated_rises) != spec.k:
-            return False, f"expected {spec.k} decorated rises"
-        if spec.r is not None and bucket_index(obj, spec.r_sem) != spec.r:
-            return False, "wrong diagonal big-car bucket"
-        return True, "ok"
-
-    if f in ("two-shuffle", "shuffle-knm"):
-        if obj.size != spec.size:
-            return False, "wrong size"
-        if sorted(obj.labels) != list(range(1, spec.size + 1)):
-            return False, "labels must be a permutation of 1..size"
-        runs = (
-            two_shuffle_runs(spec.m, spec.n)
-            if f == "two-shuffle"
-            else knm_runs(spec.k, spec.n, spec.m)
-        )
-        if not word_in_runs(obj.reading_word(), runs):
-            return False, "reading word not in the shuffle"
-        want_dec = spec.k if f == "two-shuffle" else 0
-        if len(obj.decorated_rises) != want_dec:
-            return False, f"expected {want_dec} decorated rises"
-        return True, "ok"
-
-    return False, f"unhandled family {f!r}"
+    elif body and body[0] == 0:
+        return False, "zero label in the bottom-left corner"
+    if runs and not word_in_runs(obj.reading_word(), runs):
+        return False, "reading word not in the shuffle"
+    if len(obj.decorated_rises) != decorations:
+        return False, f"expected {decorations} decorated rises"
+    if spec.r is not None and spec.r != _bucket(
+        obj.area_word[skip:], body, big, spec.r_sem
+    ):
+        return False, "wrong diagonal big-car bucket"
+    return True, "ok"

@@ -144,13 +144,6 @@ class DecoratedLabelledPath:
             i + 1 for i, l in enumerate(self.labels) if l > 0
         )
 
-    def content(self):
-        """Multiset of positive labels (ghost row excluded)."""
-        if self.labels is None:
-            return ()
-        start = 1 if self.ghost_row else 0
-        return tuple(sorted(l for l in self.labels[start:] if l > 0))
-
     # -- statistics ---------------------------------------------------
 
     def area(self):

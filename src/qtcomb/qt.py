@@ -166,10 +166,15 @@ class QtPolynomial:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals the int it holds, so it hashes like that int
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash(frozenset(self.terms.items()))
+            terms = self.terms
+            if terms.keys() <= {(0, 0)}:
+                self._hash = hash(terms.get((0, 0), 0))
+            else:
+                self._hash = hash(frozenset(terms.items()))
             return self._hash
 
     def __bool__(self):

@@ -172,11 +172,9 @@ def brute_buckets(m, n, k):
     return out
 
 
-def reconcile_recursion(max_size, variants=None):
+def reconcile_recursion(max_size):
     """Search the convention space against brute force on every instance
     with m + n <= max_size, every 0 <= k <= min(m, n), every r."""
-    if variants is None:
-        variants = all_variants()
     instances = []
     for total in range(max_size + 1):
         for m in range(total + 1):
@@ -185,7 +183,7 @@ def reconcile_recursion(max_size, variants=None):
                 instances.append((m, n, k, brute_buckets(m, n, k)))
 
     survivors, failures = [], {}
-    for v in variants:
+    for v in all_variants():
         shift = 0 if v.r_sem == "nonghost" else 1
         bad = None
         for m, n, k, buckets in instances:

@@ -29,6 +29,7 @@ from qtcomb.macdonald import partitions_of
 from qtcomb.paths import (
     DecoratedLabelledPath,
     PolyominoPaths,
+    knm_runs,
     polyomino_encode,
     word_in_runs,
 )
@@ -41,7 +42,7 @@ class VerificationReport:
 
     suite: str
     instance: str
-    status: str  # "pass" | "fail" | "skip"
+    status: str  # "pass" | "fail"; no suite skips an instance
     witness: str = ""
     seconds: float = field(default=0.0, compare=False)
 
@@ -365,7 +366,7 @@ def _delta_ehh_rows(max_size):
                 b = n - j - a
                 if a < b:
                     continue
-                runs = [(1, j, True), (j + 1, j + a, False), (j + a + 1, n, False)]
+                runs = knm_runs(j, j + a, j + b)
                 enum = QtPolynomial(
                     (pair, 1)
                     for word, pairs in stats.items()

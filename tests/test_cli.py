@@ -142,6 +142,9 @@ def test_seedless_rejects_value(capsys):
         ("--family", "rp", "--m", "1", "--n", "1", "--r", "3"),
         ("--family", "d", "--n", "2", "--ghost"),
         ("--family", "catalan-pld", "--n", "2", "--r-sem", "nonghost"),
+        ("--family", "d", "--m", "1", "--n", "2"),
+        ("--family", "ld", "--m", "1", "--n", "2", "--content", "1,1"),
+        ("--family", "catalan-pld", "--m", "1", "--n", "2", "--k", "1"),
     ],
 )
 def test_enum_rejects_unread_field(capsys, argv):
@@ -270,6 +273,30 @@ def test_verify_flag_of_identities_only_exits_2(capsys, suite, flag, value):
     code, out, err = run(capsys, "verify", suite, "--max", "2", flag, value)
     assert code == 2 and out == ""
     assert err == f"error: verify {suite} does not take {flag}\n"
+
+
+@pytest.mark.parametrize("suite", ["examples", "engine"])
+def test_verify_fixed_suite_refuses_max(capsys, suite):
+    code, out, err = run(capsys, "verify", suite, "--max", "3")
+    assert code == 2 and out == ""
+    assert err == f"error: verify {suite} does not take --max\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--out", "report.csv", "verify", "examples"),
+        ("--format", "json", "verify", "examples"),
+        ("enum", "--family", "d", "--n", "2", "--format", "json"),
+        ("biject", "--map", "psi", "--in", "word.json", "--format", "csv"),
+    ],
+)
+def test_flag_a_command_ignores_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "word.json").write_text(json.dumps(_WORD_JSON))
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_verify_all_passes_identity_flags_on(capsys):

@@ -131,6 +131,19 @@ def test_canonical_order():
     assert members != sorted(members, key=lambda p: (p.area_word, p.labels))
 
 
+def test_shape_is_derived_and_shared():
+    spec = FamilySpec("pf2", m=1, n=2, r=1)
+    assert repr(spec) == (
+        "FamilySpec(family='pf2', m=1, n=2, k=0, r=1, r_sem='ghost',"
+        " content=None, ghost=False)"
+    )
+    assert spec.shape == ((1, 1, 2), (), 0, 2)
+    assert spec.shape is FamilySpec("pf2", m=1, n=2).shape
+    assert spec != FamilySpec("pf2", m=1, n=2)
+    with pytest.raises(TypeError):
+        FamilySpec("pf2", m=1, n=2, shape=spec.shape)
+
+
 def test_ld_without_content_rejected():
     with pytest.raises(FamilySpecError):
         FamilySpec("ld", n=2)
@@ -197,6 +210,22 @@ def test_membership_examples():
     assert validate_family(shuffle, FamilySpec("shuffle-knm", m=6, n=5, k=3))[0]
     ok, why = validate_family(shuffle, FamilySpec("shuffle-knm", m=5, n=6, k=3))
     assert not ok and "shuffle" in why
+    # k = 0 admits no decorated rise, and the content fixes the labels
+    ld = FamilySpec("ld", n=2, content=(1, 1))
+    decorated = DecoratedLabelledPath((0, 1), (1, 2), (2,))
+    assert validate_family(decorated, ld) == (False, "expected 0 decorated rises")
+    relabelled = DecoratedLabelledPath((0, 1), (2, 3))
+    assert validate_family(relabelled, ld) == (False, "wrong car counts")
+    # the bucket r of a shuffle path counts its diagonal cars above n
+    bucket3 = DecoratedLabelledPath((0, 0, 0, 0), (1, 2, 4, 3))
+    assert shuffle_bucket_index(bucket3, 2) == 3
+    assert validate_family(bucket3, FamilySpec("shuffle-knm", m=3, n=2, k=1, r=3))[0]
+    ok, why = validate_family(bucket3, FamilySpec("shuffle-knm", m=3, n=2, k=1, r=4))
+    assert (ok, why) == (False, "wrong diagonal big-car bucket")
+    # a catalan-pld family of m zero valleys past row 1 has m + n + 1 rows
+    catalan = FamilySpec("catalan-pld", m=1, n=2)
+    assert catalan.size == 4
+    assert {p.size for p in generate(catalan)} == {4}
 
 
 def test_ghost_pf2_candidate_rising_at_row_2_is_rejected_not_raised():
@@ -392,6 +421,29 @@ ORACLE_CASES = {
         for lam in partitions(n)
     ],
 }
+
+
+MEMBERSHIP_CASES = {
+    **ORACLE_CASES,
+    "catalan-pld": [
+        FamilySpec("catalan-pld", m=m, n=n) for m in range(5) for n in range(5 - m)
+    ],
+    "d": [FamilySpec("d", n=n, k=k) for n in range(6) for k in range(max(n, 1))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMBERSHIP_CASES))
+def test_membership_matches_generation(case):
+    """``validate_family`` accepts exactly the generated members, tried on
+    every member of each spec of the same family and size."""
+    members = {spec: list(generate(spec)) for spec in MEMBERSHIP_CASES[case]}
+    for spec, own in members.items():
+        own = set(own)
+        for other, candidates in members.items():
+            if (other.family, other.size) != (spec.family, spec.size):
+                continue
+            for x in candidates:
+                assert validate_family(x, spec)[0] == (x in own), (spec, x)
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))

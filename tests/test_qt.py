@@ -128,6 +128,15 @@ def test_pole_skip():
         poly_equal_by_grid(always_pole, f.eval, 1)
 
 
+def test_constant_hashes_like_its_int():
+    for c in (0, 3, -2):
+        poly = QtPolynomial.const(c)
+        assert poly == c and hash(poly) == hash(c)
+        assert {poly: "x"}.get(c) == "x"
+        assert {c: "x"}.get(poly) == "x"
+    assert {QtPolynomial.q(): "x"}.get(1) is None
+
+
 def test_csv_rows_sorted():
     p = QtPolynomial({(1, 0): 2, (0, 1): 3, (0, 0): 1})
     assert p.csv_rows() == [(0, 0, 1), (0, 1, 3), (1, 0, 2)]
