@@ -105,7 +105,7 @@ class FamilySpec:
                 raise FamilySpecError("content weight must equal n")
             if self.k and self.k >= self.n:
                 raise FamilySpecError("pld requires n > k >= 0")
-        if f == "pf2" and self.r is not None:
+        if self.r is not None:
             lo = 0 if self.r_sem == "nonghost" else 1
             if self.r < lo:
                 raise FamilySpecError("bucket index below its semantic range")
@@ -177,12 +177,15 @@ def _labelled_paths(size, multiset, runs=(), min_rises=0):
     read before the new row at level a exactly when a_j <= a.  The labels
     of a run must occur once each; then the pairwise test is
     ``word_in_runs`` on the finished reading word.  ``min_rises`` drops
-    a branch once it can no longer reach that many rises.
+    a branch, a leaf included, once it can no longer reach that many
+    rises: a rise lands on a label above the one below it, so a label
+    equal to the smallest value never adds one.
     """
     counts = {}
     for x in multiset:
         counts[x] = counts.get(x, 0) + 1
     values = sorted(counts)
+    smallest = values[0] if values else None
     run_of = {
         v: (index, increasing)
         for index, (lo, hi, increasing) in enumerate(runs)
@@ -197,11 +200,12 @@ def _labelled_paths(size, multiset, runs=(), min_rises=0):
             ((u < v) == increasing) == (level <= a) for level, u in placed[index]
         )
 
-    def rec(i, rises):
+    def rec(i, rises, above):
+        # ``above``: labels still to place that are above the smallest value
+        if rises + above < min_rises:
+            return
         if i == size:
             yield tuple(word), tuple(labels)
-            return
-        if rises + size - i < min_rises:
             return
         top = word[-1] + 1 if word else 0
         for a in range(top + 1):
@@ -221,14 +225,14 @@ def _labelled_paths(size, multiset, runs=(), min_rises=0):
                 labels.append(v)
                 if run is not None:
                     placed[run[0]].append((a, v))
-                yield from rec(i + 1, rises + rise)
+                yield from rec(i + 1, rises + rise, above - (v != smallest))
                 if run is not None:
                     placed[run[0]].pop()
                 word.pop()
                 labels.pop()
                 counts[v] += 1
 
-    yield from rec(0, 0)
+    yield from rec(0, 0, len(multiset) - counts.get(smallest, 0))
 
 
 def _decorated(pairs, k, ghost=False):

@@ -15,7 +15,10 @@ weight is the Garsia-Haiman closed form M B_mu Pi_mu / w_mu.  An
 operator is a tag tuple (``("h", a)``, ``("e", d)``, ``("e'", b)``,
 ``("nabla",)``) acting on each Macdonald polynomial by its eigenvalue;
 rhs is a ``hall_pair`` tag tuple (``("h", nu)``,
-``("eh", e_indices, h_indices)``, ``("hook", r)``).
+``("eh", e_indices, h_indices)``, ``("hook", r)``).  Each named side is
+a list of such rows in ``SIDES``; its evaluator sums them, and
+``side_degree`` bounds its degree from the same rows, through
+``degree_bound``, with no symbolic partition sum built.
 
 All identity evaluation happens at exact points; symbolic data (the
 Macdonald monomial coefficients, the Hall pairings built from them) are
@@ -700,30 +703,195 @@ def delta_pairing(n, operators, rhs, pt, r=1):
     return _fraction_free_sum(terms)
 
 
+# -- degree bounds -----------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _degree_data(mu):
+    """Closed-form degree data of a partition: the q-exponents (coarms)
+    and the t-exponents (colegs) of the monomials of B_mu, each largest
+    first, and the degree of w_mu, (sum of 2 arm + 1, sum of 2 leg + 1)."""
+    stats = _cell_stats(mu)
+    return (
+        tuple(sorted((s[0] for s in stats), reverse=True)),
+        tuple(sorted((s[1] for s in stats), reverse=True)),
+        (sum(2 * s[2] + 1 for s in stats), sum(2 * s[3] + 1 for s in stats)),
+    )
+
+
+def eigenvalue_degree(operator, mu):
+    """(q_deg, t_deg) of an operator's eigenvalue on H_mu (see
+    ``_eigenvalue``), (-1, -1) when it is 0.  Exact: the monomials of
+    B_mu have coefficient 1, so no top term cancels.  h_a[B_mu] has a
+    times the largest exponent, e_d[B_mu] and e_b[B_mu - 1] the sum of
+    the d (or b) largest, and T_mu is (n(mu'), n(mu))."""
+    qs, ts, _ = _degree_data(tuple(mu))
+    tag = operator[0]
+    if tag == "nabla":
+        return sum(qs), sum(ts)
+    d = operator[1]
+    if tag == "e'":
+        if not qs:  # e_b[-1] = (-1)^b
+            return (0, 0) if d >= 0 else (-1, -1)
+        qs, ts = qs[:-1], ts[:-1]  # the corner's monomial is the 1
+    if d < 0:
+        return (-1, -1)
+    if tag == "h":
+        if not d:
+            return (0, 0)
+        return (d * qs[0], d * ts[0]) if qs else (-1, -1)
+    if tag in ("e", "e'"):
+        return (sum(qs[:d]), sum(ts[:d])) if d <= len(qs) else (-1, -1)
+    raise ValueError(f"unknown operator {tag!r}")
+
+
+def pairing_degree(mu, rhs):
+    """(q_deg, t_deg) of ``hall_pair(mu, rhs, pt)`` as a polynomial, read
+    from the cached point-free pairing; (-1, -1) when it is 0."""
+    tag = rhs[0]
+    if tag == "h":
+        if tuple(rhs[1]) == (sum(mu),):
+            return (0, 0)
+        return htilde_mcoeff(tuple(mu), tuple(rhs[1])).degree()
+    if tag == "eh":
+        return _eh_pairing(tuple(mu), tuple(rhs[1]), tuple(rhs[2])).degree()
+    if tag == "hook":
+        return _hook_pairing(tuple(mu), rhs[1]).degree()
+    raise ValueError(f"unknown pairing {tag!r}")
+
+
+def _numerator_degree(mu, operators, rhs, r):
+    """Degree bound of num_mu, the mu term of ``delta_pairing`` times w_mu;
+    None when the term is 0."""
+    qs, ts, _ = _degree_data(mu)
+    if qs:
+        q, t = r + r * qs[0] + sum(qs), r * (ts[0] + 1) + sum(ts)
+    else:  # the empty partition has weight 1
+        q = t = 0
+    for operator in operators:
+        dq, dt = eigenvalue_degree(operator, mu)
+        if dq < 0:
+            return None
+        q, t = q + dq, t + dt
+    dq, dt = pairing_degree(mu, rhs)
+    return None if dq < 0 else (q + dq, t + dt)
+
+
+def degree_bound(n, operators, rhs, r=1):
+    """Per-variable degree bound (q_deg, t_deg) of ``delta_pairing(n,
+    operators, rhs, pt, r)`` as a polynomial in q and t.
+
+    The pairing is a sum over mu of num_mu / w_mu.  Over Q(t) the
+    q-degree (numerator degree minus denominator degree) of a sum of
+    rational functions is at most the largest q-degree of its terms, and
+    the same holds for t over Q(q).  So *if the pairing is a polynomial*,
+    its degree in each variable is at most the largest over mu of
+    deg num_mu - deg w_mu.  That is the one assumption a grid check at
+    this bound rests on: it holds for the nabla sides by Garsia and
+    Haiman, and for the Delta and Delta' sides by Haglund, Remmel and
+    Wilson (2015).
+
+    The degrees add up over the factors of num_mu, each from a closed
+    form over the cell statistics, with no symbolic w_mu or Pi_mu built:
+    the Cauchy weight's numerator H_mu[M [r]_q] = (1 - q^r) h_r[(1 - t)
+    B_mu] Pi_mu (at r = 1 it is M B_mu Pi_mu), at most (r + r maxq(B_mu)
+    + n(mu'), r (maxt(B_mu) + 1) + n(mu)); each ``eigenvalue_degree``;
+    and the ``pairing_degree``.  A mu whose term ``delta_pairing`` drops
+    as zero contributes nothing; (-1, -1) when no term is left.
+    """
+    q_deg = t_deg = -1
+    for mu in partitions_of(n):
+        num = _numerator_degree(mu, operators, rhs, r)
+        if num is not None:
+            w_q, w_t = _degree_data(mu)[2]
+            q_deg, t_deg = max(q_deg, num[0] - w_q), max(t_deg, num[1] - w_t)
+    return q_deg, t_deg
+
+
+#: Every named Delta side as data: name -> a function of the side's
+#: arguments that gives its rows ``(shift, n, operators, rhs, r)``, each
+#: the term t^shift <(operators) e_n[X [r]_q], rhs> of ``delta_pairing``;
+#: the side is the sum of its rows.  The evaluators below read their rows
+#: here and ``side_degree`` bounds the same rows, so the two cannot drift.
+SIDES = {
+    "lhs_delta_hh": lambda m, n, k: [
+        (0, m + n, (("e'", m + n - k - 1),), ("eh", (), (m, n)), 1)
+    ],
+    "mid_delta_hn": lambda m, n, k: [
+        (0, m + 1, (("h", n), ("e'", m - k)), ("h", (m + 1,)), 1)
+    ],
+    "rhs_nabla_ehh": lambda m, n, k: [
+        (0, m + n - k, (("nabla",),), ("eh", (k,), (n - k, m - k)), 1)
+    ],
+    "delta_lhs_by_content": lambda m, n, k, lam: [
+        (0, n, (("h", m), ("e'", n - k - 1)), ("h", lam), 1)
+    ],
+    "lhs_delta_ehh": lambda m, n, k, j, a, b: [
+        (0, n, (("h", m), ("e'", n - k - 1)), ("eh", (j,), (a, b)), 1)
+    ],
+    "pair_delta_e_d": lambda d, n: [(0, n, (("e", d),), ("h", (n,)), 1)],
+    "sum_r_lhs": lambda m, n, k: [
+        (
+            m - k - r + 1,
+            n,
+            (("h", m - k - r + 1), ("e", k), ("nabla",)),
+            ("h", (n,)),
+            r,
+        )
+        for r in range(1, m - k + 2)
+    ],
+}
+
+
+def side_degree(name, *args):
+    """Per-variable degree bound (q_deg, t_deg) of the named side of
+    ``SIDES`` at its arguments: the largest ``degree_bound`` of its rows,
+    each with its t-shift added; (-1, -1) when every row is 0."""
+    q_deg = t_deg = -1
+    for shift, n, operators, rhs, r in SIDES[name](*args):
+        q, t = degree_bound(n, operators, rhs, r)
+        if q >= 0 and t >= 0:
+            q_deg, t_deg = max(q_deg, q), max(t_deg, t + shift)
+    return q_deg, t_deg
+
+
+def _side(name, args, pt):
+    """The named side of ``SIDES`` at its arguments and the point."""
+    return sum(
+        pt.t0**shift * delta_pairing(n, operators, rhs, pt, r)
+        for shift, n, operators, rhs, r in SIDES[name](*args)
+    )
+
+
 def lhs_delta_hh(m, n, k, pt):
     """<Delta'_{e_(m+n-k-1)} e_(m+n), h_m h_n>."""
-    return delta_pairing(m + n, (("e'", m + n - k - 1),), ("eh", (), (m, n)), pt)
+    return _side("lhs_delta_hh", (m, n, k), pt)
 
 
 def mid_delta_hn(m, n, k, pt):
     """<Delta_{h_n} Delta'_{e_(m-k)} e_(m+1), h_(m+1)>."""
-    return delta_pairing(m + 1, (("h", n), ("e'", m - k)), ("h", (m + 1,)), pt)
+    return _side("mid_delta_hn", (m, n, k), pt)
 
 
 def rhs_nabla_ehh(m, n, k, pt):
     """<nabla e_(m+n-k), e_k h_(n-k) h_(m-k)>."""
-    return delta_pairing(m + n - k, (("nabla",),), ("eh", (k,), (n - k, m - k)), pt)
+    return _side("rhs_nabla_ehh", (m, n, k), pt)
 
 
 def delta_lhs_by_content(m, n, k, lam, pt):
     """Coefficient of m_lam in Delta_{h_m} Delta'_{e_(n-k-1)} e_n, that is
     its pairing with h_lam."""
-    return delta_pairing(n, (("h", m), ("e'", n - k - 1)), ("h", lam), pt)
+    return _side("delta_lhs_by_content", (m, n, k, lam), pt)
+
+
+def lhs_delta_ehh(m, n, k, j, a, b, pt):
+    """<Delta_{h_m} Delta'_{e_(n-k-1)} e_n, e_j h_a h_b>."""
+    return _side("lhs_delta_ehh", (m, n, k, j, a, b), pt)
 
 
 def pair_delta_e_d(d, n, pt):
     """<Delta_{e_d} e_n, h_n>."""
-    return delta_pairing(n, (("e", d),), ("h", (n,)), pt)
+    return _side("pair_delta_e_d", (d, n), pt)
 
 
 def sum_r_lhs(m, n, k, pt):
@@ -731,12 +899,7 @@ def sum_r_lhs(m, n, k, pt):
     e_n[X [r]_q], e_n> as <nabla F, h_n>, one ``delta_pairing`` row per r.
     Row r = 1 reads no Macdonald coefficient, so the cap is checked here."""
     _check_degree(n)
-    ops = (("e", k), ("nabla",))
-    return sum(
-        pt.t0 ** (m - k - r + 1)
-        * delta_pairing(n, (("h", m - k - r + 1), *ops), ("h", (n,)), pt, r)
-        for r in range(1, m - k + 2)
-    )
+    return _side("sum_r_lhs", (m, n, k), pt)
 
 
 def pair_en_eh(n, d, pt):

@@ -153,6 +153,15 @@ def test_enum_rejects_unread_field(capsys, argv):
     assert err.startswith("error: ") and "does not take" in err
 
 
+@pytest.mark.parametrize("family", ["pf2", "shuffle-knm"])
+def test_enum_bucket_below_its_range_exits_2(capsys, family):
+    # under the default ghost semantics the bucket r counts from 1
+    argv = ("--family", family, "--m", "3", "--n", "2", "--k", "1", "--r", "0")
+    code, out, err = run(capsys, "enum", *argv, "--count")
+    assert code == 2 and out == ""
+    assert err == "error: bucket index below its semantic range\n"
+
+
 @pytest.mark.parametrize("content", ["1,x", "1,,1", "2.0"])
 def test_enum_bad_content_exits_2(capsys, content):
     code, out, err = run(
@@ -259,10 +268,24 @@ def test_verify_negative_grid_bound_exits_2(capsys):
 
 def test_verify_grid_bound_zero_is_honoured(capsys):
     argv = ("verify", "identities", "--name", "new-id", "--max", "2")
-    code, out, _ = run(capsys, *argv, "--grid-bound", "0")
+    code, out, err = run(capsys, *argv, "--grid-bound", "0")
     rows = out.splitlines()[1:]
-    assert code == 0 and rows
+    assert code == 1 and len(rows) == 6
     assert all("bound=0" in row for row in rows)
+    # m=1 n=1 k=0 has degree (1, 1): one grid point proves nothing there
+    inconclusive = '"inconclusive","grid bound 0 below derived bound 1"'
+    assert [row for row in rows if '"pass"' not in row] == [
+        f'"new-id","m=1 n=1 k=0 bound=0",{inconclusive}'
+    ]
+    assert err.startswith("5/6 checks passed, 1 inconclusive")
+
+
+def test_verify_grid_bound_above_the_derived_one_is_checked(capsys):
+    argv = ("verify", "identities", "--name", "new-id", "--max", "3")
+    code, out, _ = run(capsys, *argv, "--grid-bound", "4")
+    rows = out.splitlines()[1:]
+    assert code == 0 and len(rows) == 12
+    assert all('bound=4","pass"' in row for row in rows)
 
 
 @pytest.mark.parametrize("suite", ["delta-tiny", "ndinv", "engine"])
@@ -303,9 +326,14 @@ def test_verify_all_passes_identity_flags_on(capsys):
     argv = ("verify", "all", "--max", "2", "--name", "new-id", "--grid-bound", "0")
     code, out, _ = run(capsys, *argv)
     suites = [row.split(",")[0].strip('"') for row in out.splitlines()[1:]]
-    assert code == 0 and "engine" in suites
+    # the one row of degree above 0 is inconclusive on a one-point grid
+    assert code == 1 and "engine" in suites
     identity_rows = [row for row in out.splitlines() if row.startswith('"new-id"')]
     assert identity_rows and all("bound=0" in row for row in identity_rows)
+    assert [row for row in out.splitlines() if '"inconclusive"' in row] == [
+        '"new-id","m=1 n=1 k=0 bound=0","inconclusive",'
+        '"grid bound 0 below derived bound 1"'
+    ]
     assert not set(suites) & (set(IDENTITY_NAMES) - {"new-id"})
 
 

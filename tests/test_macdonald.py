@@ -2,11 +2,13 @@
 polynomials, pairings, and the identity evaluators."""
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtcomb import macdonald
+from qtcomb import macdonald, suites
 from qtcomb.families import FamilySpec, qt_enumerator
 from qtcomb.macdonald import (
     CapacityError,
@@ -410,3 +412,222 @@ def test_grid_evaluator_is_exact_at_int_and_fraction_points(fn, args):
     assert isinstance(at_int, int), type(at_int)
     assert isinstance(at_fraction, (int, Fraction)), type(at_fraction)
     assert at_int == at_fraction
+
+
+# -- degree bounds against sides rebuilt symbolically -------------------------
+
+
+def _monomials(alphabet):
+    """The monomials of an alphabet with nonnegative coefficients, each as
+    often as its coefficient."""
+    assert all(c > 0 for c in alphabet.terms.values())
+    return [
+        QtPolynomial.monomial(1, a, b)
+        for (a, b), c in sorted(alphabet.terms.items())
+        for _ in range(c)
+    ]
+
+
+def _product(factors):
+    out = QtPolynomial.one()
+    for factor in factors:
+        out = out * factor
+    return out
+
+
+@lru_cache(maxsize=None)
+def _symbolic_eigenvalue(operator, mu):
+    """The eigenvalue as a polynomial, from the definitions: e_d and h_a
+    as sums over d-sets and a-multisets of the monomials of B_mu."""
+    tag = operator[0]
+    if tag == "nabla":
+        return t_mu(mu)
+    d = operator[1]
+    if d < 0:
+        return QtPolynomial.zero()
+    if tag == "e'" and not mu:  # e_b[-1]: the z^b coefficient of 1 / (1 + z)
+        return QtPolynomial.const((-1) ** d)
+    alphabet = b_alphabet(mu) - 1 if tag == "e'" else b_alphabet(mu)
+    pick = combinations_with_replacement if tag == "h" else combinations
+    return sum(map(_product, pick(_monomials(alphabet), d)), QtPolynomial.zero())
+
+
+def _symbolic_pairing(mu, rhs):
+    if rhs[0] == "h":
+        return htilde_mcoeff(mu, rhs[1]) if mu else QtPolynomial.one()
+    if rhs[0] == "eh":
+        return macdonald._eh_pairing(mu, rhs[1], rhs[2])
+    return macdonald._hook_pairing(mu, rhs[1])
+
+
+@lru_cache(maxsize=None)
+def _symbolic_weight(mu, r):
+    """H_mu[M [r]_q] from the p-expansion of H_mu, p_j[A] = A(q^j, t^j)."""
+    if not mu:
+        return QtPolynomial.one()
+    alphabet = m_alphabet() * q_int(r)
+    denom, coeffs = macdonald._htilde_p_coeffs(mu)
+    total = QtPolynomial.zero()
+    for rho, poly in coeffs:
+        total += poly * _product(
+            QtPolynomial({(a * j, b * j): c for (a, b), c in alphabet.terms.items()})
+            for j in rho
+        )
+    assert all(c % denom == 0 for c in total.terms.values())
+    return QtPolynomial({e: c // denom for e, c in total.terms.items()})
+
+
+#: Bits per q-coefficient of ``_pack``: far more than any coefficient here.
+_BITS = 128
+
+
+def _pack(poly):
+    """t-exponent -> the row's q-polynomial at q = 2^_BITS, an int, so a
+    product of rows is one big-int product."""
+    rows = {}
+    for (a, b), c in poly.terms.items():
+        rows[b] = rows.get(b, 0) + (c << (_BITS * a))
+    return rows
+
+
+def _packed_product(x, y):
+    out = {}
+    for b1, r1 in x.items():
+        for b2, r2 in y.items():
+            out[b1 + b2] = out.get(b1 + b2, 0) + r1 * r2
+    return out
+
+
+def _unpack(rows):
+    """The polynomial of packed rows: the balanced base-2^_BITS digits."""
+    terms, mask, half = {}, (1 << _BITS) - 1, 1 << (_BITS - 1)
+    for b, r in rows.items():
+        a = 0
+        while r:
+            c = r & mask
+            if c >= half:
+                c -= 1 << _BITS
+            if c:
+                terms[(a, b)] = c
+            r = (r - c) >> _BITS
+            a += 1
+    return QtPolynomial(terms)
+
+
+@lru_cache(maxsize=None)
+def _common_denominator(n):
+    """(W, {mu: W / w_mu packed}): W is the product over the binomials
+    q^x - t^y of w_mu = +-prod (q^a - t^(l+1)) (q^(a+1) - t^l), each to
+    its largest multiplicity over mu of n."""
+    factors = {}
+    for mu in partitions_of(n):
+        sign, counts = 1, {}
+        for _, _, a, l in macdonald._cell_stats(mu):
+            for key in ((a, l + 1), (a + 1, l)):
+                counts[key] = counts.get(key, 0) + 1
+            sign = -sign
+        factors[mu] = sign, counts
+    top = {}
+    for _, counts in factors.values():
+        for key, e in counts.items():
+            top[key] = max(top.get(key, 0), e)
+
+    def power(exponents):
+        return _product(
+            QtPolynomial({(x, 0): 1, (0, y): -1}) ** e
+            for (x, y), e in exponents.items()
+        )
+
+    W = power(top)
+    cofactors = {
+        mu: sign * power({key: e - counts.get(key, 0) for key, e in top.items()})
+        for mu, (sign, counts) in factors.items()
+    }
+    for mu, cofactor in cofactors.items():
+        assert cofactor * w_mu(mu) == W
+    return W, {mu: _pack(c) for mu, c in cofactors.items()}
+
+
+@lru_cache(maxsize=None)
+def _symbolic_row(shift, n, operators, rhs, r):
+    """A ``SIDES`` row as one polynomial: t^shift sum_mu num_mu (W / w_mu),
+    divided exactly by W."""
+    W, cofactors = _common_denominator(n)
+    total = {}
+    for mu in partitions_of(n):
+        num = QtPolynomial.monomial(1, 0, shift) * _symbolic_weight(mu, r)
+        for operator in operators:
+            num = num * _symbolic_eigenvalue(operator, mu)
+        num = num * _symbolic_pairing(mu, rhs)
+        for b, row in _packed_product(_pack(num), cofactors[mu]).items():
+            total[b] = total.get(b, 0) + row
+    return _unpack(total).exact_div(W)
+
+
+def _side_cases(max_size):
+    """Every named side at m+n <= max_size, with the suites' arguments."""
+    for m, n, k in suites._instances(max_size):
+        for name in ("lhs_delta_hh", "mid_delta_hn", "rhs_nabla_ehh", "sum_r_lhs"):
+            yield name, m, n, k
+    for m, n, k in suites._instances(max_size, suites.DELTA_K_CAP):
+        for lam in partitions_of(n):
+            yield "delta_lhs_by_content", m, n, k, tuple(lam)
+        for j in range(n + 1):
+            for a in range(n - j + 1):
+                if a >= n - j - a:
+                    yield "lhs_delta_ehh", m, n, k, j, a, n - j - a
+    for n in range(1, max_size + 1):
+        for d in range(n + 1):
+            yield "pair_delta_e_d", d, n
+
+
+class TestDegreeBound:
+    def test_bound_covers_the_true_degree_of_every_side(self):
+        cases = list(_side_cases(5))
+        assert {case[0] for case in cases} == set(macdonald.SIDES)
+        pt = EvalPoint(2, 101)
+        for name, *args in cases:
+            side = QtPolynomial.zero()
+            for row in macdonald.SIDES[name](*args):
+                poly = _symbolic_row(*row)
+                true_q, true_t = poly.degree()
+                bound_q, bound_t = macdonald.degree_bound(*row[1:])
+                assert true_q <= bound_q and true_t <= bound_t + row[0], row
+                side += poly
+            # the rebuilt polynomial is the evaluator's
+            assert side.eval(*pt) == getattr(macdonald, name)(*args, pt)
+            true_q, true_t = side.degree()
+            bound_q, bound_t = macdonald.side_degree(name, *args)
+            assert true_q <= bound_q and true_t <= bound_t, (name, args)
+
+    def test_eigenvalue_degrees_are_exact(self):
+        for n in range(6):
+            for mu in partitions_of(n):
+                mu = tuple(mu)
+                operators = [("nabla",)] + [
+                    (tag, d) for tag in ("h", "e", "e'") for d in range(-1, n + 2)
+                ]
+                for operator in operators:
+                    assert macdonald.eigenvalue_degree(operator, mu) == (
+                        _symbolic_eigenvalue(operator, mu).degree()
+                    ), (operator, mu)
+
+    def test_cauchy_numerator_bound_covers_the_weight(self):
+        # no operator, and <H_mu, h_n> = 1: the numerator is H_mu[M [r]_q]
+        for n in range(1, 6):
+            for mu in partitions_of(n):
+                for r in range(1, 5):
+                    true_q, true_t = _symbolic_weight(tuple(mu), r).degree()
+                    bound = macdonald._numerator_degree(mu, (), ("h", (n,)), r)
+                    assert true_q <= bound[0] and true_t <= bound[1], (mu, r)
+
+    def test_side_degree_adds_the_row_shift(self, monkeypatch):
+        row = (3, 2, (("e", 1),), ("h", (2,)), 1)
+        q_deg, t_deg = macdonald.degree_bound(*row[1:])
+        monkeypatch.setitem(macdonald.SIDES, "shifted", lambda: [row])
+        assert macdonald.side_degree("shifted") == (q_deg, t_deg + 3)
+
+    def test_a_vanishing_term_adds_nothing(self):
+        # e_3[B_mu] vanishes for every mu of 2, so the pairing is 0
+        assert macdonald.degree_bound(2, (("e", 3),), ("h", (2,))) == (-1, -1)
+        assert macdonald.side_degree("pair_delta_e_d", 3, 2) == (-1, -1)

@@ -14,6 +14,17 @@ from workloads import WORKLOADS, report_digest, report_rows  # noqa: E402
 from qtcomb.cli import main  # noqa: E402
 
 
+#: Workload digests recorded after the workload's own: the identity rows
+#: print the degree bound derived for each instance, so their ``bound=``
+#: text moved while every status stayed the same.  The benchmark's own
+#: digest is re-recorded in a benchmark change of its own.
+RERECORDED = {
+    "grid-identities": (
+        "a103e19eb305a3b9041fed37924e4c1c0b350fcef89ec5c90100b3d082ae62aa"
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "name", ["grid-identities", "enumerator-grid", "paths-exhaustive"]
 )
@@ -25,14 +36,16 @@ def test_workload_reports_match_recorded_digest(capsys, name):
         rows = report_rows(capsys.readouterr().out)
         assert len(rows) == call.rows, call.argv
         row_lists.append(rows)
-    assert report_digest(row_lists) == workload.report_sha256
+    assert report_digest(row_lists) == RERECORDED.get(name, workload.report_sha256)
 
 
 #: (argv, rows, sha256 of the sorted rows), each recorded before a change
 #: to the code behind it: the suites becoming row generators for one grid
 #: runner, ``delta-ehh`` generating each family once, ``sum_r_lhs``
 #: becoming ``delta_pairing`` rows over the Cauchy weight, and the
-#: plethystic alphabets becoming ``QtPolynomial``s.
+#: plethystic alphabets becoming ``QtPolynomial``s.  The four identity
+#: pairs were re-recorded when their rows began to print the derived
+#: degree bound: only the ``bound=`` text moved.
 OTHER_REPORTS = [
     (
         ("verify", "delta-ehh", "--max", "4"),
@@ -57,22 +70,22 @@ OTHER_REPORTS = [
     (
         ("verify", "identities", "--name", "new-id", "--max", "6"),
         49,
-        "b171680e8f94688c93b8ef4036b49b1783ee2764af1e9dec06f37aaa3773ef2c",
+        "255b196147657ad08967b2099ca15601daad5585374650feb56342ae41d7da2d",
     ),
     (
         ("verify", "identities", "--name", "deltahh-ehh", "--max", "6"),
         49,
-        "98c66af87006bf32006d69d24c2aea7a3e654b602df5d7eeaebb0bd627034c90",
+        "6bc6bdf52f226a67af1878240977ecb0ea3f00313c07b995d1c15a4660059331",
     ),
     (
         ("verify", "identities", "--name", "delta-hh-sum", "--max", "6"),
         49,
-        "1cb910a9438ad2d86d1568d4bebbd641b6a99753ad5d06ce7d16b10de7a1c5a6",
+        "a7336096fbfac6b46ed5695dd509a36bbf0fb5fd4aa83616f15af78401dcf384",
     ),
     (
         ("verify", "identities", "--name", "ehh-sum", "--max", "6"),
         49,
-        "5d923a7398a188a6c9daf91756aad40964c23ff2c7696239ab70987de895eafe",
+        "a7651763199b57255f15f803b3dd5f7d4097eecc411ecb8e2a386e5c46aeacde",
     ),
 ]
 

@@ -1,10 +1,12 @@
 """Suite plumbing: per-instance timing of report rows, and grid rows
 that fail."""
 
+from math import prod
 from types import SimpleNamespace
 
 from qtcomb import macdonald, suites
 from qtcomb.cli import main
+from qtcomb.qt import q_primes
 
 
 def test_each_row_gets_its_own_instance_time(monkeypatch):
@@ -70,13 +72,42 @@ def test_identity_pair_row_names_its_two_sides(monkeypatch, capsys):
 
     monkeypatch.setattr(macdonald, "rhs_nabla_ehh", wrong_at_211)
     reports = suites.suite_identities(names=("new-id",), max_size=3)
-    row = ("new-id", "m=2 n=1 k=1 bound=3", "fail", "mid_delta_hn != rhs_nabla_ehh")
+    row = ("new-id", "m=2 n=1 k=1 bound=1", "fail", "mid_delta_hn != rhs_nabla_ehh")
     assert _failed_rows(reports) == [row]
     assert main(["verify", "identities", "--name", "new-id", "--max", "3"]) == 1
     assert (
-        '"new-id","m=2 n=1 k=1 bound=3","fail","mid_delta_hn != rhs_nabla_ehh"'
+        '"new-id","m=2 n=1 k=1 bound=1","fail","mid_delta_hn != rhs_nabla_ehh"'
         in capsys.readouterr().out
     )
+
+
+def test_perturbation_hidden_below_the_derived_bound_fails_at_it(monkeypatch):
+    # a perturbation that vanishes at every q-value of the grid one below
+    # the derived bound, but not at the extra q-value of the derived grid
+    m, n, k = 2, 3, 0
+    bound = max(macdonald.side_degree("mid_delta_hn", m, n, k))
+    assert bound == 6
+    mid = macdonald.mid_delta_hn
+
+    def perturbed(m2, n2, k2, pt):
+        value = mid(m2, n2, k2, pt)
+        if (m2, n2, k2) == (m, n, k):
+            value += prod(pt.q0 - p for p in q_primes(bound))
+        return value
+
+    monkeypatch.setattr(macdonald, "mid_delta_hn", perturbed)
+    instance = f"m={m} n={n} k={k}"
+    at_derived = suites.suite_identities(names=("new-id",), max_size=5)
+    assert _failed_rows(at_derived) == [
+        ("new-id", f"{instance} bound={bound}", "fail", "mid_delta_hn != rhs_nabla_ehh")
+    ]
+    below = suites.suite_identities(names=("new-id",), max_size=5, grid_bound=bound - 1)
+    assert (
+        "new-id",
+        f"{instance} bound={bound - 1}",
+        "inconclusive",
+        f"grid bound {bound - 1} below derived bound {bound}",
+    ) in _failed_rows(below)
 
 
 def test_grid_row_without_a_witness_fails_as_mismatch():
