@@ -27,7 +27,7 @@ from qtcomb.paths import (
     PolyominoWord,
 )
 from qtcomb.qt import CapacityError
-from qtcomb.suites import IDENTITY_NAMES, SUITES
+from qtcomb.suites import IDENTITY_CLAMPS, IDENTITY_NAMES, SUITES
 
 
 class UsageError(Exception):
@@ -249,6 +249,14 @@ def cmd_verify(args):
         ]
         text = "\n".join(lines) + "\n"
     _write(args.out, text)
+    clamped = [
+        f"{name} to {cap}"
+        for name, cap in IDENTITY_CLAMPS.items()
+        if "identities" in names and args.name in (None, name) and max_size > cap
+    ]
+    if clamped:
+        note = f"note: --max {max_size} is clamped: {', '.join(clamped)}"
+        print(note, file=sys.stderr)
     passed = sum(r.status == "pass" for r in reports)
     inconclusive = sum(r.status == "inconclusive" for r in reports)
     total = sum(r.seconds for r in reports)

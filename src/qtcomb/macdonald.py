@@ -30,10 +30,11 @@ through the same code and give equal values.
 
 Caches are ``functools.lru_cache`` tables that live as long as the
 process: the point-free ones are keyed by partition, the per-point ones
-(``pleth_e``, ``_en_weight``, the value behind ``htilde_at_alphabet``) by
-their arguments including the point, because the grid revisits the same
-points for every instance of an identity.  An alphabet is a
-``QtPolynomial`` (B_mu = sum of q^coarm t^coleg, M = (1-q)(1-t),
+(``pleth_e``, ``_en_weight``, the value behind ``htilde_at_alphabet``,
+each named side's value in ``_side``) by their arguments including the
+point, because the grid revisits the same points for every instance of
+an identity, and two identity pairs that read one side share its value.
+An alphabet is a ``QtPolynomial`` (B_mu = sum of q^coarm t^coleg, M = (1-q)(1-t),
 [r]_q), and p_j[A] = A(q^j, t^j); a polynomial stores its hash, and the
 alphabets built from others (``b_minus_one``, ``_negated``, ``_m_times``)
 are cached too, so equal cache keys share one object and its stored hash.
@@ -808,6 +809,33 @@ def degree_bound(n, operators, rhs, r=1):
     return q_deg, t_deg
 
 
+def reciprocity_degree(alpha, beta):
+    """Per-variable degree bound (q_deg, t_deg) of ``reciprocity_side(alpha,
+    beta, pt)``, H_alpha[M B_beta] Pi_beta, as a polynomial; a = |alpha|.
+
+    The degrees add up over its three factors:
+    - the coefficients of H_alpha: the largest degree of its
+      ``htilde_mcoeff`` polynomials, at most (n(alpha'), n(alpha)); the
+      p-basis coefficients the evaluator reads are rational
+      combinations of them;
+    - the plethysm: H_alpha[M B_beta] is homogeneous of degree a in the
+      alphabet and p_j[A] = A(q^j, t^j), so it adds a times the largest
+      degree of a monomial of M B_beta, (a (1 + maxq(B_beta)),
+      a (1 + maxt(B_beta)));
+    - Pi_beta: (n(beta'), n(beta)).
+    Each entry is at most a(a-1)/2 + ab + b(b-1)/2, with b = |beta|."""
+    a = sum(alpha)
+    q_deg = t_deg = 0
+    for lam in partitions_of(a):
+        q, t = htilde_mcoeff(tuple(alpha), tuple(lam)).degree()
+        q_deg, t_deg = max(q_deg, q), max(t_deg, t)
+    qs, ts, _ = _degree_data(tuple(beta))
+    if qs:
+        q_deg += a * (1 + qs[0]) + sum(qs)
+        t_deg += a * (1 + ts[0]) + sum(ts)
+    return q_deg, t_deg
+
+
 #: Every named Delta side as data: name -> a function of the side's
 #: arguments that gives its rows ``(shift, n, operators, rhs, r)``, each
 #: the term t^shift <(operators) e_n[X [r]_q], rhs> of ``delta_pairing``;
@@ -855,8 +883,11 @@ def side_degree(name, *args):
     return q_deg, t_deg
 
 
+@lru_cache(maxsize=None)
 def _side(name, args, pt):
-    """The named side of ``SIDES`` at its arguments and the point."""
+    """The named side of ``SIDES`` at its arguments and the point, kept
+    per (name, args, point) like ``_en_weight``: a side that two identity
+    pairs read is computed once at each grid point."""
     return sum(
         pt.t0**shift * delta_pairing(n, operators, rhs, pt, r)
         for shift, n, operators, rhs, r in SIDES[name](*args)

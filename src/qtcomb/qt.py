@@ -343,29 +343,32 @@ MAX_REPLACEMENTS = 8
 
 
 def poly_equal_by_grid(f, g, degree_bound):
-    """Decide f == g for evaluators of polynomials of per-variable degree
-    <= degree_bound.
+    """Decide f == g for evaluators of polynomials of degree at most
+    ``degree_bound = (q_deg, t_deg)``, per variable.
 
     ``f`` and ``g`` map int coordinates (q0, t0) to exact numbers (int or
     Fraction) and may raise PoleError; a float raises TypeError, since a
     rounded value would turn the proof into a float comparison.
-    For each of degree_bound+1 distinct q-values the difference is checked
-    at degree_bound+1 distinct t-values, which forces the zero polynomial.
-    A point where a side reports a pole (or where the two prime lists
-    would collide) is replaced by a further t-prime at the same q, so the
-    column argument stays intact.  A negative bound is a ValueError: it
-    would check no point at all.
+    The grid is (q_deg+1) x (t_deg+1): at each of q_deg+1 distinct
+    q-values the difference, a t-polynomial of degree at most t_deg, is
+    checked at t_deg+1 distinct t-values, so it vanishes there; then each
+    of its t-coefficients, a q-polynomial of degree at most q_deg, has
+    q_deg+1 roots and is zero.  A point where a side reports a pole (or
+    where the two prime lists would collide) is replaced by a further
+    t-prime at the same q, so the column argument stays intact.  A
+    negative entry is a ValueError: it would check no point at all.
     """
-    if degree_bound < 0:
+    q_deg, t_deg = degree_bound
+    if q_deg < 0 or t_deg < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
-    m = degree_bound + 1
-    qs = q_primes(m)
-    ts = t_primes(m * (MAX_REPLACEMENTS + 1))
-    for i in range(m):
+    mq, mt = q_deg + 1, t_deg + 1
+    qs = q_primes(mq)
+    ts = t_primes(mt * (MAX_REPLACEMENTS + 1))
+    for i in range(mq):
         q0 = qs[i]
-        for j in range(m):
+        for j in range(mt):
             for rep in range(MAX_REPLACEMENTS + 1):
-                t0 = ts[j + rep * m]
+                t0 = ts[j + rep * mt]
                 if t0 == q0:
                     continue
                 try:

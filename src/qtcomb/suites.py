@@ -7,22 +7,25 @@ a fixed order and the comparable portion carries no wall-clock data
 
 The grid suites are data: a row generator yields one (instance, checks)
 pair per report row, each check a (witness, left, right, bound) tuple of
-two exact evaluators and the per-variable degree bound of their
-polynomials, and ``_grid_rows`` runs every row the same way.  A new check
-is one more row from a row generator, not a new loop.
+two exact evaluators and the degree bound (q_deg, t_deg) of their
+polynomials, and ``_grid_rows`` runs every row the same way, each check
+on the (q_deg+1) x (t_deg+1) grid.  A new check is one more row from a
+row generator, not a new loop.
 
-Each bound is derived per instance from the data the evaluators read,
-never assumed from the size: a Delta side's from
+Each bound is derived per instance and per variable from the data the
+evaluators read, never assumed from the size, and a check takes the
+larger of its two sides in each variable: a Delta side's from
 ``macdonald.side_degree`` over the same ``macdonald.SIDES`` rows that
 its evaluator sums, an enumerator side's as its exact ``degree()``, the
-hook identity's as the exact degrees of its two sides, and
-reciprocity's as the degrees of the Macdonald coefficients, the
-plethysm and Pi added up.  A pass on that grid is a proof under one
-assumption, that each side is a polynomial: for nabla by Garsia and
-Haiman, for the Delta and Delta' sides by Haglund, Remmel and Wilson
-(2015); see ``macdonald.degree_bound``.  A row checked on a smaller
-grid than its derived bound (``grid_bound``) is inconclusive, not a
-pass.
+hook identity's as the exact degrees of its two sides, and each
+reciprocity pair's from ``macdonald.reciprocity_degree``, the degrees of
+the Macdonald coefficients, the plethysm and Pi added up.  A pass on
+that grid is a proof under one assumption, that each side is a
+polynomial: for nabla by Garsia and Haiman, for the Delta and Delta'
+sides by Haglund, Remmel and Wilson (2015); see
+``macdonald.degree_bound``.  A ``grid_bound`` G asks for the
+(G+1) x (G+1) grid instead; a row where G is below either entry of a
+check's derived bound is inconclusive, not a pass.
 """
 
 from __future__ import annotations
@@ -210,11 +213,15 @@ IDENTITY_PAIRS = {
 
 IDENTITY_NAMES = ("mac-hook", "reciprocity", *IDENTITY_PAIRS)
 
+#: The largest size the one-sided identities run at, whatever the
+#: ``max_size``: acceptance criterion 5 runs ``suite_identities`` at 6.
+IDENTITY_CLAMPS = {"mac-hook": 5, "reciprocity": 4}
+
 
 def _bound(*degrees):
-    """The grid bound of a check: the largest per-variable degree of its
-    sides' (q_deg, t_deg) bounds, and at least 0."""
-    return max(0, *(d for degree in degrees for d in degree))
+    """The grid bound (q_deg, t_deg) of a check: in each variable the
+    largest degree bound of its sides, and at least 0."""
+    return tuple(max(0, *entries) for entries in zip(*degrees))
 
 
 def _ev(fn, *args):
@@ -224,26 +231,26 @@ def _ev(fn, *args):
 def _grid_rows(suite, rows, grid_bound=None):
     """Reports of grid rows.  A row is (instance, checks) and a check is
     (witness, left, right, bound): two evaluators of (q0, t0) and the
-    derived per-variable degree bound of their polynomials.  Each check
-    runs on the grid of its bound, or of ``grid_bound`` when one is given.
-    A row fails at its first check that fails, with that check's witness:
-    a difference at a grid point disproves the identity on any grid.  A
-    row whose checks all agree is inconclusive when some check ran on a
-    grid below its derived bound, with the largest such bound in the
-    witness, and passes otherwise.  The rows are consumed inside
-    ``_timed``, so a row's time includes building it (an enumerator,
-    say)."""
+    derived degree bound (q_deg, t_deg) of their polynomials.  Each check
+    runs on the grid of its bound, or on the (G+1) x (G+1) grid of
+    ``grid_bound`` G when one is given.  A row fails at its first check
+    that fails, with that check's witness: a difference at a grid point
+    disproves the identity on any grid.  A row whose checks all agree is
+    inconclusive when G is below either entry of some check's bound, with
+    the largest such entry in the witness, and passes otherwise.  The
+    rows are consumed inside ``_timed``, so a row's time includes
+    building it (an enumerator, say)."""
 
     def run():
         for instance, checks in rows:
             failed, short = None, []
             for check, left, right, bound in checks:
-                used = bound if grid_bound is None else grid_bound
+                used = bound if grid_bound is None else (grid_bound, grid_bound)
                 if not poly_equal_by_grid(left, right, used):
                     failed = check
                     break
-                if used < bound:
-                    short.append(bound)
+                if max(used) < max(bound):
+                    short.append(max(bound))
             if failed is None and short:
                 witness = f"grid bound {grid_bound} below derived bound {max(short)}"
                 yield VerificationReport(suite, instance, "inconclusive", witness)
@@ -266,14 +273,16 @@ def _instances(max_size, k_cap=None):
 
 def suite_identities(names=None, max_size=6, grid_bound=None):
     """Exact grid verification of the symmetric-function identities, each
-    check on the grid of its derived degree bound, or of ``grid_bound``."""
+    check on the grid of its derived degree bound, or of ``grid_bound``;
+    ``mac-hook`` and ``reciprocity`` run at most at their
+    ``IDENTITY_CLAMPS`` size."""
     names = names or IDENTITY_NAMES
     reports = []
     if "mac-hook" in names:
-        rows = _mac_hook_rows(min(max_size, 5), grid_bound)
+        rows = _mac_hook_rows(min(max_size, IDENTITY_CLAMPS["mac-hook"]), grid_bound)
         reports += _grid_rows("mac-hook", rows, grid_bound)
     if "reciprocity" in names:
-        rows = _reciprocity_rows(min(max_size, 4))
+        rows = _reciprocity_rows(min(max_size, IDENTITY_CLAMPS["reciprocity"]))
         reports += _grid_rows("reciprocity", rows, grid_bound)
     for name in names:
         if name in IDENTITY_PAIRS:
@@ -284,7 +293,7 @@ def suite_identities(names=None, max_size=6, grid_bound=None):
 
 def _mac_hook_rows(nmax, grid_bound):
     """One row per n; each check on the grid of the exact degrees of its
-    two sides, and the row shows the largest of them."""
+    two sides, per variable, and the row shows the largest entry."""
     for n in range(1, nmax + 1):
         checks = [
             (
@@ -299,21 +308,25 @@ def _mac_hook_rows(nmax, grid_bound):
             for mu in partitions_of(n)
             for r in range(n)
         ]
-        shown = max(c[3] for c in checks) if grid_bound is None else grid_bound
+        shown = max(max(c[3]) for c in checks) if grid_bound is None else grid_bound
         yield f"n={n} bound={shown}", checks
 
 
 def _reciprocity_rows(nmax):
+    """One row per size pair; each (alpha, beta) check on the grid of the
+    larger ``macdonald.reciprocity_degree`` of its two sides, per
+    variable."""
     for a in range(1, nmax + 1):
         for b in range(1, nmax + 1):
-            # degree of H[M B] Pi: coefficient degree + plethysm + Pi
-            bound = a * (a - 1) // 2 + a * b + b * (b - 1) // 2
             yield f"|alpha|={a} |beta|={b}", (
                 (
                     f"alpha={tuple(alpha)} beta={tuple(beta)}",
                     _ev(macdonald.reciprocity_side, alpha, beta),
                     _ev(macdonald.reciprocity_side, beta, alpha),
-                    bound,
+                    _bound(
+                        macdonald.reciprocity_degree(alpha, beta),
+                        macdonald.reciprocity_degree(beta, alpha),
+                    ),
                 )
                 for alpha in partitions_of(a)
                 for beta in partitions_of(b)
@@ -330,7 +343,7 @@ def _pair_rows(left, right, max_size, grid_bound):
             macdonald.side_degree(left, m, n, k),
             macdonald.side_degree(right, m, n, k),
         )
-        shown = bound if grid_bound is None else grid_bound
+        shown = max(bound) if grid_bound is None else grid_bound
         yield f"m={m} n={n} k={k} bound={shown}", [
             (
                 witness,

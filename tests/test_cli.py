@@ -6,7 +6,7 @@ import pytest
 
 from qtcomb import macdonald
 from qtcomb.cli import main
-from qtcomb.suites import IDENTITY_NAMES
+from qtcomb.suites import IDENTITY_CLAMPS, IDENTITY_NAMES
 
 
 def run(capsys, *argv):
@@ -286,6 +286,39 @@ def test_verify_grid_bound_above_the_derived_one_is_checked(capsys):
     rows = out.splitlines()[1:]
     assert code == 0 and len(rows) == 12
     assert all('bound=4","pass"' in row for row in rows)
+
+
+@pytest.mark.parametrize(
+    "name, size, note",
+    [
+        ("mac-hook", 6, "note: --max 6 is clamped: mac-hook to 5\n"),
+        ("mac-hook", 5, ""),
+        ("new-id", 6, ""),
+    ],
+)
+def test_verify_identities_notes_a_size_clamp(capsys, name, size, note):
+    code, out, err = run(
+        capsys, "verify", "identities", "--name", name, "--max", str(size)
+    )
+    assert code == 0 and "note" not in out
+    assert err.startswith(note) and err.count("note:") == (1 if note else 0)
+
+
+@pytest.mark.parametrize("suite", ["identities", "all"])
+def test_verify_names_every_clamp_on_one_line(capsys, monkeypatch, suite):
+    monkeypatch.setitem(IDENTITY_CLAMPS, "mac-hook", 1)
+    monkeypatch.setitem(IDENTITY_CLAMPS, "reciprocity", 1)
+    code, out, err = run(capsys, "verify", suite, "--max", "2")
+    assert code == 0 and "note" not in out
+    assert err.splitlines()[0] == (
+        "note: --max 2 is clamped: mac-hook to 1, reciprocity to 1"
+    )
+    assert err.count("note:") == 1
+    rows = [row.split(",")[:2] for row in out.splitlines()[1:]]
+    assert ['"mac-hook"', '"n=1 bound=0"'] in rows
+    assert not any(row[0] == '"mac-hook"' and "n=2" in row[1] for row in rows)
+    assert ['"reciprocity"', '"|alpha|=1 |beta|=1"'] in rows
+    assert len([row for row in rows if row[0] == '"reciprocity"']) == 1
 
 
 @pytest.mark.parametrize("suite", ["delta-tiny", "ndinv", "engine"])

@@ -296,7 +296,7 @@ class TestIdentities:
                         d, n, EvalPoint(q0, t0)
                     ),
                     lambda q0, t0, d=d, n=n: pair_en_eh(n, d, None),
-                    max(n * (n - 1) // 2, 1),
+                    (max(n * (n - 1) // 2, 1),) * 2,
                 )
 
     def test_reciprocity_pairs(self):
@@ -313,7 +313,7 @@ class TestIdentities:
         assert poly_equal_by_grid(
             lambda q0, t0: mid_delta_hn(1, 1, 0, EvalPoint(q0, t0)),
             enum.eval,
-            1,
+            (1, 1),
         )
 
     def test_new_id_small(self):
@@ -371,7 +371,7 @@ class TestCauchyWeight:
             assert poly_equal_by_grid(
                 lambda q0, t0: _sum_r_row(m, n, k, r, EvalPoint(q0, t0)),
                 enum.eval,
-                max((m + n) * (m + n - 1) // 2, 1),
+                (max((m + n) * (m + n - 1) // 2, 1),) * 2,
             ), (m, n, k, r)
 
     def test_sum_r_lhs_checks_the_degree_cap(self, monkeypatch):
@@ -396,8 +396,15 @@ GRID_EVALUATORS = [
 
 def _fresh_eval(fn, args, pt):
     """fn at pt with the per-point memo tables empty, so that nothing
-    computed at an equal point of another type is reused."""
-    for cache in (pleth_e, macdonald._en_weight, macdonald._htilde_at_alphabet):
+    computed at an equal point of another type is reused: EvalPoint(2,
+    101) and EvalPoint(Fraction(2), Fraction(101)) hash and compare
+    equal."""
+    for cache in (
+        pleth_e,
+        macdonald._en_weight,
+        macdonald._htilde_at_alphabet,
+        macdonald._side,
+    ):
         cache.cache_clear()
     return fn(*args, pt)
 
@@ -462,10 +469,14 @@ def _symbolic_pairing(mu, rhs):
 
 @lru_cache(maxsize=None)
 def _symbolic_weight(mu, r):
-    """H_mu[M [r]_q] from the p-expansion of H_mu, p_j[A] = A(q^j, t^j)."""
+    """H_mu[M [r]_q], the Cauchy weight's numerator."""
+    return _symbolic_plethysm(mu, m_alphabet() * q_int(r))
+
+
+def _symbolic_plethysm(mu, alphabet):
+    """H_mu[A] from the p-expansion of H_mu, p_j[A] = A(q^j, t^j)."""
     if not mu:
         return QtPolynomial.one()
-    alphabet = m_alphabet() * q_int(r)
     denom, coeffs = macdonald._htilde_p_coeffs(mu)
     total = QtPolynomial.zero()
     for rho, poly in coeffs:
@@ -620,6 +631,24 @@ class TestDegreeBound:
                     true_q, true_t = _symbolic_weight(tuple(mu), r).degree()
                     bound = macdonald._numerator_degree(mu, (), ("h", (n,)), r)
                     assert true_q <= bound[0] and true_t <= bound[1], (mu, r)
+
+    def test_reciprocity_degree_covers_the_true_degree(self):
+        # H_alpha[M B_beta] Pi_beta rebuilt symbolically; the derived bound
+        # is at least its degree and at most the size pair's formula
+        pt = EvalPoint(2, 101)
+        for a in range(1, 4):
+            for b in range(1, 4):
+                formula = a * (a - 1) // 2 + a * b + b * (b - 1) // 2
+                for alpha in partitions_of(a):
+                    for beta in partitions_of(b):
+                        side = _symbolic_plethysm(
+                            tuple(alpha), m_alphabet() * b_alphabet(beta)
+                        ) * pi_mu(beta)
+                        assert side.eval(*pt) == reciprocity_side(alpha, beta, pt)
+                        true_q, true_t = side.degree()
+                        q_deg, t_deg = macdonald.reciprocity_degree(alpha, beta)
+                        assert true_q <= q_deg <= formula, (alpha, beta)
+                        assert true_t <= t_deg <= formula, (alpha, beta)
 
     def test_side_degree_adds_the_row_shift(self, monkeypatch):
         row = (3, 2, (("e", 1),), ("h", (2,)), 1)

@@ -1,5 +1,7 @@
 """Polynomial arithmetic, q-analogues and grid equality."""
 
+from math import prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -99,16 +101,16 @@ def test_grid_primes_disjoint_at_desk_scale():
 
 def test_poly_equal_by_grid_basics():
     f = q_binomial(3, 1)
-    assert poly_equal_by_grid(f.eval, f.eval, 3)
+    assert poly_equal_by_grid(f.eval, f.eval, (3, 3))
     g = QtPolynomial({(0, 0): 1, (1, 0): 1, (0, 1): 1})
     h = QtPolynomial({(0, 0): 1, (1, 0): 1, (0, 2): 1})
-    assert not poly_equal_by_grid(g.eval, h.eval, 2)
+    assert not poly_equal_by_grid(g.eval, h.eval, (2, 2))
 
 
 @settings(max_examples=40, deadline=None)
 @given(polys, polys)
 def test_grid_equality_matches_coefficients(a, b):
-    assert poly_equal_by_grid(a.eval, b.eval, 4) == (a == b)
+    assert poly_equal_by_grid(a.eval, b.eval, (4, 4)) == (a == b)
 
 
 def test_pole_skip():
@@ -119,13 +121,13 @@ def test_pole_skip():
             raise PoleError("test pole")
         return f.eval(q0, t0)
 
-    assert poly_equal_by_grid(with_pole, f.eval, 2)
+    assert poly_equal_by_grid(with_pole, f.eval, (2, 2))
 
     def always_pole(q0, t0):
         raise PoleError("always")
 
     with pytest.raises(InfeasibleGridError):
-        poly_equal_by_grid(always_pole, f.eval, 1)
+        poly_equal_by_grid(always_pole, f.eval, (1, 1))
 
 
 def test_constant_hashes_like_its_int():
@@ -150,9 +152,9 @@ def test_negative_exponent_rejected():
 def test_float_evaluator_rejected():
     f = QtPolynomial({(1, 0): 1})
     with pytest.raises(TypeError):
-        poly_equal_by_grid(lambda q0, t0: float(f.eval(q0, t0)), f.eval, 1)
+        poly_equal_by_grid(lambda q0, t0: float(f.eval(q0, t0)), f.eval, (1, 1))
     with pytest.raises(TypeError):
-        poly_equal_by_grid(f.eval, lambda q0, t0: q0 / 1, 1)
+        poly_equal_by_grid(f.eval, lambda q0, t0: q0 / 1, (1, 1))
 
 
 def test_grid_hands_out_int_points():
@@ -162,12 +164,45 @@ def test_grid_hands_out_int_points():
         seen.append((q0, t0))
         return 0
 
-    assert poly_equal_by_grid(record, lambda q0, t0: 0, 1)
+    assert poly_equal_by_grid(record, lambda q0, t0: 0, (1, 1))
     assert seen == [(2, 101), (2, 103), (3, 101), (3, 103)]
     assert all(type(c) is int for point in seen for c in point)
 
 
 def test_negative_degree_bound_rejected():
     # a bound of -1 would check no grid point and still read as equal
-    with pytest.raises(ValueError, match="degree bound"):
-        poly_equal_by_grid(lambda q0, t0: 0, lambda q0, t0: 1, -1)
+    for bound in ((-1, -1), (-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="degree bound"):
+            poly_equal_by_grid(lambda q0, t0: 0, lambda q0, t0: 1, bound)
+
+
+def test_grid_is_one_more_than_each_entry():
+    seen = []
+
+    def record(q0, t0):
+        seen.append((q0, t0))
+        return 0
+
+    assert poly_equal_by_grid(record, lambda q0, t0: 0, (1, 3))
+    assert seen == [(q0, t0) for q0 in q_primes(2) for t0 in t_primes(4)]
+
+
+@pytest.mark.parametrize("q_deg, t_deg", [(0, 4), (2, 1), (4, 0), (3, 3)])
+def test_each_variable_needs_its_own_entry(q_deg, t_deg):
+    # each difference has degree q_deg in q or t_deg in t, and vanishes on
+    # every point of the grid one below in that variable
+    def zero(q0, t0):
+        return 0
+
+    def in_q(q0, t0):
+        return prod(q0 - p for p in q_primes(q_deg))
+
+    def in_t(q0, t0):
+        return prod(t0 - p for p in t_primes(t_deg))
+
+    assert not poly_equal_by_grid(in_q, zero, (q_deg, t_deg))
+    assert not poly_equal_by_grid(in_t, zero, (q_deg, t_deg))
+    if q_deg:
+        assert poly_equal_by_grid(in_q, zero, (q_deg - 1, t_deg))
+    if t_deg:
+        assert poly_equal_by_grid(in_t, zero, (q_deg, t_deg - 1))

@@ -120,11 +120,36 @@ def test_grid_row_without_a_witness_fails_as_mismatch():
     reports = suites._grid_rows(
         "demo",
         [
-            ("equal", [("w", same, same, 1)]),
-            ("differ", [("", same, same, 1), ("", same, differ, 1)]),
+            ("equal", [("w", same, same, (1, 1))]),
+            ("differ", [("", same, same, (1, 1)), ("", same, differ, (1, 1))]),
         ],
     )
     assert [r.row() for r in reports] == [
         ("demo", "equal", "pass", ""),
         ("demo", "differ", "fail", "mismatch"),
+    ]
+
+
+def test_reciprocity_checks_run_on_their_per_pair_grids(monkeypatch):
+    # the larger reciprocity_degree of the two sides in each variable,
+    # where the size pair's formula gave every check of a row one square
+    seen = []
+
+    def record(left, right, bound):
+        seen.append(bound)
+        return True
+
+    monkeypatch.setattr(suites, "poly_equal_by_grid", record)
+    reports = suites.suite_identities(names=("reciprocity",), max_size=2)
+    assert [r.status for r in reports] == ["pass"] * 4
+    assert seen == [
+        (1, 1),  # (1,), (1,)
+        (3, 2),  # (1,), (2,)
+        (2, 3),  # (1,), (1, 1)
+        (3, 2),  # (2,), (1,)
+        (2, 3),  # (1, 1), (1,)
+        (6, 2),  # (2,), (2,)
+        (5, 5),  # (2,), (1, 1)
+        (5, 5),  # (1, 1), (2,)
+        (2, 6),  # (1, 1), (1, 1)
     ]
