@@ -433,7 +433,7 @@ def validate_family(obj, spec):
         return False, "family requires labels"
     labels, runs, decorations, big = spec.shape
     if spec.ghost != obj.ghost_row:
-        return False, "ghost row flag mismatch"
+        return False, f"ghost row flag {obj.ghost_row}, family wants {spec.ghost}"
     # the body is the path below its ghost row, read in place
     skip = 1 if obj.ghost_row else 0
     body = obj.labels[skip:]

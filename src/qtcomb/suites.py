@@ -5,12 +5,13 @@ VerificationReport rows.  Reports are deterministic: rows are emitted in
 a fixed order and the comparable portion carries no wall-clock data
 (timings live in a separate field that serializers skip).
 
-The grid suites are data: a row generator yields one (instance, checks)
-pair per report row, each check a (witness, left, right, bound) tuple of
-two exact evaluators and the degree bound (q_deg, t_deg) of their
-polynomials, and ``_grid_rows`` runs every row the same way, each check
-on the (q_deg+1) x (t_deg+1) grid.  A new check is one more row from a
-row generator, not a new loop.
+Every suite is data: a row generator yields one (instance, checks) pair
+per report row, and ``_rows`` runs every row the same way.  A check is a
+zero-argument thunk that returns None when it holds and a witness string
+when it fails.  A member check walks a materialised family; a grid check,
+``_grid``, compares two exact evaluators on the (q_deg+1) x (t_deg+1)
+grid of the degree bound (q_deg, t_deg) of their polynomials.  A new
+check is one more thunk in a row, not a new loop.
 
 Each bound is derived per instance and per variable from the data the
 evaluators read, never assumed from the size, and a check takes the
@@ -33,6 +34,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from qtcomb import bijections, macdonald, recursion
 from qtcomb.families import (
@@ -66,21 +68,37 @@ class VerificationReport:
         return (self.suite, self.instance, self.status, self.witness)
 
 
-def _report(suite, instance, ok, witness=""):
-    if ok:
-        return VerificationReport(suite, instance, "pass")
-    return VerificationReport(suite, instance, "fail", witness or "mismatch")
-
-
-def _timed(run):
-    """Collect the reports ``run()`` yields, each timed from the previous
-    yield: the real wall time of its own instance."""
+def _rows(suite, rows, grid_bound=None):
+    """Reports of ``rows``, each an (instance, checks) pair of thunks.  A
+    row fails at its first check that returns a witness string, with that
+    witness: a difference at a grid point disproves the identity on any
+    grid.  Otherwise it is inconclusive when a grid check returned the
+    largest entry of a derived bound above ``grid_bound`` (the witness
+    names the largest), or when it has no checks; else it passes.  Each
+    report is timed from the previous one, so a row's time includes
+    building it (a family or an enumerator, say)."""
     reports = []
     start = time.perf_counter()
-    for report in run():
+    for instance, checks in rows:
+        results = []
+        for check in checks:
+            results.append(check())
+            if isinstance(results[-1], str):
+                break
+        short = [result for result in results if isinstance(result, int)]
+        if results and isinstance(results[-1], str):
+            status, witness = "fail", results[-1]
+        elif short:
+            status = "inconclusive"
+            witness = f"grid bound {grid_bound} below derived bound {max(short)}"
+        elif results:
+            status, witness = "pass", ""
+        else:
+            status, witness = "inconclusive", "no checks"
         now = time.perf_counter()
-        report.seconds = now - start
-        reports.append(report)
+        reports.append(
+            VerificationReport(suite, instance, status, witness, now - start)
+        )
         start = now
     return reports
 
@@ -93,39 +111,39 @@ def suite_ndinv(max_size=6):
     zero composition over, and that the direct recursive step agrees with
     the composed one and drops dinv by (diagonal touches - 1)."""
 
-    def run():
+    def rows():
         for m in range(max_size + 1):
             for n in range(max_size + 1 - m):
-                checked = 0
-                bad = ""
-                for path in generate(FamilySpec("catalan-pld", m=m, n=n)):
-                    checked += 1
-                    image = bijections.psi(bijections.eta_inverse(path))
-                    touches = sum(
-                        1
-                        for i in range(path.size)
-                        if path.area_word[i] == 0 and path.labels[i] == 0
-                    )
-                    stepped = bijections.pld_recursive_step(path)
-                    doubled = (
-                        path.size >= 2
-                        and path.area_word[1] == 0
-                        and path.labels[1] == 0
-                    )
-                    drop = 0 if doubled else touches - 1
-                    ok = (
-                        image.area() == path.area()
-                        and bijections.ndinv(image) == path.dinv()
-                        and image.big_car_composition() == path.zero_composition()
-                        and stepped == bijections.composite_recursive_step(path)
-                        and (path.size == 0 or path.dinv() - stepped.dinv() == drop)
-                    )
-                    if not ok:
-                        bad = repr(path)
-                        break
-                yield _report("ndinv", f"m={m} n={n} members={checked}", not bad, bad)
+                family = list(generate(FamilySpec("catalan-pld", m=m, n=n)))
+                check = partial(_ndinv_members, family)
+                yield f"m={m} n={n} members={len(family)}", [check]
 
-    return _timed(run)
+    return _rows("ndinv", rows())
+
+
+def _ndinv_members(family):
+    """The first property that a member breaks, in the order below, as
+    ``<property> at <path>``; or None."""
+    for path in family:
+        image = bijections.psi(bijections.eta_inverse(path))
+        touches = sum(a == 0 and b == 0 for a, b in zip(path.area_word, path.labels))
+        stepped = bijections.pld_recursive_step(path)
+        doubled = path.size >= 2 and path.area_word[1] == 0 and path.labels[1] == 0
+        drop = 0 if doubled else touches - 1
+        if image.area() != path.area():
+            failed = "area"
+        elif bijections.ndinv(image) != path.dinv():
+            failed = "ndinv vs dinv"
+        elif image.big_car_composition() != path.zero_composition():
+            failed = "composition"
+        elif stepped != bijections.composite_recursive_step(path):
+            failed = "recursive step"
+        elif path.size and path.dinv() - stepped.dinv() != drop:
+            failed = "dinv drop"
+        else:
+            continue
+        return f"{failed} at {path!r}"
+    return None
 
 
 # -- ehh suite -----------------------------------------------------------
@@ -136,61 +154,54 @@ def suite_ehh(max_size=6):
     preservation, injectivity onto the decorated two-car family, and
     equality of the two enumerators."""
 
-    def run():
+    def rows():
         for k in range(max_size + 1):
             for n in range(k, max_size + 1):
                 for m in range(k, max_size + 1):
                     if not 0 < m + n - k <= max_size:
                         continue
-                    seen = set()
-                    bad = ""
-                    count = 0
-                    stats = []  # (dinv, area) of each member
-                    for path in generate(
-                        FamilySpec("shuffle-knm", m=m, n=n, k=k)
-                    ):
-                        count += 1
-                        image = bijections.ehh_forward(path, k, n, m)
-                        if image in seen:
-                            bad = f"not injective at {path!r}"
-                            break
-                        seen.add(image)
-                        stats.append((path.dinv(), path.area()))
-                        if (image.dinv(), image.area()) != stats[-1]:
-                            bad = f"statistics moved at {path!r}"
-                            break
-                        if bijections.ehh_inverse(image, k, n, m) != path:
-                            bad = f"round trip failed at {path!r}"
-                            break
-                    if not bad:
-                        lhs = QtPolynomial((pair, 1) for pair in stats)
-                        rhs = qt_enumerator(
-                            FamilySpec("pf2", m=m, n=n, k=k, ghost=True)
-                        )
-                        if lhs != rhs:
-                            bad = f"enumerators differ: {lhs!r} vs {rhs!r}"
-                    instance = f"k={k} n={n} m={m} members={count}"
-                    yield _report("ehh", instance, not bad, bad)
+                    family = list(generate(FamilySpec("shuffle-knm", m=m, n=n, k=k)))
+                    check = partial(_ehh_members, family, k, n, m)
+                    yield f"k={k} n={n} m={m} members={len(family)}", [check]
 
-    return _timed(run)
+    return _rows("ehh", rows())
+
+
+def _ehh_members(family, k, n, m):
+    """The first member that ehh does not carry injectively, with its
+    statistics and back again, or else unequal enumerators; or None."""
+    seen = set()
+    stats = []  # (dinv, area) of each member
+    for path in family:
+        image = bijections.ehh_forward(path, k, n, m)
+        if image in seen:
+            return f"not injective at {path!r}"
+        seen.add(image)
+        stats.append((path.dinv(), path.area()))
+        if (image.dinv(), image.area()) != stats[-1]:
+            return f"statistics moved at {path!r}"
+        if bijections.ehh_inverse(image, k, n, m) != path:
+            return f"round trip failed at {path!r}"
+    lhs = QtPolynomial((pair, 1) for pair in stats)
+    rhs = qt_enumerator(FamilySpec("pf2", m=m, n=n, k=k, ghost=True))
+    if lhs != rhs:
+        return f"enumerators differ: {lhs!r} vs {rhs!r}"
+    return None
 
 
 # -- recursion suite -------------------------------------------------------
 
 
 def suite_recursion(max_size=5):
-    def run():
+    def rows():
         rep = recursion.reconcile_recursion(max_size)
-        status = rep.passed
-        yield _report(
-            "recursion-reconcile",
+        yield (
             f"max_size={max_size} survivors={len(rep.survivors)} "
             f"printed_offsets={'yes' if rep.printed_offsets_survive else 'no'}",
-            status,
-            "" if status else rep.render().replace("\n", "; "),
+            [lambda: None if rep.passed else rep.render().replace("\n", "; ")],
         )
 
-    return _timed(run)
+    return _rows("recursion-reconcile", rows())
 
 
 # -- grid suites -------------------------------------------------------------
@@ -228,36 +239,16 @@ def _ev(fn, *args):
     return lambda q0, t0: fn(*args, EvalPoint(q0, t0))
 
 
-def _grid_rows(suite, rows, grid_bound=None):
-    """Reports of grid rows.  A row is (instance, checks) and a check is
-    (witness, left, right, bound): two evaluators of (q0, t0) and the
-    derived degree bound (q_deg, t_deg) of their polynomials.  Each check
-    runs on the grid of its bound, or on the (G+1) x (G+1) grid of
-    ``grid_bound`` G when one is given.  A row fails at its first check
-    that fails, with that check's witness: a difference at a grid point
-    disproves the identity on any grid.  A row whose checks all agree is
-    inconclusive when G is below either entry of some check's bound, with
-    the largest such entry in the witness, and passes otherwise.  The
-    rows are consumed inside ``_timed``, so a row's time includes
-    building it (an enumerator, say)."""
-
-    def run():
-        for instance, checks in rows:
-            failed, short = None, []
-            for check, left, right, bound in checks:
-                used = bound if grid_bound is None else (grid_bound, grid_bound)
-                if not poly_equal_by_grid(left, right, used):
-                    failed = check
-                    break
-                if max(used) < max(bound):
-                    short.append(max(bound))
-            if failed is None and short:
-                witness = f"grid bound {grid_bound} below derived bound {max(short)}"
-                yield VerificationReport(suite, instance, "inconclusive", witness)
-            else:
-                yield _report(suite, instance, failed is None, failed)
-
-    return _timed(run)
+def _grid(witness, left, right, bound, grid_bound=None):
+    """A grid check: ``witness`` if the evaluators ``left`` and ``right``
+    of (q0, t0) differ on the grid of the derived degree bound
+    (q_deg, t_deg), or on the (G+1) x (G+1) grid of ``grid_bound`` G when
+    one is given.  If they agree on a grid where G is below either entry
+    of the bound, the largest entry; None if the check holds."""
+    used = bound if grid_bound is None else (grid_bound, grid_bound)
+    if not poly_equal_by_grid(left, right, used):
+        return witness
+    return max(bound) if max(used) < max(bound) else None
 
 
 def _instances(max_size, k_cap=None):
@@ -280,14 +271,14 @@ def suite_identities(names=None, max_size=6, grid_bound=None):
     reports = []
     if "mac-hook" in names:
         rows = _mac_hook_rows(min(max_size, IDENTITY_CLAMPS["mac-hook"]), grid_bound)
-        reports += _grid_rows("mac-hook", rows, grid_bound)
+        reports += _rows("mac-hook", rows, grid_bound)
     if "reciprocity" in names:
-        rows = _reciprocity_rows(min(max_size, IDENTITY_CLAMPS["reciprocity"]))
-        reports += _grid_rows("reciprocity", rows, grid_bound)
+        nmax = min(max_size, IDENTITY_CLAMPS["reciprocity"])
+        reports += _rows("reciprocity", _reciprocity_rows(nmax, grid_bound), grid_bound)
     for name in names:
         if name in IDENTITY_PAIRS:
             rows = _pair_rows(*IDENTITY_PAIRS[name], max_size, grid_bound)
-            reports += _grid_rows(name, rows, grid_bound)
+            reports += _rows(name, rows, grid_bound)
     return reports
 
 
@@ -309,17 +300,18 @@ def _mac_hook_rows(nmax, grid_bound):
             for r in range(n)
         ]
         shown = max(max(c[3]) for c in checks) if grid_bound is None else grid_bound
-        yield f"n={n} bound={shown}", checks
+        yield f"n={n} bound={shown}", [partial(_grid, *c, grid_bound) for c in checks]
 
 
-def _reciprocity_rows(nmax):
+def _reciprocity_rows(nmax, grid_bound):
     """One row per size pair; each (alpha, beta) check on the grid of the
     larger ``macdonald.reciprocity_degree`` of its two sides, per
     variable."""
     for a in range(1, nmax + 1):
         for b in range(1, nmax + 1):
             yield f"|alpha|={a} |beta|={b}", (
-                (
+                partial(
+                    _grid,
                     f"alpha={tuple(alpha)} beta={tuple(beta)}",
                     _ev(macdonald.reciprocity_side, alpha, beta),
                     _ev(macdonald.reciprocity_side, beta, alpha),
@@ -327,6 +319,7 @@ def _reciprocity_rows(nmax):
                         macdonald.reciprocity_degree(alpha, beta),
                         macdonald.reciprocity_degree(beta, alpha),
                     ),
+                    grid_bound,
                 )
                 for alpha in partitions_of(a)
                 for beta in partitions_of(b)
@@ -345,11 +338,13 @@ def _pair_rows(left, right, max_size, grid_bound):
         )
         shown = max(bound) if grid_bound is None else grid_bound
         yield f"m={m} n={n} k={k} bound={shown}", [
-            (
+            partial(
+                _grid,
                 witness,
                 _ev(getattr(macdonald, left), m, n, k),
                 _ev(getattr(macdonald, right), m, n, k),
                 bound,
+                grid_bound,
             )
         ]
 
@@ -360,7 +355,7 @@ def _pair_rows(left, right, max_size, grid_bound):
 def suite_delta_tiny(max_size=5):
     """(i) the two-part case against the two-car model; (ii) the content-
     refined statement against partially labelled paths."""
-    return _grid_rows("delta-hh-model", _delta_hh_rows(max_size)) + _grid_rows(
+    return _rows("delta-hh-model", _delta_hh_rows(max_size)) + _rows(
         "delta-content", _delta_content_rows(max_size)
     )
 
@@ -369,7 +364,8 @@ def _delta_hh_rows(max_size):
     for m, n, k in _instances(max_size):
         enum = qt_enumerator(FamilySpec("pf2", m=m, n=n, k=k))
         yield f"m={m} n={n} k={k}", [
-            (
+            partial(
+                _grid,
                 "lhs_delta_hh != pf2 enumerator",
                 _ev(macdonald.lhs_delta_hh, m, n, k),
                 enum.eval,
@@ -382,7 +378,8 @@ def _delta_content_rows(max_size):
     for m, n, k in _instances(max_size, DELTA_K_CAP):
         by_content = qt_enumerator_by_content(m, n, k)
         yield f"m={m} n={n} k={k}", [
-            (
+            partial(
+                _grid,
                 f"content {lam}",
                 _ev(macdonald.delta_lhs_by_content, m, n, k, lam),
                 enum.eval,
@@ -398,7 +395,7 @@ def _delta_content_rows(max_size):
 def suite_delta_ehh(max_size=4):
     """Finite checks of the three-run case of the generalized statement:
     scalar products against e_j h_a h_b versus shuffle-filtered paths."""
-    return _grid_rows("delta-ehh", _delta_ehh_rows(max_size))
+    return _rows("delta-ehh", _delta_ehh_rows(max_size))
 
 
 def _delta_ehh_rows(max_size):
@@ -426,7 +423,8 @@ def _delta_ehh_rows(max_size):
                 )
                 side = (m, n, k, j, a, b)
                 yield f"m={m} n={n} k={k} e{j}h{a}h{b}", [
-                    (
+                    partial(
+                        _grid,
                         f"delta_pairing != {spec.family} enumerator",
                         _ev(macdonald.lhs_delta_ehh, *side),
                         enum.eval,
@@ -443,48 +441,9 @@ def _delta_ehh_rows(max_size):
 
 def suite_engine():
     pt = EvalPoint(3, 101)
-
-    def run():
-        bad = ""
-        for d in range(ENGINE_DEGREE + 1):
-            for basis in ("h", "e", "p"):
-                for lam in partitions_of(d):
-                    f = macdonald.SymFun(d, "m", {lam: Fraction(1)})
-                    if f.convert_to(basis).convert_to("m") != f:
-                        bad = f"degree {d} basis {basis} at {tuple(lam)}"
-        yield _report(
-            "engine", f"basis round trips d<={ENGINE_DEGREE}", not bad, bad
-        )
-
-        bad = ""
-        for n in range(1, 6):
-            for mu in partitions_of(n):
-                if macdonald.htilde_mcoeff(tuple(mu), (n,)).eval(pt.q0, pt.t0) != 1:
-                    bad = f"<H,{'s_(n)'}> at {tuple(mu)}"
-                if macdonald.pair_htilde_hook(mu, n - 1, pt) != macdonald.t_mu(
-                    mu, pt
-                ):
-                    bad = f"<H,s_(1^n)> at {tuple(mu)}"
-        yield _report("engine", "normalizations n<=5", not bad, bad)
-
-        bad = ""
-        for (m, n, k) in ((2, 1, 0), (1, 2, 1), (3, 2, 1)):
-            for fn in (
-                macdonald.mid_delta_hn,
-                macdonald.rhs_nabla_ehh,
-                macdonald.sum_r_lhs,
-                macdonald.lhs_delta_hh,
-            ):
-                if fn(m, n, k, pt) != fn(m, n, k, pt.swap()):
-                    bad = f"{fn.__name__}({m},{n},{k})"
-        if macdonald.delta_lhs_by_content(
-            1, 3, 1, (2, 1), pt
-        ) != macdonald.delta_lhs_by_content(1, 3, 1, (2, 1), pt.swap()):
-            bad = "delta_lhs_by_content(1,3,1,(2,1))"
-        yield _report("engine", "q-t swap symmetry", not bad, bad)
-
     e_h_checks = (
-        (
+        partial(
+            _grid,
             f"n={n} d={d}",
             _ev(macdonald.pair_delta_e_d, d, n),
             _ev(macdonald.pair_en_eh, n, d),
@@ -493,9 +452,55 @@ def suite_engine():
         for n in range(1, 6)
         for d in range(n + 1)
     )
-    return _timed(run) + _grid_rows(
-        "engine", [("e-h Delta pairing n<=5", e_h_checks)]
-    )
+    rows = [
+        (f"basis round trips d<={ENGINE_DEGREE}", [_basis_round_trips]),
+        ("normalizations n<=5", [partial(_normalizations, pt)]),
+        ("q-t swap symmetry", [partial(_swap_symmetry, pt)]),
+        ("e-h Delta pairing n<=5", e_h_checks),
+    ]
+    return _rows("engine", rows)
+
+
+def _basis_round_trips():
+    """The first monomial function that a round trip through the h, e or
+    p basis does not give back, or None."""
+    for d in range(ENGINE_DEGREE + 1):
+        for basis in ("h", "e", "p"):
+            for lam in partitions_of(d):
+                f = macdonald.SymFun(d, "m", {lam: Fraction(1)})
+                if f.convert_to(basis).convert_to("m") != f:
+                    return f"degree {d} basis {basis} at {tuple(lam)}"
+    return None
+
+
+def _normalizations(pt):
+    """The first mu where <H_mu, s_(n)> is not 1 or <H_mu, s_(1^n)> is not
+    T_mu at ``pt``, or None."""
+    for n in range(1, 6):
+        for mu in partitions_of(n):
+            if macdonald.htilde_mcoeff(tuple(mu), (n,)).eval(pt.q0, pt.t0) != 1:
+                return f"<H,s_(n)> at {tuple(mu)}"
+            if macdonald.pair_htilde_hook(mu, n - 1, pt) != macdonald.t_mu(mu, pt):
+                return f"<H,s_(1^n)> at {tuple(mu)}"
+    return None
+
+
+def _swap_symmetry(pt):
+    """The first Delta side that changes when q and t swap at ``pt``, or
+    None."""
+    for m, n, k in ((2, 1, 0), (1, 2, 1), (3, 2, 1)):
+        for fn in (
+            macdonald.mid_delta_hn,
+            macdonald.rhs_nabla_ehh,
+            macdonald.sum_r_lhs,
+            macdonald.lhs_delta_hh,
+        ):
+            if fn(m, n, k, pt) != fn(m, n, k, pt.swap()):
+                return f"{fn.__name__}({m},{n},{k})"
+    by_content = partial(macdonald.delta_lhs_by_content, 1, 3, 1, (2, 1))
+    if by_content(pt) != by_content(pt.swap()):
+        return "delta_lhs_by_content(1,3,1,(2,1))"
+    return None
 
 
 # -- worked examples ----------------------------------------------------------
@@ -524,39 +529,34 @@ EXAMPLE_POLYOMINO_CAPTION = "0 0b 1 1b 2 1b 1b 1 0b 0b 0 0b 0b 0b 1 1 1b 1b"
 
 
 def suite_examples():
-    def run():
+    def rows():
         p = EXAMPLE_LABELLED
-        primary, secondary = p.dinv_pairs()
-        yield _report(
-            "examples",
-            "labelled path statistics",
-            p.area() == 8
-            and p.dinv() == 6
-            and primary == [(2, 7), (4, 7)]
-            and secondary == [(2, 6), (3, 4), (3, 8), (5, 8)]
-            and p.reading_word() == (2, 2, 4, 1, 6, 1, 5, 3),
-        )
-        yield _report(
-            "examples",
-            "zero composition",
-            EXAMPLE_ZEROCOMP.zero_composition() == (3, 1, 2, 1),
-        )
-        yield _report(
-            "examples",
-            "big car composition",
-            EXAMPLE_TWOCAR.big_car_composition() == (3, 3, 1),
-        )
+        pairs = ([(2, 7), (4, 7)], [(2, 6), (3, 4), (3, 8), (5, 8)])
+        yield "labelled path statistics", [
+            partial(_expect, "area", p.area, 8),
+            partial(_expect, "dinv", p.dinv, 6),
+            partial(_expect, "dinv pairs", p.dinv_pairs, pairs),
+            partial(_expect, "reading word", p.reading_word, (2, 2, 4, 1, 6, 1, 5, 3)),
+        ]
+        zero = EXAMPLE_ZEROCOMP.zero_composition
+        yield "zero composition", [partial(_expect, "composition", zero, (3, 1, 2, 1))]
+        big = EXAMPLE_TWOCAR.big_car_composition
+        yield "big car composition", [partial(_expect, "composition", big, (3, 3, 1))]
         word = polyomino_encode(
             PolyominoPaths(6, 11, EXAMPLE_POLYOMINO_RED, EXAMPLE_POLYOMINO_GREEN)
         )
-        yield _report(
-            "examples",
-            "polyomino codec (18-letter word)",
-            str(word) == EXAMPLE_POLYOMINO_WORD and word.area() == 11,
-            str(word),
-        )
+        yield "polyomino codec (18-letter word)", [
+            partial(_expect, "word", partial(str, word), EXAMPLE_POLYOMINO_WORD),
+            partial(_expect, "area", word.area, 11),
+        ]
 
-    return _timed(run)
+    return _rows("examples", rows())
+
+
+def _expect(what, got, want):
+    """A check that ``got()`` equals ``want``; the witness names both."""
+    value = got()
+    return None if value == want else f"{what}: got {value!r}, want {want!r}"
 
 
 SUITES = {

@@ -1,24 +1,23 @@
-"""Suite plumbing: per-instance timing of report rows, and grid rows
-that fail."""
+"""Suite plumbing: the one row runner, its per-instance timing, and
+rows that fail or cannot conclude."""
 
+from functools import partial
 from math import prod
 from types import SimpleNamespace
 
-from qtcomb import macdonald, suites
+from qtcomb import bijections, macdonald, suites
 from qtcomb.cli import main
-from qtcomb.qt import q_primes
+from qtcomb.families import FamilySpec, generate
+from qtcomb.paths import DecoratedLabelledPath
+from qtcomb.qt import EvalPoint, q_primes
 
 
 def test_each_row_gets_its_own_instance_time(monkeypatch):
     clock = iter([10.0, 10.5, 13.5, 13.75])
     fake_time = SimpleNamespace(perf_counter=lambda: next(clock))
     monkeypatch.setattr(suites, "time", fake_time)
-
-    def run():
-        for name in ("a", "b", "c"):
-            yield suites._report("demo", name, True)
-
-    reports = suites._timed(run)
+    rows = ((name, [lambda: None]) for name in ("a", "b", "c"))
+    reports = suites._rows("demo", rows)
     assert [r.seconds for r in reports] == [0.5, 3.0, 0.25]
     assert [r.row() for r in reports] == [
         ("demo", name, "pass", "") for name in ("a", "b", "c")
@@ -110,24 +109,128 @@ def test_perturbation_hidden_below_the_derived_bound_fails_at_it(monkeypatch):
     ) in _failed_rows(below)
 
 
-def test_grid_row_without_a_witness_fails_as_mismatch():
-    def differ(q0, t0):
-        return q0 + 1
-
+def test_row_fails_at_its_first_failure_else_names_its_largest_short_entry():
     def same(q0, t0):
         return q0
 
-    reports = suites._grid_rows(
+    def differ(q0, t0):
+        return q0 + 1
+
+    def unreached():
+        raise AssertionError("a row stops at its first failing check")
+
+    grid = suites._grid
+    reports = suites._rows(
         "demo",
         [
-            ("equal", [("w", same, same, (1, 1))]),
-            ("differ", [("", same, same, (1, 1)), ("", same, differ, (1, 1))]),
+            (
+                "fails",
+                [
+                    partial(grid, "first", same, same, (1, 1)),
+                    partial(grid, "second", same, differ, (1, 1)),
+                    unreached,
+                ],
+            ),
+            (
+                "short",
+                [
+                    partial(grid, "w", same, same, (3, 1), 2),
+                    partial(grid, "w", same, same, (1, 5), 2),
+                    partial(grid, "w", same, same, (2, 2), 2),
+                ],
+            ),
+            (
+                "short, then fails",
+                [
+                    partial(grid, "w", same, same, (3, 3), 2),
+                    partial(grid, "differs", same, differ, (1, 1), 2),
+                ],
+            ),
         ],
+        grid_bound=2,
     )
     assert [r.row() for r in reports] == [
-        ("demo", "equal", "pass", ""),
-        ("demo", "differ", "fail", "mismatch"),
+        ("demo", "fails", "fail", "second"),
+        ("demo", "short", "inconclusive", "grid bound 2 below derived bound 5"),
+        ("demo", "short, then fails", "fail", "differs"),
     ]
+
+
+def test_a_row_with_no_checks_is_not_a_pass():
+    reports = suites._rows("demo", [("empty", []), ("one", [lambda: None])])
+    assert [r.row() for r in reports] == [
+        ("demo", "empty", "inconclusive", "no checks"),
+        ("demo", "one", "pass", ""),
+    ]
+
+
+def _one_failed_row(passing, failing):
+    """The single row of ``failing`` that is not a pass, after checking
+    that it has the instance of a passing row of ``passing``."""
+    assert all(r.status == "pass" for r in passing)
+    [row] = _failed_rows(failing)
+    assert row[1] in {r.instance for r in passing}
+    assert [r.instance for r in failing] == [r.instance for r in passing]
+    return row
+
+
+def test_ndinv_witness_names_the_property_and_keeps_the_row_key(monkeypatch):
+    target = list(generate(FamilySpec("catalan-pld", m=2, n=1)))[2]
+    image = bijections.psi(bijections.eta_inverse(target))
+    ndinv = bijections.ndinv
+
+    def off_by_one_on_target(path):
+        return ndinv(path) + (path == image)
+
+    passing = suites.suite_ndinv(max_size=3)
+    monkeypatch.setattr(bijections, "ndinv", off_by_one_on_target)
+    row = _one_failed_row(passing, suites.suite_ndinv(max_size=3))
+    assert row == ("ndinv", "m=2 n=1 members=6", "fail", f"ndinv vs dinv at {target!r}")
+
+
+def test_ehh_row_keeps_its_key_when_a_member_fails(monkeypatch):
+    target = list(generate(FamilySpec("shuffle-knm", m=2, n=1, k=1)))[1]
+    inverse = bijections.ehh_inverse
+
+    def wrong_on_target(image, k, n, m):
+        path = inverse(image, k, n, m)
+        return None if (path, k, n, m) == (target, 1, 1, 2) else path
+
+    passing = suites.suite_ehh(max_size=3)
+    monkeypatch.setattr(bijections, "ehh_inverse", wrong_on_target)
+    row = _one_failed_row(passing, suites.suite_ehh(max_size=3))
+    members = len(list(generate(FamilySpec("shuffle-knm", m=2, n=1, k=1))))
+    assert row == (
+        "ehh",
+        f"k=1 n=1 m=2 members={members}",
+        "fail",
+        f"round trip failed at {target!r}",
+    )
+
+
+def test_example_witness_names_what_it_got(monkeypatch):
+    # the worked path without its last row: composition (3, 1, 2)
+    short = DecoratedLabelledPath(
+        (0, 1, 2, 2, 2, 0, 1, 2, 0, 1, 1), (0, 1, 2, 0, 0, 0, 3, 4, 0, 5, 0)
+    )
+    monkeypatch.setattr(suites, "EXAMPLE_ZEROCOMP", short)
+    assert _failed_rows(suites.suite_examples()) == [
+        (
+            "examples",
+            "zero composition",
+            "fail",
+            "composition: got (3, 1, 2), want (3, 1, 2, 1)",
+        )
+    ]
+
+
+def test_engine_loop_names_its_first_failing_case(monkeypatch):
+    hook = macdonald.pair_htilde_hook
+    monkeypatch.setattr(
+        macdonald, "pair_htilde_hook", lambda mu, r, pt: hook(mu, r, pt) + 1
+    )
+    # every mu fails; the first of n <= 5 is (1,)
+    assert suites._normalizations(EvalPoint(3, 101)) == "<H,s_(1^n)> at (1,)"
 
 
 def test_reciprocity_checks_run_on_their_per_pair_grids(monkeypatch):
