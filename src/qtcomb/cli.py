@@ -202,9 +202,10 @@ def cmd_verify(args):
     ):
         if value is not None and args.suite not in readers:
             raise UsageError(f"verify {args.suite} does not take {flag}")
+    for flag, value in (("--max", args.max), ("--grid-bound", args.grid_bound)):
+        if value is not None and value < 0:
+            raise UsageError(f"{flag} must be >= 0, got {value}")
     max_size = 5 if args.max is None else args.max
-    if args.grid_bound is not None and args.grid_bound < 0:
-        raise UsageError(f"--grid-bound must be >= 0, got {args.grid_bound}")
     if args.suite == "all":
         names = [n for n in SUITES if n != "delta-ehh"]
     else:

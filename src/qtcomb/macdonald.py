@@ -10,8 +10,8 @@ verification on the prime grid.
 The Delta-type identities are data for one evaluator:
 ``delta_pairing(n, operators, rhs, pt, r=1)`` is the pairing of
 (product of operators) e_n[X [r]_q] with rhs, summed over the Cauchy
-expansion e_n[X [r]_q] = sum_mu H_mu[M [r]_q] H_mu / w_mu; at r = 1 the
-weight is the Garsia-Haiman closed form M B_mu Pi_mu / w_mu.  An
+expansion e_n[X [r]_q] = sum_mu H_mu[M [r]_q] H_mu / w_mu, whose weight
+is the closed form (1 - q^r) h_r[(1 - t) B_mu] Pi_mu / w_mu at every r.  An
 operator is a tag tuple (``("h", a)``, ``("e", d)``, ``("e'", b)``,
 ``("nabla",)``) acting on each Macdonald polynomial by its eigenvalue;
 rhs is a ``hall_pair`` tag tuple (``("h", nu)``,
@@ -36,8 +36,10 @@ point, because the grid revisits the same points for every instance of
 an identity, and two identity pairs that read one side share its value.
 An alphabet is a ``QtPolynomial`` (B_mu = sum of q^coarm t^coleg, M = (1-q)(1-t),
 [r]_q), and p_j[A] = A(q^j, t^j); a polynomial stores its hash, and the
-alphabets built from others (``b_minus_one``, ``_negated``, ``_m_times``)
-are cached too, so equal cache keys share one object and its stored hash.
+alphabets built from others (``b_minus_one``, ``b_one_minus_t``,
+``_negated``, ``_m_times``) are cached too, so equal cache keys share one
+object and its stored hash.  ``DEGREE_CAP`` guards only ``htilde`` and
+``htilde_at_alphabet``, which serves reciprocity, a check of this engine.
 """
 
 from __future__ import annotations
@@ -150,6 +152,12 @@ def b_alphabet(mu):
 def b_minus_one(mu):
     """B_mu - 1, the alphabet of the e_r coefficients; built once."""
     return b_alphabet(mu) - 1
+
+
+@lru_cache(maxsize=None)
+def b_one_minus_t(mu):
+    """(1 - t) B_mu, the alphabet of the Cauchy weights; built once."""
+    return (1 - QtPolynomial.t()) * b_alphabet(mu)
 
 
 def m_alphabet():
@@ -516,8 +524,8 @@ def _htilde_p_coeffs(mu):
 
 def htilde_at_alphabet(mu, alphabet, pt):
     """Plethystic evaluation of the Macdonald polynomial on an alphabet;
-    coefficients stay fixed, only the alphabet is raised to powers.  The
-    degree cap is checked on every call, cached value or not."""
+    coefficients stay fixed, only the alphabet is raised to powers.  It
+    serves reciprocity; the degree cap is checked on every call."""
     _check_degree(sum(mu))
     return _htilde_at_alphabet(tuple(mu), alphabet, pt)
 
@@ -577,14 +585,6 @@ def _expand_eh_to_h(e_indices, h_indices):
     return terms
 
 
-def pair_htilde_h(mu, nu, pt):
-    """<H_mu, h_nu> = coefficient of m_nu, evaluated at the point.  At
-    nu = (n) it is 1: the one filling with content (n) has inv = maj = 0."""
-    if tuple(nu) == (sum(mu),):
-        return 1
-    return htilde_mcoeff(tuple(mu), tuple(nu)).eval(pt.q0, pt.t0)
-
-
 @lru_cache(maxsize=None)
 def _eh_pairing(mu, e_indices, h_indices):
     """<H_mu, prod e_k prod h_a> as one integer q,t-polynomial: the signed
@@ -592,24 +592,15 @@ def _eh_pairing(mu, e_indices, h_indices):
     mu = Partition(mu)
     if mu.size != sum(e_indices) + sum(h_indices):
         raise DegreeMismatchError("degrees differ in Hall pairing")
-    if mu.size == 0:
-        return QtPolynomial.one()
     total = QtPolynomial.zero()
     for hpart, c in _expand_eh_to_h(e_indices, h_indices).items():
         total += c * htilde_mcoeff(tuple(mu), hpart)
     return total
 
 
-def pair_htilde_eh(mu, e_indices, h_indices, pt):
-    """<H_mu, prod e_k prod h_a> via the signed h-expansion of the e's."""
-    return _eh_pairing(tuple(mu), tuple(e_indices), tuple(h_indices)).eval(
-        pt.q0, pt.t0
-    )
-
-
 @lru_cache(maxsize=None)
 def _hook_pairing(mu, r):
-    """<H_mu, s_(n-r, 1^r)> as one integer q,t-polynomial."""
+    """<H_mu, s_(n-r, 1^r)> via s_(a,1^b) = sum_i (-1)^i h_(a+i) e_(b-i)."""
     n = sum(mu)
     if not 0 <= r < n:
         raise DegreeMismatchError("hook column length out of range")
@@ -619,22 +610,39 @@ def _hook_pairing(mu, r):
     return total
 
 
-def pair_htilde_hook(mu, r, pt):
-    """<H_mu, s_(n-r, 1^r)> via s_(a,1^b) = sum_i (-1)^i h_(a+i) e_(b-i)."""
-    return _hook_pairing(tuple(mu), r).eval(pt.q0, pt.t0)
+@lru_cache(maxsize=None)
+def _pairing(mu, rhs):
+    """<H_mu, rhs> as one point-free integer q,t-polynomial, rhs ("h", nu)
+    | ("eh", e_indices, h_indices) | ("hook", r).  <H_mu, h_n> is 1: the
+    one filling with content (n) has inv = maj = 0."""
+    tag = rhs[0]
+    if tag == "h":
+        return QtPolynomial.one() if rhs[1] == (sum(mu),) else htilde_mcoeff(mu, rhs[1])
+    if tag == "eh":
+        return _eh_pairing(mu, rhs[1], rhs[2])
+    if tag == "hook":
+        return _hook_pairing(mu, rhs[1])
+    raise ValueError(f"unknown pairing {tag!r}")
 
 
 def hall_pair(mu, rhs, pt):
-    """Hall pairing of a Macdonald polynomial against a named right side:
-    ("h", nu) | ("eh", e_indices, h_indices) | ("hook", r)."""
-    tag = rhs[0]
-    if tag == "h":
-        return pair_htilde_h(mu, rhs[1], pt)
-    if tag == "eh":
-        return pair_htilde_eh(mu, rhs[1], rhs[2], pt)
-    if tag == "hook":
-        return pair_htilde_hook(mu, rhs[1], pt)
-    raise ValueError(f"unknown pairing {tag!r}")
+    """``_pairing`` evaluated at the point."""
+    return _pairing(tuple(mu), rhs).eval(pt.q0, pt.t0)
+
+
+def pair_htilde_h(mu, nu, pt):
+    """<H_mu, h_nu> = coefficient of m_nu, evaluated at the point."""
+    return hall_pair(mu, ("h", tuple(nu)), pt)
+
+
+def pair_htilde_eh(mu, e_indices, h_indices, pt):
+    """<H_mu, prod e_k prod h_a> via the signed h-expansion of the e's."""
+    return hall_pair(mu, ("eh", tuple(e_indices), tuple(h_indices)), pt)
+
+
+def pair_htilde_hook(mu, r, pt):
+    """<H_mu, s_(n-r, 1^r)> at the point."""
+    return hall_pair(mu, ("hook", r), pt)
 
 
 # -- partition-sum evaluators ------------------------------------------------
@@ -653,18 +661,18 @@ def _fraction_free_sum(terms):
 def _en_weight(mu, r, pt):
     """Coefficient of H_mu in the Cauchy expansion of e_n[X [r]_q]:
     H_mu[M [r]_q] / w_mu as one reduced Fraction (1 for the empty
-    partition), read by its numerator and denominator.  At r = 1 it is the
-    Garsia-Haiman closed form M B Pi / w: no Macdonald coefficients."""
+    partition), read by its numerator and denominator.  The numerator is
+    the closed form (1 - q^r) h_r[(1 - t) B_mu] Pi_mu (at r = 1 the
+    Garsia-Haiman M B_mu Pi_mu), from [r]_q = B_(r), reciprocity,
+    H_(r)[X] = (q;q)_r h_r[X / (1 - q)] and Pi_(r) = (q;q)_(r-1): it reads
+    no Macdonald coefficient, so ``DEGREE_CAP`` bounds no r or n."""
     if mu.size == 0:
         return 1
     w = w_mu(mu, pt)
     if w == 0:
         raise PoleError("w vanishes at the evaluation point")
-    if r == 1:
-        M = (1 - pt.q0) * (1 - pt.t0)
-        B = b_alphabet(mu).eval(pt.q0, pt.t0)
-        return Fraction(M * B * pi_mu(mu, pt), w)
-    return Fraction(htilde_at_alphabet(mu, _m_times(bracket_q(r)), pt), w)
+    h = pleth_h(r, b_one_minus_t(mu), pt)
+    return Fraction((1 - pt.q0**r) * h * pi_mu(mu, pt), w)
 
 
 def _eigenvalue(operator, mu, pt):
@@ -687,7 +695,7 @@ def delta_pairing(n, operators, rhs, pt, r=1):
     """<(product of operators) e_n[X [r]_q], rhs> as a partition sum.
 
     e_n[X [r]_q] = sum over mu of n of (H_mu[M [r]_q] / w_mu) H_mu (the
-    Cauchy identity; at r = 1 the weight is M B_mu Pi_mu / w_mu); each
+    Cauchy identity; the weight is the closed form of ``_en_weight``); each
     operator acts on H_mu by its ``_eigenvalue`` and ``hall_pair`` pairs
     H_mu with rhs.  A term stops at its first zero factor.
     """
@@ -748,17 +756,8 @@ def eigenvalue_degree(operator, mu):
 
 def pairing_degree(mu, rhs):
     """(q_deg, t_deg) of ``hall_pair(mu, rhs, pt)`` as a polynomial, read
-    from the cached point-free pairing; (-1, -1) when it is 0."""
-    tag = rhs[0]
-    if tag == "h":
-        if tuple(rhs[1]) == (sum(mu),):
-            return (0, 0)
-        return htilde_mcoeff(tuple(mu), tuple(rhs[1])).degree()
-    if tag == "eh":
-        return _eh_pairing(tuple(mu), tuple(rhs[1]), tuple(rhs[2])).degree()
-    if tag == "hook":
-        return _hook_pairing(tuple(mu), rhs[1]).degree()
-    raise ValueError(f"unknown pairing {tag!r}")
+    from the cached point-free ``_pairing``; (-1, -1) when it is 0."""
+    return _pairing(tuple(mu), rhs).degree()
 
 
 def _numerator_degree(mu, operators, rhs, r):
@@ -795,7 +794,7 @@ def degree_bound(n, operators, rhs, r=1):
     The degrees add up over the factors of num_mu, each from a closed
     form over the cell statistics, with no symbolic w_mu or Pi_mu built:
     the Cauchy weight's numerator H_mu[M [r]_q] = (1 - q^r) h_r[(1 - t)
-    B_mu] Pi_mu (at r = 1 it is M B_mu Pi_mu), at most (r + r maxq(B_mu)
+    B_mu] Pi_mu, the form ``_en_weight`` computes, at most (r + r maxq(B_mu)
     + n(mu'), r (maxt(B_mu) + 1) + n(mu)); each ``eigenvalue_degree``;
     and the ``pairing_degree``.  A mu whose term ``delta_pairing`` drops
     as zero contributes nothing; (-1, -1) when no term is left.
@@ -927,9 +926,8 @@ def pair_delta_e_d(d, n, pt):
 
 def sum_r_lhs(m, n, k, pt):
     """Sum over r of t^(m-k-r+1) <Delta_{h_(m-k-r+1)} Delta_{e_k}
-    e_n[X [r]_q], e_n> as <nabla F, h_n>, one ``delta_pairing`` row per r.
-    Row r = 1 reads no Macdonald coefficient, so the cap is checked here."""
-    _check_degree(n)
+    e_n[X [r]_q], e_n> as <nabla F, h_n>, one ``delta_pairing`` row per r;
+    no row reads a Macdonald coefficient."""
     return _side("sum_r_lhs", (m, n, k), pt)
 
 
@@ -952,6 +950,5 @@ def reciprocity_side(alpha, beta, pt):
 @lru_cache(maxsize=None)
 def _m_times(alphabet):
     """M times the alphabet, built once per alphabet, so the
-    ``htilde_at_alphabet`` cache keys share one alphabet and its stored
-    hash."""
+    ``htilde_at_alphabet`` cache keys share one object and its hash."""
     return m_alphabet() * alphabet

@@ -1,6 +1,7 @@
 """Bijections: eta, psi, phi/ndinv, the recursive steps, and the
 shuffle <-> two-car map."""
 
+import json
 import random
 
 import pytest
@@ -20,7 +21,13 @@ from qtcomb.bijections import (
     psi_inverse,
     shuffle_recursion_step,
 )
-from qtcomb.families import FamilySpec, generate, qt_enumerator, validate_family
+from qtcomb.families import (
+    FamilySpec,
+    assemble_catalan_pld,
+    generate,
+    qt_enumerator,
+    validate_family,
+)
 from qtcomb.paths import (
     DecoratedLabelledPath,
     DomainError,
@@ -290,6 +297,41 @@ def test_shuffle_maps_past_the_exhaustive_sizes(seed):
     k2, n2 = k - summary["h"], n - summary["s"]
     spec = FamilySpec("shuffle-knm", m=step.size + k2 - n2, n=n2, k=k2)
     assert validate_family(step, spec) == (True, "ok")
+
+
+def _random_catalan_pld_rows(rng):
+    """A catalan-pld row list of 10-12 rows: a zero valley on the diagonal,
+    then zero valleys at any level up to the previous row's and decorated
+    rises one level above it, in random order."""
+    rows, level = [("z", 0)], 0
+    for _ in range(rng.randint(9, 11)):
+        if rng.random() < 0.5:
+            level = rng.randint(0, level)
+            rows.append(("z", level))
+        else:
+            level += 1
+            rows.append(("p", None))
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_ndinv_chain_past_the_exhaustive_sizes(seed):
+    p = assemble_catalan_pld(_random_catalan_pld_rows(random.Random(seed)))
+    w = eta_inverse(p)
+    assert eta(w) == p
+    image = psi(w)
+    assert psi_inverse(image) == w
+    assert image.area() == p.area()
+    assert ndinv(image) == p.dinv()
+    assert image.big_car_composition() == p.zero_composition()
+    assert pld_recursive_step(p) == composite_recursive_step(p)
+    path_json = p.to_json("catalan-pld")
+    back = DecoratedLabelledPath.from_json(json.dumps(path_json))
+    assert back == p and back.to_json("catalan-pld") == path_json
+    word_json = w.to_json()
+    back_word = PolyominoWord.from_json(json.dumps(word_json))
+    assert back_word == w and back_word.to_json() == word_json
 
 
 class TestShuffleStep:

@@ -180,15 +180,33 @@ def test_degree_cap_exits_2(capsys, monkeypatch):
     assert err == "error: degree 3 above the cap 2\n"
 
 
+def test_sum_r_identities_run_past_the_degree_cap(capsys, monkeypatch):
+    # sum_r_lhs reads no Macdonald coefficient, so only reciprocity and
+    # the engine are held at the cap
+    monkeypatch.setattr(macdonald, "DEGREE_CAP", 3)
+    code, _, err = run(
+        capsys, "verify", "identities", "--name", "delta-hh-sum", "--max", "4"
+    )
+    assert code == 0
+    assert err.startswith("21/21 checks passed")
+
+
 def test_missing_input_file(capsys):
     code, _, err = run(capsys, "biject", "--map", "psi", "--in", "/nonexistent.json")
     assert code == 2
 
 
 def test_empty_verify_run_exits_2(capsys):
-    code, out, err = run(capsys, "verify", "ndinv", "--max", "-1")
+    code, out, err = run(capsys, "verify", "identities", "--max", "0")
     assert code == 2 and out == ""
     assert err.startswith("error: no checks ran") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", ["ndinv", "recursion-reconcile", "identities", "all"])
+def test_verify_negative_max_exits_2(capsys, suite):
+    code, out, err = run(capsys, "verify", suite, "--max", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --max must be >= 0, got -1\n"
 
 
 def test_unknown_identity_name_exits_2(capsys):

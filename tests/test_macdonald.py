@@ -345,14 +345,17 @@ def _sum_r_row(m, n, k, r, pt, against_e_n=False):
 class TestCauchyWeight:
     @pytest.mark.parametrize("pt", [EvalPoint(2, 101), EvalPoint(3, 103)])
     def test_r1_weight_is_the_closed_form(self, pt):
-        # H_mu[M] = M B_mu Pi_mu, the form the r = 1 weight is computed by
-        m_times_1 = macdonald._m_times(bracket_q(1))
-        for n in range(1, 7):
-            for mu in partitions_of(n):
-                cauchy = htilde_at_alphabet(mu, m_times_1, pt)
-                assert macdonald._en_weight(mu, 1, pt) == Fraction(
-                    cauchy, w_mu(mu, pt)
-                ), mu
+        # the weight at every r is computed by the closed form (1 - q^r)
+        # h_r[(1 - t) B_mu] Pi_mu; the engine's plethysm H_mu[M [r]_q] must
+        # agree with it (at r = 1 it is M B_mu Pi_mu)
+        for r in range(1, 5):
+            m_times_r = macdonald._m_times(q_int(r))
+            for n in range(1, 7):
+                for mu in partitions_of(n):
+                    cauchy = htilde_at_alphabet(mu, m_times_r, pt)
+                    assert macdonald._en_weight(mu, r, pt) == Fraction(
+                        cauchy, w_mu(mu, pt)
+                    ), (mu, r)
 
     def test_sum_r_rows_match_ghost_pf2_buckets(self):
         rows = [
@@ -374,10 +377,15 @@ class TestCauchyWeight:
                 (max((m + n) * (m + n - 1) // 2, 1),) * 2,
             ), (m, n, k, r)
 
-    def test_sum_r_lhs_checks_the_degree_cap(self, monkeypatch):
+    def test_sum_r_lhs_reads_no_capped_coefficient(self, monkeypatch):
+        # the closed-form weight reads no Macdonald coefficient, so
+        # sum_r_lhs runs past the degree cap at every size
         monkeypatch.setattr(macdonald, "DEGREE_CAP", 2)
-        with pytest.raises(CapacityError):
-            sum_r_lhs(0, 3, 0, PT)
+        pt = EvalPoint(2, 101)
+        for m in range(5):
+            n = 4 - m
+            for k in range(min(m, n) + 1):
+                assert sum_r_lhs(m, n, k, pt) == mid_delta_hn(m, n, k, pt), (m, n, k)
 
 
 GRID_EVALUATORS = [
