@@ -44,9 +44,11 @@ object and its stored hash.  ``DEGREE_CAP`` guards only ``htilde`` and
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import combinations_with_replacement
+from math import factorial, lcm
 
 from qtcomb.qt import (
     CapacityError,
@@ -289,50 +291,74 @@ def _multiset_perms(items):
 
 
 @lru_cache(maxsize=None)
-def _mono_times_mono(alpha, beta):
-    """Expansion of m_alpha * m_beta in the monomial basis."""
-    alpha, beta = Partition(alpha), Partition(beta)
-    d = alpha.size + beta.size
-    width = max(d, 1)
-    out = {}
-    a_vecs = _multiset_perms(list(alpha) + [0] * (width - len(alpha)))
-    b_set = set(_multiset_perms(list(beta) + [0] * (width - len(beta))))
-    for lam in partitions_of(d):
-        if len(lam) > width:
-            continue
-        target = tuple(lam) + (0,) * (width - len(lam))
-        count = 0
-        for av in a_vecs:
-            bv = tuple(x - y for x, y in zip(target, av))
-            if any(x < 0 for x in bv):
+def _row_fillings(basis, a, cols):
+    """The ways to fill one row of sum ``a`` against the column sums
+    ``cols`` (descending, positive), as (left, ways) pairs: the column sums
+    left (descending, zeros dropped) and the number of rows that leave
+    them.  Equal columns are filled as one multiset of entries, counted
+    once per arrangement.  A row of h takes entries >= 0, one of e
+    entries 0/1, one of p a single nonzero entry."""
+    groups = sorted(Counter(cols).items(), reverse=True)
+
+    def entries(v):
+        if basis == "h":
+            return range(min(v, a), -1, -1)
+        if basis == "e":
+            return range(min(v, 1), -1, -1)
+        return (a, 0) if a <= v else (0,)
+
+    def rec(i, budget):
+        if i == len(groups):
+            if not budget:
+                yield (), 1
+            return
+        v, g = groups[i]
+        for taken in combinations_with_replacement(entries(v), g):
+            spent = sum(taken)
+            if spent > budget:
                 continue
-            if bv in b_set:
-                count += 1
-        if count:
-            out[lam] = count
-    return out
+            ways = factorial(g)
+            for x in set(taken):
+                ways //= factorial(taken.count(x))
+            for rest, more in rec(i + 1, budget - spent):
+                yield tuple(v - x for x in taken) + rest, ways * more
+
+    out = Counter()
+    for left, ways in rec(0, a):
+        out[tuple(sorted((c for c in left if c), reverse=True))] += ways
+    return tuple(out.items())
+
+
+@lru_cache(maxsize=None)
+def _matrix_count(basis, rows, cols):
+    """Number of matrices with row sums ``rows`` and column sums ``cols``
+    (descending) whose rows are rows of ``basis`` (see ``_row_fillings``),
+    filled one row at a time.  Equal columns are interchangeable, so the
+    state is the remaining rows and the sorted remaining column sums."""
+    if not rows:
+        return int(not cols)
+    return sum(
+        ways * _matrix_count(basis, rows[1:], left)
+        for left, ways in _row_fillings(basis, rows[0], cols)
+    )
 
 
 @lru_cache(maxsize=None)
 def _basis_elem_to_m(basis, lam):
-    """m-expansion of h_lam, e_lam or p_lam (integer coefficients)."""
+    """m-expansion of h_lam, e_lam or p_lam (integer coefficients).
+
+    The coefficient of m_mu is the number of matrices with row sums lam
+    and column sums mu whose entries are >= 0 for h, 0/1 for e, and for p
+    have one nonzero entry per row, read by ``_matrix_count`` for each
+    mu of |lam|."""
+    if basis not in ("h", "e", "p"):
+        raise ValueError(f"unknown basis {basis!r}")
     lam = Partition(lam)
-    out = {Partition(): 1}
-    for part in lam:
-        if basis == "h":
-            factor = {nu: 1 for nu in partitions_of(part)}
-        elif basis == "e":
-            factor = {Partition([1] * part): 1}
-        elif basis == "p":
-            factor = {Partition([part]): 1}
-        else:
-            raise ValueError(f"unknown basis {basis!r}")
-        new = {}
-        for lam2, c in out.items():
-            for nu, c2 in factor.items():
-                for rho, c3 in _mono_times_mono(tuple(lam2), tuple(nu)).items():
-                    new[rho] = new.get(rho, 0) + c * c2 * c3
-        out = {k: v for k, v in new.items() if v}
+    out = {}
+    for mu in partitions_of(lam.size):
+        count = _matrix_count(basis, tuple(lam), tuple(mu))
+        if count:
+            out[mu] = count
     return out
 
 
@@ -345,16 +371,17 @@ def _basis_to_m_matrix(basis, degree):
 
 @lru_cache(maxsize=None)
 def _m_to_basis_matrix(basis, degree):
-    """Inverse change of basis, with Fraction entries."""
+    """Inverse change of basis, with Fraction entries: the integer matrix
+    of ``_basis_to_m_matrix`` inverted exactly by ``_invert_matrix``."""
     lams = list(partitions_of(degree))
     idx = {lam: i for i, lam in enumerate(lams)}
     size = len(lams)
     forward = _basis_to_m_matrix(basis, degree)
     # rows of A: coordinates (in m) of the basis elements
-    a = [[Fraction(0)] * size for _ in range(size)]
+    a = [[0] * size for _ in range(size)]
     for lam, expansion in forward.items():
         for nu, c in expansion.items():
-            a[idx[lam]][idx[nu]] = Fraction(c)
+            a[idx[lam]][idx[nu]] = c
     inv = _invert_matrix(a)
     out = {}
     # with A[i][j] = coeff of m_j in basis_i, the expansion of m_j over
@@ -367,18 +394,36 @@ def _m_to_basis_matrix(basis, degree):
 
 
 def _invert_matrix(a):
+    """Inverse of the invertible square matrix ``a`` (rows of ints or
+    Fractions), with Fraction entries.
+
+    Gauss-Jordan on sparse rows: an entry stays a Python int while each
+    pivot divides it and becomes a Fraction only where one does not, and
+    a row update touches only the pivot row's nonzero columns."""
     n = len(a)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    aug = [
+        {j: x for j, x in enumerate(row) if x} | {n + i: 1}
+        for i, row in enumerate(a)
+    ]
     for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
+        piv = next(r for r in range(col, n) if col in aug[r])
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+        p = aug[col][col]
+        pivot_row = {
+            j: x // p if not x % p else Fraction(x, p) for j, x in aug[col].items()
+        }
+        aug[col] = pivot_row
+        for r, row in enumerate(aug):
+            f = row.get(col) if r != col else None
+            if not f:
+                continue
+            for j, y in pivot_row.items():
+                v = row.get(j, 0) - f * y
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+    return [[Fraction(row.get(n + j, 0)) for j in range(n)] for row in aug]
 
 
 class SymFun:

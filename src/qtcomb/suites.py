@@ -7,8 +7,9 @@ a fixed order and the comparable portion carries no wall-clock data
 
 Every suite is data: a row generator yields one (instance, checks) pair
 per report row, and ``_rows`` runs every row the same way.  A check is a
-zero-argument thunk that returns None when it holds and a witness string
-when it fails.  A member check walks a materialised family; a grid check,
+zero-argument thunk that returns None when it holds, a witness string
+when it fails, and an ``Inconclusive`` witness when what it ran on does
+not decide it.  A member check walks a materialised family; a grid check,
 ``_grid``, compares two exact evaluators on the (q_deg+1) x (t_deg+1)
 grid of the degree bound (q_deg, t_deg) of their polynomials.  A new
 check is one more thunk in a row, not a new loop.
@@ -68,13 +69,23 @@ class VerificationReport:
         return (self.suite, self.instance, self.status, self.witness)
 
 
+class Inconclusive(str):
+    """The witness of a check that neither holds nor fails: the instances
+    it ran on do not decide it."""
+
+
+def _failed(result):
+    return isinstance(result, str) and not isinstance(result, Inconclusive)
+
+
 def _rows(suite, rows, grid_bound=None):
     """Reports of ``rows``, each an (instance, checks) pair of thunks.  A
     row fails at its first check that returns a witness string, with that
     witness: a difference at a grid point disproves the identity on any
     grid.  Otherwise it is inconclusive when a grid check returned the
     largest entry of a derived bound above ``grid_bound`` (the witness
-    names the largest), or when it has no checks; else it passes.  Each
+    names the largest), when a check returned an ``Inconclusive`` witness
+    (the first such), or when it has no checks; else it passes.  Each
     report is timed from the previous one, so a row's time includes
     building it (a family or an enumerator, say)."""
     reports = []
@@ -83,14 +94,17 @@ def _rows(suite, rows, grid_bound=None):
         results = []
         for check in checks:
             results.append(check())
-            if isinstance(results[-1], str):
+            if _failed(results[-1]):
                 break
         short = [result for result in results if isinstance(result, int)]
-        if results and isinstance(results[-1], str):
+        undecided = [result for result in results if isinstance(result, Inconclusive)]
+        if results and _failed(results[-1]):
             status, witness = "fail", results[-1]
         elif short:
             status = "inconclusive"
             witness = f"grid bound {grid_bound} below derived bound {max(short)}"
+        elif undecided:
+            status, witness = "inconclusive", undecided[0]
         elif results:
             status, witness = "pass", ""
         else:
@@ -198,10 +212,24 @@ def suite_recursion(max_size=5):
         yield (
             f"max_size={max_size} survivors={len(rep.survivors)} "
             f"printed_offsets={'yes' if rep.printed_offsets_survive else 'no'}",
-            [lambda: None if rep.passed else rep.render().replace("\n", "; ")],
+            [partial(_reconciled, rep)],
         )
 
     return _rows("recursion-reconcile", rows())
+
+
+def _reconciled(rep):
+    """None when one convention survives with the bucket sums intact;
+    ``Inconclusive`` when several do, since the instances then single out
+    none of them; else the whole report on one line."""
+    if rep.passed:
+        return None
+    if len(rep.survivors) > 1 and rep.bucket_sums_ok:
+        return Inconclusive(
+            f"{len(rep.survivors)} conventions survive every instance with "
+            f"m+n <= {rep.max_size}"
+        )
+    return rep.render().replace("\n", "; ")
 
 
 # -- grid suites -------------------------------------------------------------

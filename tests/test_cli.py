@@ -202,6 +202,18 @@ def test_empty_verify_run_exits_2(capsys):
     assert err.startswith("error: no checks ran") and err.count("\n") == 1
 
 
+def test_verify_all_at_size_zero_has_no_fail_row(capsys):
+    code, out, err = run(capsys, "verify", "all", "--max", "0")
+    rows = out.splitlines()[1:]
+    assert code == 1 and len(rows) == 10
+    assert not [row for row in rows if '"fail"' in row]
+    assert [row for row in rows if '"pass"' not in row] == [
+        '"recursion-reconcile","max_size=0 survivors=54 printed_offsets=yes",'
+        '"inconclusive","54 conventions survive every instance with m+n <= 0"'
+    ]
+    assert err.startswith("9/10 checks passed, 1 inconclusive")
+
+
 @pytest.mark.parametrize("suite", ["ndinv", "recursion-reconcile", "identities", "all"])
 def test_verify_negative_max_exits_2(capsys, suite):
     code, out, err = run(capsys, "verify", suite, "--max", "-1")

@@ -4,6 +4,7 @@ polynomials, pairings, and the identity evaluators."""
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,8 +233,78 @@ class TestHtilde:
             htilde(Partition((8,)), PT)
 
 
+def _variable_monomials(basis, part, d):
+    """f_part(x_1..x_d) for f = h, e or p, as {exponent vector: coefficient}."""
+    if basis == "h":
+        picks = combinations_with_replacement(range(d), part)
+    elif basis == "e":
+        picks = combinations(range(d), part)
+    else:
+        picks = ((i,) * part for i in range(d))
+    return {tuple(pick.count(i) for i in range(d)): 1 for pick in picks}
+
+
+def _expand_in_variables(basis, lam, d):
+    """The product of f_(lam_i)(x_1..x_d), multiplied out monomial by monomial."""
+    out = {(0,) * d: 1}
+    for part in lam:
+        factor = _variable_monomials(basis, part, d)
+        new = {}
+        for a, c in out.items():
+            for b, c2 in factor.items():
+                key = tuple(x + y for x, y in zip(a, b))
+                new[key] = new.get(key, 0) + c * c2
+        out = new
+    return out
+
+
+def _dominates(lam, mu):
+    """lam >= mu in dominance order (partitions of one size)."""
+    return all(
+        sum(lam[:i]) >= sum(mu[:i]) for i in range(1, max(len(lam), len(mu)) + 1)
+    )
+
+
+class TestTransitionMatrices:
+    """The m-expansions of h, e and p, read by counting matrices, against
+    the product multiplied out in d variables and against classical
+    facts."""
+
+    @pytest.mark.parametrize("d", range(0, 7))
+    def test_against_the_expanded_product(self, d):
+        for basis in ("h", "e", "p"):
+            for lam in partitions_of(d):
+                expanded = _expand_in_variables(basis, lam, d)
+                padded = {mu: mu + (0,) * (d - len(mu)) for mu in partitions_of(d)}
+                want = {mu: expanded[x] for mu, x in padded.items() if x in expanded}
+                assert macdonald._basis_elem_to_m(basis, lam) == want, (basis, lam)
+
+    @pytest.mark.parametrize("d", range(0, 9))
+    def test_classical_facts(self, d):
+        for lam in partitions_of(d):
+            h, e, p = (macdonald._basis_elem_to_m(b, lam) for b in ("h", "e", "p"))
+            lam_t = lam.conjugate()
+            assert p[lam] == prod(factorial(lam.count(i)) for i in set(lam))
+            assert e[lam_t] == 1
+            for mu in partitions_of(d):
+                assert h.get(mu, 0) == macdonald._basis_elem_to_m("h", mu).get(lam, 0)
+                if not _dominates(mu, lam):
+                    assert mu not in p, (lam, mu)
+                if not _dominates(lam_t, mu):
+                    assert mu not in e, (lam, mu)
+
+    def test_inverse_through_a_row_swap_and_pivots_that_do_not_divide(self):
+        inv = macdonald._invert_matrix([[0, 2, 0], [3, 0, 0], [1, 4, 1]])
+        assert inv == [
+            [0, Fraction(1, 3), 0],
+            [Fraction(1, 2), 0, 0],
+            [-2, Fraction(-1, 3), 1],
+        ]
+        assert all(type(x) is Fraction for row in inv for x in row)
+
+
 class TestSymFunConversions:
-    @pytest.mark.parametrize("degree", range(0, 7))
+    @pytest.mark.parametrize("degree", range(0, 9))
     def test_round_trips(self, degree):
         for basis in ("h", "e", "p"):
             for lam in partitions_of(degree):

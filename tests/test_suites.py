@@ -5,7 +5,7 @@ from functools import partial
 from math import prod
 from types import SimpleNamespace
 
-from qtcomb import bijections, macdonald, suites
+from qtcomb import bijections, macdonald, recursion, suites
 from qtcomb.cli import main
 from qtcomb.families import FamilySpec, generate
 from qtcomb.paths import DecoratedLabelledPath
@@ -162,6 +162,57 @@ def test_a_row_with_no_checks_is_not_a_pass():
         ("demo", "empty", "inconclusive", "no checks"),
         ("demo", "one", "pass", ""),
     ]
+
+
+def test_an_undecided_check_leaves_its_row_inconclusive_unless_another_fails():
+    undecided = suites.Inconclusive("too few instances")
+    reports = suites._rows(
+        "demo",
+        [
+            ("undecided", [lambda: None, lambda: undecided, lambda: None]),
+            ("undecided, then fails", [lambda: undecided, lambda: "differs"]),
+        ],
+    )
+    assert [r.row() for r in reports] == [
+        ("demo", "undecided", "inconclusive", "too few instances"),
+        ("demo", "undecided, then fails", "fail", "differs"),
+    ]
+
+
+def test_a_reconciliation_with_several_survivors_is_inconclusive():
+    rows = [suites.suite_recursion(size)[0].row() for size in (0, 1, 2)]
+    assert rows == [
+        (
+            "recursion-reconcile",
+            "max_size=0 survivors=54 printed_offsets=yes",
+            "inconclusive",
+            "54 conventions survive every instance with m+n <= 0",
+        ),
+        (
+            "recursion-reconcile",
+            "max_size=1 survivors=4 printed_offsets=yes",
+            "inconclusive",
+            "4 conventions survive every instance with m+n <= 1",
+        ),
+        (
+            "recursion-reconcile",
+            "max_size=2 survivors=1 printed_offsets=yes",
+            "pass",
+            "",
+        ),
+    ]
+
+
+def test_a_reconciliation_fails_with_no_survivor_or_a_broken_bucket_sum():
+    survivors = recursion.reconcile_recursion(1).survivors
+    for rep in (
+        recursion.ReconcileReport(1, [], {}, True, False, False),
+        recursion.ReconcileReport(1, survivors, {}, False, True, True),
+    ):
+        witness = suites._reconciled(rep)
+        assert not isinstance(witness, suites.Inconclusive)
+        assert witness == rep.render().replace("\n", "; ")
+        assert "overall: FAIL" in witness
 
 
 def _one_failed_row(passing, failing):
