@@ -74,6 +74,8 @@ def _spec_from_args(args):
 
 def cmd_enum(args):
     spec = _spec_from_args(args)
+    if args.qt and args.count:
+        raise UsageError("enum --qt does not take --count")
     if args.qt:
         _write(args.out, _poly_csv(qt_enumerator(spec)))
         return 0
@@ -162,6 +164,11 @@ _CONTRACTS = {
 
 
 def cmd_biject(args):
+    for flag in ("m", "n", "k"):
+        if args.map in ("ehh", "ehh-inv", "shuffle-step"):
+            setattr(args, flag, getattr(args, flag) or 0)
+        elif getattr(args, flag) is not None:
+            raise UsageError(f"biject --map {args.map} does not take --{flag}")
     obj = _load_object(args.infile)
     takes = "polyomino word" if args.map in _WORD_MAPS else "path"
     kind = "polyomino word" if isinstance(obj, PolyominoWord) else "path"
@@ -299,9 +306,9 @@ def build_parser():
     )
     p_biject.add_argument("--map", required=True, choices=sorted(_MAPS))
     p_biject.add_argument("--in", dest="infile", required=True)
-    p_biject.add_argument("--m", type=int, default=0)
-    p_biject.add_argument("--n", type=int, default=0)
-    p_biject.add_argument("--k", type=int, default=0)
+    p_biject.add_argument("--m", type=int)
+    p_biject.add_argument("--n", type=int)
+    p_biject.add_argument("--k", type=int)
     p_biject.set_defaults(func=cmd_biject)
 
     p_verify = sub.add_parser(

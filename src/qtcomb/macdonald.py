@@ -7,6 +7,11 @@ weights), Hall pairings against h-products, e-h products and hook Schur
 functions, and the partition-sum evaluators used for identity
 verification on the prime grid.
 
+The one change of basis is the m<->h/e/p matrices, ``_basis_to_m_matrix``
+(counted) and ``_m_to_basis_matrix`` (inverted exactly); e_k = m_(1^k)
+in h is a row of the second.  Every Hall pairing <H_mu, rhs> sums the
+coefficients of m_lam in H_mu over the h-coordinates of rhs (``_in_h``).
+
 The Delta-type identities are data for one evaluator:
 ``delta_pairing(n, operators, rhs, pt, r=1)`` is the pairing of
 (product of operators) e_n[X [r]_q] with rhs, summed over the Cauchy
@@ -426,60 +431,6 @@ def _invert_matrix(a):
     return [[Fraction(row.get(n + j, 0)) for j in range(n)] for row in aug]
 
 
-class SymFun:
-    """A homogeneous symmetric function as exact coordinates in one of
-    the m / h / e / p bases."""
-
-    __slots__ = ("degree", "basis", "coeffs")
-
-    def __init__(self, degree, basis, coeffs):
-        if basis not in ("m", "h", "e", "p"):
-            raise ValueError(f"unknown basis {basis!r}")
-        self.degree = degree
-        self.basis = basis
-        self.coeffs = {Partition(k): v for k, v in coeffs.items() if v}
-        for lam in self.coeffs:
-            if lam.size != degree:
-                raise DegreeMismatchError("inhomogeneous coefficients")
-
-    def convert_to(self, basis):
-        if basis == self.basis:
-            return self
-        # go through the monomial basis
-        if self.basis == "m":
-            m_coords = self.coeffs
-        else:
-            matrix = _basis_to_m_matrix(self.basis, self.degree)
-            m_coords = {}
-            for lam, c in self.coeffs.items():
-                for nu, c2 in matrix[lam].items():
-                    m_coords[nu] = m_coords.get(nu, 0) + c * c2
-        if basis == "m":
-            return SymFun(self.degree, "m", m_coords)
-        matrix = _m_to_basis_matrix(basis, self.degree)
-        out = {}
-        for lam, c in m_coords.items():
-            for nu, c2 in matrix[lam].items():
-                out[nu] = out.get(nu, 0) + c * c2
-        return SymFun(self.degree, basis, out)
-
-    def coeff(self, lam):
-        return self.coeffs.get(Partition(lam), 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, SymFun):
-            return NotImplemented
-        if self.basis != other.basis:
-            other = other.convert_to(self.basis)
-        return self.degree == other.degree and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        body = " + ".join(
-            f"{c}*{self.basis}{list(lam)}" for lam, c in sorted(self.coeffs.items())
-        )
-        return body or "0"
-
-
 # -- modified Macdonald polynomials ----------------------------------------
 
 
@@ -537,15 +488,14 @@ def htilde_mcoeff(mu, lam):
 
 
 def htilde(mu, pt):
-    """Monomial-basis vector of the modified Macdonald polynomial at a
-    point, as a SymFun with exact coefficients (ints at int points)."""
+    """Monomial-basis coordinates of the modified Macdonald polynomial at
+    a point, {lam: coefficient of m_lam}, exact (ints at int points)."""
     mu = Partition(mu)
     _check_degree(mu.size)
-    coeffs = {
+    return {
         lam: htilde_mcoeff(tuple(mu), tuple(lam)).eval(pt.q0, pt.t0)
         for lam in partitions_of(mu.size)
     }
-    return SymFun(mu.size, "m", coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -594,80 +544,59 @@ def _htilde_at_alphabet(mu, alphabet, pt):
 
 
 @lru_cache(maxsize=None)
-def _e_to_h_signed(k):
-    """e_k as a signed sum of h-products: compositions of k with sign
-    (-1)^(k - length)."""
-    if k == 0:
-        return ((1, ()),)
-    out = []
-
-    def rec(remaining, parts):
-        if remaining == 0:
-            sign = (-1) ** (k - len(parts))
-            out.append((sign, tuple(parts)))
-            return
-        for p in range(1, remaining + 1):
-            rec(remaining - p, parts + [p])
-
-    rec(k, [])
-    return tuple(out)
+def _e_in_h(k):
+    """h-coordinates of e_k, integers: e_k = m_(1^k), so they are the row
+    (1^k) of ``_m_to_basis_matrix("h", k)``."""
+    row = _m_to_basis_matrix("h", k)[Partition((1,) * k)]
+    return {lam: int(c) for lam, c in row.items()}
 
 
-@lru_cache(maxsize=None)
 def _expand_eh_to_h(e_indices, h_indices):
-    """Signed h-partition expansion of a product of e's and h's."""
-    base_h = tuple(x for x in h_indices if x > 0)
-    terms = {tuple(sorted(base_h, reverse=True)): 1}
+    """h-coordinates of a product of e's and h's: the h-coordinates of
+    each e_k multiplied out against the h's."""
+    terms = {tuple(sorted((x for x in h_indices if x > 0), reverse=True)): 1}
     for k in e_indices:
-        if k == 0:
-            continue
         new = {}
-        for sign, comp in _e_to_h_signed(k):
-            for hpart, c in terms.items():
-                key = tuple(sorted(hpart + comp, reverse=True))
-                new[key] = new.get(key, 0) + sign * c
-        terms = {k2: v for k2, v in new.items() if v}
+        for lam, c in _e_in_h(k).items():
+            for hpart, c2 in terms.items():
+                key = tuple(sorted(hpart + lam, reverse=True))
+                new[key] = new.get(key, 0) + c * c2
+        terms = {key: c for key, c in new.items() if c}
     return terms
 
 
 @lru_cache(maxsize=None)
-def _eh_pairing(mu, e_indices, h_indices):
-    """<H_mu, prod e_k prod h_a> as one integer q,t-polynomial: the signed
-    sum of monomial coefficients over the h-expansion of the e's."""
-    mu = Partition(mu)
-    if mu.size != sum(e_indices) + sum(h_indices):
-        raise DegreeMismatchError("degrees differ in Hall pairing")
-    total = QtPolynomial.zero()
-    for hpart, c in _expand_eh_to_h(e_indices, h_indices).items():
-        total += c * htilde_mcoeff(tuple(mu), hpart)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _hook_pairing(mu, r):
-    """<H_mu, s_(n-r, 1^r)> via s_(a,1^b) = sum_i (-1)^i h_(a+i) e_(b-i)."""
-    n = sum(mu)
+def _in_h(rhs, n):
+    """h-coordinates {lam: c} of a pairing's right-hand side of degree n:
+    ("h", nu) is h_nu, ("eh", e_indices, h_indices) the product of e's and
+    h's, ("hook", r) the hook Schur function s_(n-r, 1^r) = sum_i (-1)^i
+    h_(n-r+i) e_(r-i)."""
+    tag = rhs[0]
+    if tag == "h":
+        return {tuple(x for x in rhs[1] if x): 1}
+    if tag == "eh":
+        return _expand_eh_to_h(rhs[1], rhs[2])
+    if tag != "hook":
+        raise ValueError(f"unknown pairing {tag!r}")
+    r = rhs[1]
     if not 0 <= r < n:
         raise DegreeMismatchError("hook column length out of range")
-    total = QtPolynomial.zero()
+    out = {}
     for i in range(r + 1):
-        total += (-1) ** i * _eh_pairing(mu, (r - i,), (n - r + i,))
-    return total
+        for lam, c in _expand_eh_to_h((r - i,), (n - r + i,)).items():
+            out[lam] = out.get(lam, 0) + (-1) ** i * c
+    return {lam: c for lam, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)
 def _pairing(mu, rhs):
-    """<H_mu, rhs> as one point-free integer q,t-polynomial, rhs ("h", nu)
-    | ("eh", e_indices, h_indices) | ("hook", r).  <H_mu, h_n> is 1: the
-    one filling with content (n) has inv = maj = 0."""
-    tag = rhs[0]
-    if tag == "h":
-        return QtPolynomial.one() if rhs[1] == (sum(mu),) else htilde_mcoeff(mu, rhs[1])
-    if tag == "eh":
-        return _eh_pairing(mu, rhs[1], rhs[2])
-    if tag == "hook":
-        return _hook_pairing(mu, rhs[1])
-    raise ValueError(f"unknown pairing {tag!r}")
+    """<H_mu, rhs> as one point-free integer q,t-polynomial: <H_mu, h_lam>
+    is the coefficient of m_lam, summed over the h-coordinates of rhs
+    (``_in_h``)."""
+    total = QtPolynomial.zero()
+    for lam, c in _in_h(rhs, sum(mu)).items():
+        total += c * htilde_mcoeff(mu, lam)
+    return total
 
 
 def hall_pair(mu, rhs, pt):
@@ -681,7 +610,7 @@ def pair_htilde_h(mu, nu, pt):
 
 
 def pair_htilde_eh(mu, e_indices, h_indices, pt):
-    """<H_mu, prod e_k prod h_a> via the signed h-expansion of the e's."""
+    """<H_mu, prod e_k prod h_a> at the point."""
     return hall_pair(mu, ("eh", tuple(e_indices), tuple(h_indices)), pt)
 
 
@@ -972,18 +901,14 @@ def pair_delta_e_d(d, n, pt):
 def sum_r_lhs(m, n, k, pt):
     """Sum over r of t^(m-k-r+1) <Delta_{h_(m-k-r+1)} Delta_{e_k}
     e_n[X [r]_q], e_n> as <nabla F, h_n>, one ``delta_pairing`` row per r;
-    no row reads a Macdonald coefficient."""
+    a row reads only the coefficient 1 of m_(n), which no cap bounds."""
     return _side("sum_r_lhs", (m, n, k), pt)
 
 
 def pair_en_eh(n, d, pt):
-    """<e_n, e_d h_(n-d)> from the classical h-expansion: the only
-    h-product pairing nontrivially with e_n is h_(1^n)."""
-    total = 0
-    for hpart, c in _expand_eh_to_h((d,), (n - d,)).items():
-        if hpart == tuple([1] * n):
-            total += c
-    return total
+    """<e_n, e_d h_(n-d)>: the h_(1^n) coordinate of e_d h_(n-d), since
+    h_(1^n) is the only h-product pairing nontrivially with e_n."""
+    return _in_h(("eh", (d,), (n - d,)), n).get((1,) * n, 0)
 
 
 def reciprocity_side(alpha, beta, pt):

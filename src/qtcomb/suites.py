@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 
 from qtcomb import bijections, macdonald, recursion
@@ -491,12 +490,18 @@ def suite_engine():
 
 def _basis_round_trips():
     """The first monomial function that a round trip through the h, e or
-    p basis does not give back, or None."""
+    p basis does not give back, or None: ``_m_to_basis_matrix`` composed
+    with ``_basis_to_m_matrix`` must be the identity."""
     for d in range(ENGINE_DEGREE + 1):
         for basis in ("h", "e", "p"):
+            to_basis = macdonald._m_to_basis_matrix(basis, d)
+            to_m = macdonald._basis_to_m_matrix(basis, d)
             for lam in partitions_of(d):
-                f = macdonald.SymFun(d, "m", {lam: Fraction(1)})
-                if f.convert_to(basis).convert_to("m") != f:
+                back = {}
+                for nu, c in to_basis[lam].items():
+                    for mu, c2 in to_m[nu].items():
+                        back[mu] = back.get(mu, 0) + c * c2
+                if {mu: c for mu, c in back.items() if c} != {lam: 1}:
                     return f"degree {d} basis {basis} at {tuple(lam)}"
     return None
 

@@ -181,7 +181,7 @@ def test_degree_cap_exits_2(capsys, monkeypatch):
 
 
 def test_sum_r_identities_run_past_the_degree_cap(capsys, monkeypatch):
-    # sum_r_lhs reads no Macdonald coefficient, so only reciprocity and
+    # sum_r_lhs reads no capped Macdonald coefficient, so only reciprocity and
     # the engine are held at the cap
     monkeypatch.setattr(macdonald, "DEGREE_CAP", 3)
     code, _, err = run(
@@ -366,6 +366,35 @@ def test_verify_fixed_suite_refuses_max(capsys, suite):
     code, out, err = run(capsys, "verify", suite, "--max", "3")
     assert code == 2 and out == ""
     assert err == f"error: verify {suite} does not take --max\n"
+
+
+def test_enum_qt_refuses_count(capsys):
+    argv = ("enum", "--family", "pf2", "--m", "1", "--n", "1", "--qt", "--count")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: enum --qt does not take --count\n"
+
+
+@pytest.mark.parametrize(
+    "map_name, flags, named",
+    [
+        ("psi", ("--k", "3", "--m", "9"), "--m"),
+        ("psi-inv", ("--n", "2"), "--n"),
+        ("eta", ("--k", "1"), "--k"),
+        ("eta-inv", ("--m", "0"), "--m"),
+        ("phi", ("--n", "1"), "--n"),
+        ("pld-step", ("--k", "0"), "--k"),
+    ],
+)
+def test_biject_map_refuses_size_flags(tmp_path, capsys, map_name, flags, named):
+    # only ehh, ehh-inv and shuffle-step read --m, --n and --k
+    infile = tmp_path / "obj.json"
+    infile.write_text(json.dumps(_WORD_JSON))
+    code, out, err = run(
+        capsys, "biject", "--map", map_name, "--in", str(infile), *flags
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: biject --map {map_name} does not take {named}\n"
 
 
 @pytest.mark.parametrize(

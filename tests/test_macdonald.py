@@ -4,7 +4,7 @@ polynomials, pairings, and the identity evaluators."""
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +14,6 @@ from qtcomb.families import FamilySpec, qt_enumerator
 from qtcomb.macdonald import (
     CapacityError,
     Partition,
-    SymFun,
     b_alphabet,
     bracket_q,
     delta_lhs_by_content,
@@ -225,8 +224,7 @@ class TestHtilde:
 
     def test_htilde_at_point(self):
         f = htilde(Partition((2,)), PT)
-        assert f.coeff((2,)) == 1
-        assert f.coeff((1, 1)) == 1 + PT.q0
+        assert f == {(2,): 1, (1, 1): 1 + PT.q0}
 
     def test_degree_cap(self):
         with pytest.raises(CapacityError):
@@ -244,10 +242,11 @@ def _variable_monomials(basis, part, d):
     return {tuple(pick.count(i) for i in range(d)): 1 for pick in picks}
 
 
-def _expand_in_variables(basis, lam, d):
-    """The product of f_(lam_i)(x_1..x_d), multiplied out monomial by monomial."""
+def _expand_in_variables(factors, d):
+    """The product of f_part(x_1..x_d) over the (f, part) factors, multiplied
+    out monomial by monomial."""
     out = {(0,) * d: 1}
-    for part in lam:
+    for basis, part in factors:
         factor = _variable_monomials(basis, part, d)
         new = {}
         for a, c in out.items():
@@ -256,6 +255,15 @@ def _expand_in_variables(basis, lam, d):
                 new[key] = new.get(key, 0) + c * c2
         out = new
     return out
+
+
+def _m_coords(factors, d):
+    """m-coordinates of a product of degree d, read off the product
+    multiplied out in d variables: the coefficient of m_mu is that of
+    x^mu."""
+    expanded = _expand_in_variables(factors, d)
+    padded = {mu: mu + (0,) * (d - len(mu)) for mu in partitions_of(d)}
+    return {mu: expanded[x] for mu, x in padded.items() if x in expanded}
 
 
 def _dominates(lam, mu):
@@ -274,9 +282,7 @@ class TestTransitionMatrices:
     def test_against_the_expanded_product(self, d):
         for basis in ("h", "e", "p"):
             for lam in partitions_of(d):
-                expanded = _expand_in_variables(basis, lam, d)
-                padded = {mu: mu + (0,) * (d - len(mu)) for mu in partitions_of(d)}
-                want = {mu: expanded[x] for mu, x in padded.items() if x in expanded}
+                want = _m_coords([(basis, part) for part in lam], d)
                 assert macdonald._basis_elem_to_m(basis, lam) == want, (basis, lam)
 
     @pytest.mark.parametrize("d", range(0, 9))
@@ -303,27 +309,99 @@ class TestTransitionMatrices:
         assert all(type(x) is Fraction for row in inv for x in row)
 
 
+def _apply(matrix, coords):
+    """Coordinates carried through a change of basis whose rows are the
+    images of the basis elements; zero entries dropped."""
+    out = {}
+    for lam, c in coords.items():
+        for nu, c2 in matrix[lam].items():
+            out[nu] = out.get(nu, 0) + c * c2
+    return {nu: c for nu, c in out.items() if c}
+
+
 class TestSymFunConversions:
+    """Symmetric-function coordinates carried between the m basis and the
+    h, e and p bases by the transition matrices."""
+
     @pytest.mark.parametrize("degree", range(0, 9))
     def test_round_trips(self, degree):
         for basis in ("h", "e", "p"):
+            to_basis = macdonald._m_to_basis_matrix(basis, degree)
+            to_m = macdonald._basis_to_m_matrix(basis, degree)
             for lam in partitions_of(degree):
-                f = SymFun(degree, "m", {lam: Fraction(3, 2)})
-                assert f.convert_to(basis).convert_to("m") == f
-                g = SymFun(degree, basis, {lam: Fraction(1)})
-                assert g.convert_to("m").convert_to(basis) == g
+                f = {lam: Fraction(3, 2)}
+                assert _apply(to_m, _apply(to_basis, f)) == f
+                g = {lam: Fraction(1)}
+                assert _apply(to_basis, _apply(to_m, g)) == g
 
     def test_known_expansions(self):
-        # h2 = m2 + m11, e2 = m11, p2 = m2
-        h2 = SymFun(2, "h", {(2,): 1}).convert_to("m")
-        assert h2.coeffs == {Partition((2,)): 1, Partition((1, 1)): 1}
-        e2 = SymFun(2, "e", {(2,): 1}).convert_to("m")
-        assert e2.coeffs == {Partition((1, 1)): 1}
-        m11_p = SymFun(2, "m", {(1, 1): 1}).convert_to("p")
-        assert m11_p.coeffs == {
-            Partition((1, 1)): Fraction(1, 2),
-            Partition((2,)): Fraction(-1, 2),
+        # h2 = m2 + m11, e2 = m11, m11 = (p11 - p2) / 2
+        assert macdonald._basis_to_m_matrix("h", 2)[(2,)] == {(2,): 1, (1, 1): 1}
+        assert macdonald._basis_to_m_matrix("e", 2)[(2,)] == {(1, 1): 1}
+        assert macdonald._m_to_basis_matrix("p", 2)[(1, 1)] == {
+            (1, 1): Fraction(1, 2),
+            (2,): Fraction(-1, 2),
         }
+
+
+def _e_by_compositions(k):
+    """e_k in the h basis by the composition formula: the sum over the
+    compositions alpha of k of (-1)^(k - len(alpha)) h_alpha."""
+    out = {}
+
+    def rec(remaining, parts):
+        if not remaining:
+            key = tuple(sorted(parts, reverse=True))
+            out[key] = out.get(key, 0) + (-1) ** (k - len(parts))
+            return
+        for p in range(1, remaining + 1):
+            rec(remaining - p, parts + [p])
+
+    rec(k, [])
+    return {key: c for key, c in out.items() if c}
+
+
+def _rhs_cases(n):
+    """Every right-hand side of degree n with its factors: each h_nu, each
+    e_j h_a h_b, and each hook (factors None)."""
+    for nu in partitions_of(n):
+        yield ("h", tuple(nu)), [("h", part) for part in nu]
+    for j in range(n + 1):
+        for a in range(n - j + 1):
+            b = n - j - a
+            yield ("eh", (j,), (a, b)), [("e", j), ("h", a), ("h", b)]
+    for r in range(n):
+        yield ("hook", r), None
+
+
+class TestHCoordinates:
+    """The h-coordinates every Hall pairing sums over, against products
+    multiplied out in n variables and the hook Kostka numbers."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_rhs_against_an_independent_expansion(self, n):
+        to_m = macdonald._basis_to_m_matrix("h", n)
+        for rhs, factors in _rhs_cases(n):
+            got = _apply(to_m, macdonald._in_h(rhs, n))
+            if factors is None:
+                # s_(n-r, 1^r) = sum_mu C(len(mu) - 1, r) m_mu
+                want = {
+                    mu: comb(len(mu) - 1, rhs[1])
+                    for mu in partitions_of(n)
+                    if comb(len(mu) - 1, rhs[1])
+                }
+            else:
+                want = _m_coords(factors, n)
+            assert got == want, rhs
+
+    @pytest.mark.parametrize("k", range(0, 9))
+    def test_e_in_h_is_the_composition_formula(self, k):
+        got = macdonald._e_in_h(k)
+        assert got == _e_by_compositions(k)
+        assert all(type(c) is int for c in got.values())
+
+    def test_empty_partition_pairs_h0_to_one(self):
+        assert macdonald._pairing((), ("h", (0,))) == QtPolynomial.one()
 
 
 class TestPairings:
@@ -538,14 +616,6 @@ def _symbolic_eigenvalue(operator, mu):
     return sum(map(_product, pick(_monomials(alphabet), d)), QtPolynomial.zero())
 
 
-def _symbolic_pairing(mu, rhs):
-    if rhs[0] == "h":
-        return htilde_mcoeff(mu, rhs[1]) if mu else QtPolynomial.one()
-    if rhs[0] == "eh":
-        return macdonald._eh_pairing(mu, rhs[1], rhs[2])
-    return macdonald._hook_pairing(mu, rhs[1])
-
-
 @lru_cache(maxsize=None)
 def _symbolic_weight(mu, r):
     """H_mu[M [r]_q], the Cauchy weight's numerator."""
@@ -648,7 +718,7 @@ def _symbolic_row(shift, n, operators, rhs, r):
         num = QtPolynomial.monomial(1, 0, shift) * _symbolic_weight(mu, r)
         for operator in operators:
             num = num * _symbolic_eigenvalue(operator, mu)
-        num = num * _symbolic_pairing(mu, rhs)
+        num = num * macdonald._pairing(mu, rhs)
         for b, row in _packed_product(_pack(num), cofactors[mu]).items():
             total[b] = total.get(b, 0) + row
     return _unpack(total).exact_div(W)
