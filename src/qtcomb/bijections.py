@@ -152,16 +152,26 @@ class DominoSequence:
     __slots__ = ("dominoes",)
 
     def __init__(self, dominoes):
-        self.dominoes = tuple((int(l), int(a)) for l, a in dominoes)
-        d = self.dominoes
+        # one pass reads every domino; the faults it finds are raised after
+        # it, in order: the start, then the labels, then the levels
+        d = []
+        labels_ok = levels_ok = True
+        prev = -1  # the first level must be 0
+        for l, a in dominoes:
+            l, a = int(l), int(a)
+            if l != 1 and l != 2:
+                labels_ok = False
+            if a < 0 or a > prev + 1:
+                levels_ok = False
+            prev = a
+            d.append((l, a))
+        self.dominoes = d = tuple(d)
         if d:
             if d[0] != (2, 0):
                 raise DomainError("domino sequence must start with [2,0]")
-            if any(l not in (1, 2) for l, _ in d):
+            if not labels_ok:
                 raise DomainError("domino labels must be 1 or 2")
-            if d[0][1] != 0 or any(
-                d[i][1] > d[i - 1][1] + 1 or d[i][1] < 0 for i in range(1, len(d))
-            ):
+            if not levels_ok:
                 raise DomainError("domino levels do not form an area word")
 
     @classmethod
@@ -277,7 +287,7 @@ def ndinv(obj, n=None):
     total = 0
     while len(seq):
         if not _phi_block_is_singleton(seq):
-            total += sum(1 for dom in seq.dominoes if dom == (2, 0)) - 1
+            total += seq.dominoes.count((2, 0)) - 1
         seq = phi(seq)
     return total
 
@@ -358,23 +368,24 @@ def ehh_inverse(path, k, n, m):
     _require(
         path, _spec("pf2", m=m, n=n, k=k, ghost=True), "ehh_inverse"
     )
-    # the body below the ghost row, read in place: rows and decorations
-    # are 1-based in the body
-    word, labels = path.area_word[1:], path.labels[1:]
-    decorated = frozenset(i - 1 for i in path.decorated_rises)
-    for i in sorted(decorated):
-        if i < len(word) and word[i] > word[i - 1]:
+    # one pass over the rows below the ghost row, 0-based in the whole
+    # path (so row i is the decorated index i + 1): a decorated row is
+    # dropped, and the 1-car under it, a companion, becomes a small car,
+    # run 0; every other car's label is its run index
+    a, labels, decorated = path.area_word, path.labels, path.decorated_rises
+    word, row_runs = [], []
+    for i in range(1, len(a)):
+        if i + 1 not in decorated:
+            word.append(a[i])
+            row_runs.append(labels[i])
+            continue
+        if i + 1 < len(a) and a[i + 1] > a[i]:
             raise DomainError(
                 "ehh_inverse: more than two consecutive vertical steps"
             )
-        if labels[i - 1] != 2 or labels[i - 2] != 1:
+        if labels[i] != 2 or labels[i - 1] != 1:
             raise DomainError("ehh_inverse: decorated rise not above a 1-car")
-    # a companion (the 1-car under a decorated rise) is a small car, run
-    # 0; every other car's label is its run index
-    companions = {i - 1 for i in decorated}
-    keep = [i for i in range(1, len(word) + 1) if i not in decorated]
-    word = tuple(word[i - 1] for i in keep)
-    row_runs = [0 if i in companions else labels[i - 1] for i in keep]
+        row_runs[-1] = 0
     labels = run_labels(word, row_runs, knm_runs(k, n, m))
     out = DecoratedLabelledPath(word, labels)
     _require(out, _spec("shuffle-knm", m=m, n=n, k=k), "ehh_inverse image")

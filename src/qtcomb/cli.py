@@ -35,11 +35,14 @@ class UsageError(Exception):
 
 
 def _write(out, text):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"{out}: cannot write: {exc.strerror or exc}") from exc
 
 
 def _poly_csv(poly):
@@ -94,11 +97,13 @@ def cmd_enum(args):
 
 
 def _load_object(path):
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise UsageError(f"{path}: not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise UsageError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise UsageError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise UsageError(
             f"{path}: expected a JSON object, got {type(obj).__name__}"
@@ -345,7 +350,6 @@ def main(argv=None):
         DomainError,
         InvalidPathError,
         CapacityError,
-        FileNotFoundError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

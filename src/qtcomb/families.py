@@ -196,9 +196,10 @@ def _labelled_paths(size, multiset, runs=(), min_rises=0):
 
     def fits(v, a):
         index, increasing = run_of[v]
-        return all(
-            ((u < v) == increasing) == (level <= a) for level, u in placed[index]
-        )
+        for level, u in placed[index]:
+            if ((u < v) == increasing) != (level <= a):
+                return False
+        return True
 
     def rec(i, rises, above):
         # ``above``: labels still to place that are above the smallest value

@@ -11,6 +11,13 @@ each row takes the next label of its run in reading order, and
 polyominoes are area words over the doubled alphabet
 0 < 0b < 1 < 1b < 2 < ... (b marks a barred letter), with the ghost
 letter 0 at index 0.  Step-grid geometry is derived, not stored.
+
+The constructors' checks, ``word_in_runs`` and ``polyomino_encode`` walk
+their rows once.  Their earlier forms are kept as references in
+tests/test_paths.py (``reference_validate``, ``reference_word_validate``,
+``reference_word_in_runs``, ``reference_encode``), which require the
+same answer, exception class and message on every small input, valid or
+not; ``dinv_pairs`` stays here as the reference of ``dinv``.
 """
 
 from __future__ import annotations
@@ -80,31 +87,48 @@ class DecoratedLabelledPath:
         self._validate()
 
     def _validate(self):
-        a = self.area_word
+        """Raise the first fault in this order: the start of the area word,
+        its steps, the label count, the label signs, the label columns, the
+        decorations and the ghost row.  One loop over the rows checks the
+        steps and notes the first column fault, which is raised only once
+        the steps, the label count and the signs have passed."""
+        a, labels = self.area_word, self.labels
         n = len(a)
         if n and a[0] != 0:
             raise InvalidPathError("area word must start with 0")
-        for row, (prev, x) in enumerate(zip(a, a[1:]), start=2):
-            if x < 0 or x > prev + 1:
-                raise InvalidPathError(f"area word steps by more than +1 at row {row}")
-        labels = self.labels
+        column = 0  # first row whose label is not above the label below it
+        if labels is None or len(labels) != n:
+            prev = 0
+            for row, x in enumerate(a, 1):
+                if x < 0 or x > prev + 1:
+                    raise InvalidPathError(f"area word steps by more than +1 at row {row}")
+                prev = x
+        else:
+            prev = below = 0
+            for row, (x, label) in enumerate(zip(a, labels), 1):
+                if x > prev:
+                    if x > prev + 1:
+                        raise InvalidPathError(
+                            f"area word steps by more than +1 at row {row}"
+                        )
+                    if label <= below and not column:
+                        column = row
+                elif x < 0:
+                    raise InvalidPathError(f"area word steps by more than +1 at row {row}")
+                prev, below = x, label
         if labels is not None:
             if len(labels) != n:
                 raise InvalidPathError("labels length differs from area word")
-            if any(l < 0 for l in labels):
+            if labels and min(labels) < 0:
                 raise InvalidPathError("labels must be non-negative")
-            for row, (prev, x, below, label) in enumerate(
-                zip(a, a[1:], labels, labels[1:]), start=2
-            ):
-                if x == prev + 1 and label <= below:
-                    raise InvalidPathError(
-                        f"labels not strictly increasing in column at row {row}"
-                    )
-        if self.decorated_rises:
-            rises = self.rises()
-            for i in self.decorated_rises:
-                if i not in rises:
-                    raise InvalidPathError(f"decorated index {i} is not a rise")
+            if column:
+                raise InvalidPathError(
+                    f"labels not strictly increasing in column at row {column}"
+                )
+        for i in self.decorated_rises:
+            # row i is a rise: 1 < i <= n and a_i > a_{i-1}
+            if not 1 < i <= n or a[i - 1] <= a[i - 2]:
+                raise InvalidPathError(f"decorated index {i} is not a rise")
         if self.ghost_row:
             if labels is None or n == 0:
                 raise InvalidPathError("ghost row requires a labelled row 1")
@@ -133,9 +157,14 @@ class DecoratedLabelledPath:
 
     def zero_valleys(self):
         """Valleys carrying the label 0."""
-        if self.labels is None:
+        a, labels = self.area_word, self.labels
+        if labels is None:
             return frozenset()
-        return frozenset(i for i in self.valleys() if self.labels[i - 1] == 0)
+        return frozenset(
+            i + 1
+            for i in range(len(a))
+            if labels[i] == 0 and (i == 0 or a[i] <= a[i - 1])
+        )
 
     def positive_rows(self):
         if self.labels is None:
@@ -177,14 +206,19 @@ class DecoratedLabelledPath:
             return count
         labels_at = {}  # level -> labels of the rows so far at that level
         for x, u in zip(a, l):
+            above = labels_at.get(x + 1)
+            if above:
+                for v in above:
+                    if v > u:
+                        count += 1
             same = labels_at.get(x)
             if same is None:
-                same = labels_at[x] = []
-            for v in same:
-                count += v < u
-            for v in labels_at.get(x + 1, ()):
-                count += v > u
-            same.append(u)
+                labels_at[x] = [u]
+            else:
+                for v in same:
+                    if v < u:
+                        count += 1
+                same.append(u)
         return count
 
     def reading_word(self):
@@ -194,7 +228,7 @@ class DecoratedLabelledPath:
         a, labels = self.area_word, self.labels
         # rows by (level, row): a stable sort on the level
         rows = sorted(range(len(a)), key=a.__getitem__)
-        return tuple(labels[i] for i in rows if labels[i] > 0)
+        return tuple([labels[i] for i in rows if labels[i] > 0])
 
     def zero_composition(self):
         """Groups of 0-labels split at the 0-labels on the main diagonal."""
@@ -300,12 +334,6 @@ class DecoratedLabelledPath:
 # -- polyomino words --------------------------------------------------
 
 
-def _letter_key(letter):
-    """Rank of a letter in the order 0 < 0b < 1 < 1b < 2 < ..."""
-    v, barred = letter
-    return 2 * v + (1 if barred else 0)
-
-
 def letter_successor(letter):
     v, barred = letter
     return (v + 1, False) if barred else (v, True)
@@ -322,26 +350,38 @@ class PolyominoWord:
     __slots__ = ("letters", "decorated_rises")
 
     def __init__(self, letters, decorated_rises=()):
-        self.letters = tuple((int(v), bool(b)) for v, b in letters)
+        self.letters = tuple([(int(v), bool(b)) for v, b in letters])
         self.decorated_rises = frozenset(decorated_rises)
         self._validate()
 
     def _validate(self):
+        """Raise the first fault in this order: an empty word, the first
+        letter, a negative value, a letter past the successor of the one
+        before it, a decoration; one loop over the letters finds the
+        middle two."""
         w = self.letters
         if not w:
             raise InvalidPathError("polyomino word cannot be empty")
         if w[0] != (0, False):
             raise InvalidPathError("first letter must be the unbarred 0")
-        if any(v < 0 for v, _ in w):
+        negative, jump = False, 0  # jump: first letter past its successor
+        prev = 0  # rank of the letter before, in 0 < 0b < 1 < 1b < ...
+        for i, (v, barred) in enumerate(w):
+            rank = 2 * v + barred
+            if v < 0:
+                negative = True
+            elif rank > prev + 1 and not jump:
+                jump = i
+            prev = rank
+        if negative:
             raise InvalidPathError("letter values must be non-negative")
-        for i in range(1, len(w)):
-            if _letter_key(w[i]) > _letter_key(w[i - 1]) + 1:
-                raise InvalidPathError(
-                    f"letter {i} exceeds the successor of letter {i - 1}"
-                )
-        rises = self.rises()
+        if jump:
+            raise InvalidPathError(
+                f"letter {jump} exceeds the successor of letter {jump - 1}"
+            )
         for i in self.decorated_rises:
-            if i not in rises:
+            # letter i is a rise: 0 < i < len(w) and v_i > v_{i-1}
+            if not 0 < i < len(w) or w[i][0] <= w[i - 1][0]:
                 raise InvalidPathError(f"decorated index {i} is not a rise")
 
     @property
@@ -506,42 +546,36 @@ def polyomino_encode(paths, decorated_rises=()):
     diagonals.  Labels are read by sweeping the slope -1 lines x + y = d
     through the step endpoints, red label before green at ties.
     """
-    cells = paths.cells()
-
-    green_events = [(0, 0)]  # ghost step ends at the origin
-    x = y = 0
-    for step in paths.green:
+    gh, rh = paths.green_heights(), paths.red_heights()
+    # squares of each row, then those no diagonal crosses: column c holds
+    # the squares gh[c] <= y < rh[c], and each square lies on one diagonal
+    missed = [0] * paths.n
+    for g, r in zip(gh, rh):
+        for y in range(g, r):
+            missed[y] += 1
+    # (x + y, 0 for red and 1 for green, letter): the endpoints of one
+    # path have distinct x + y, so a plain sort sweeps them in order
+    events = []
+    x, y = -1, 0  # the ghost step from (-1, 0) ends at the origin
+    for step in "E" + paths.green:
         if step == "N":
             y += 1
-        else:
-            x += 1
-            green_events.append((x, y))
-
-    red_tops = []
+            continue
+        x += 1
+        v = 0
+        while x - 1 - v >= 0 and gh[x - 1 - v] <= y + v < rh[x - 1 - v]:
+            missed[y + v] -= 1
+            v += 1
+        events.append((x + y, 1, (v, False)))
     x = y = 0
     for step in paths.red:
-        if step == "N":
-            y += 1
-            red_tops.append((x, y))
-        else:
+        if step == "E":
             x += 1
-
-    crossed = set()
-    events = []
-    for gx, gy in green_events:
-        v = 0
-        while (gx - 1 - v, gy + v) in cells:
-            crossed.add((gx - 1 - v, gy + v))
-            v += 1
-        events.append((gx + gy, 1, (v, False)))
-    for rx, ry in red_tops:
-        dots = sum(
-            1 for c in range(paths.m) if (c, ry - 1) in cells and (c, ry - 1) not in crossed
-        )
-        events.append((rx + ry, 0, (dots, True)))
-
-    events.sort(key=lambda e: (e[0], e[1]))
-    return PolyominoWord([e[2] for e in events], decorated_rises)
+        else:
+            y += 1
+            events.append((x + y, 0, (missed[y - 1], True)))
+    events.sort()
+    return PolyominoWord([letter for _, _, letter in events], decorated_rises)
 
 
 def polyomino_decode(word):
@@ -595,13 +629,17 @@ def polyomino_decode(word):
 
 def word_in_runs(word, runs):
     """True iff, for every (lo, hi, increasing) run, the subsequence of
-    values in [lo, hi] is exactly lo..hi in the stated direction."""
+    values in [lo, hi] is exactly lo..hi in the stated direction: one
+    scan of the word per run, each value in the run matched against the
+    next label the run expects."""
     for lo, hi, increasing in runs:
-        sub = [x for x in word if lo <= x <= hi]
-        want = list(range(lo, hi + 1))
-        if not increasing:
-            want.reverse()
-        if sub != want:
+        want, step = (lo, 1) if increasing else (hi, -1)
+        for x in word:
+            if lo <= x <= hi:
+                if x != want:
+                    return False
+                want += step
+        if lo <= want <= hi:  # a label of the run never came
             return False
     return True
 

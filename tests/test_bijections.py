@@ -3,6 +3,7 @@ shuffle <-> two-car map."""
 
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -377,3 +378,39 @@ class TestShuffleStep:
                         u = summary["h"] + summary["level1_big"]
                         n2 = n - summary["s"]
                         assert shuffle_bucket_index(img, n2, "nonghost") == u - 1
+
+
+def reference_dominoes(dominoes):
+    """``DominoSequence.__init__`` written check by check: the reference
+    for the one-pass constructor."""
+    d = tuple((int(l), int(a)) for l, a in dominoes)
+    if d:
+        if d[0] != (2, 0):
+            raise DomainError("domino sequence must start with [2,0]")
+        if any(l not in (1, 2) for l, _ in d):
+            raise DomainError("domino labels must be 1 or 2")
+        if d[0][1] != 0 or any(
+            d[i][1] > d[i - 1][1] + 1 or d[i][1] < 0 for i in range(1, len(d))
+        ):
+            raise DomainError("domino levels do not form an area word")
+    return d
+
+
+def test_domino_sequence_raises_as_the_reference_does():
+    # every sequence of up to four dominoes with labels 0..2 and levels
+    # -1..2: bad labels and bad levels, alone and mixed, in every order
+    dominoes = list(product(range(3), range(-1, 3)))
+    messages = set()
+    for length in range(5):
+        for seq in product(dominoes, repeat=length):
+            try:
+                want = reference_dominoes(seq)
+            except DomainError as exc:
+                want = str(exc)
+                messages.add(want)
+            try:
+                got = DominoSequence(seq).dominoes
+            except DomainError as exc:
+                got = str(exc)
+            assert got == want, seq
+    assert len(messages) == 3

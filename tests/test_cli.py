@@ -194,6 +194,20 @@ def test_sum_r_identities_run_past_the_degree_cap(capsys, monkeypatch):
 def test_missing_input_file(capsys):
     code, _, err = run(capsys, "biject", "--map", "psi", "--in", "/nonexistent.json")
     assert code == 2
+    assert err == "error: /nonexistent.json: cannot read: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("biject", "--map", "psi", "--in"), "cannot read: Is a directory"),
+        (("verify", "ehh", "--max", "1", "--out"), "cannot write: Is a directory"),
+    ],
+)
+def test_a_directory_for_a_file_exits_2(tmp_path, capsys, argv, message):
+    code, out, err = run(capsys, *argv, str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"error: {tmp_path}: {message}\n"
 
 
 def test_empty_verify_run_exits_2(capsys):

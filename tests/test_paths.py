@@ -1,6 +1,6 @@
 """Path objects, statistics, compositions, and the polyomino codec."""
 
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -17,6 +17,7 @@ from qtcomb.paths import (
     polyomino_decode,
     polyomino_encode,
     run_labels,
+    two_shuffle_runs,
     word_in_runs,
 )
 
@@ -348,3 +349,255 @@ def test_first_of_two_faults_is_raised(args, message):
     with pytest.raises(InvalidPathError) as info:
         DecoratedLabelledPath(*args)
     assert str(info.value) == message
+
+
+# -- the one-pass kernels against their earlier forms ---------------------
+#
+# Each reference below is the kernel as it was written before it became
+# one loop per check; the rewrites must raise the same exception class
+# with the same message, or give the same answer, on every input listed.
+
+
+def reference_validate(a, labels, decorated, ghost):
+    """``DecoratedLabelledPath._validate`` written check by check."""
+    n = len(a)
+    if n and a[0] != 0:
+        raise InvalidPathError("area word must start with 0")
+    for row, (prev, x) in enumerate(zip(a, a[1:]), start=2):
+        if x < 0 or x > prev + 1:
+            raise InvalidPathError(f"area word steps by more than +1 at row {row}")
+    if labels is not None:
+        if len(labels) != n:
+            raise InvalidPathError("labels length differs from area word")
+        if any(l < 0 for l in labels):
+            raise InvalidPathError("labels must be non-negative")
+        for row, (prev, x, below, label) in enumerate(
+            zip(a, a[1:], labels, labels[1:]), start=2
+        ):
+            if x == prev + 1 and label <= below:
+                raise InvalidPathError(
+                    f"labels not strictly increasing in column at row {row}"
+                )
+    if decorated:
+        rises = frozenset(i + 1 for i in range(1, len(a)) if a[i] > a[i - 1])
+        for i in decorated:
+            if i not in rises:
+                raise InvalidPathError(f"decorated index {i} is not a rise")
+    if ghost:
+        if labels is None or n == 0:
+            raise InvalidPathError("ghost row requires a labelled row 1")
+        if labels[0] != 2 or a[0] != 0:
+            raise InvalidPathError("ghost row must be the car 2 at level 0")
+
+
+def reference_word_in_runs(word, runs):
+    for lo, hi, increasing in runs:
+        sub = [x for x in word if lo <= x <= hi]
+        want = list(range(lo, hi + 1))
+        if not increasing:
+            want.reverse()
+        if sub != want:
+            return False
+    return True
+
+
+def reference_word_validate(w, decorated):
+    """``PolyominoWord._validate`` written check by check."""
+
+    def key(letter):
+        v, barred = letter
+        return 2 * v + (1 if barred else 0)
+
+    if not w:
+        raise InvalidPathError("polyomino word cannot be empty")
+    if w[0] != (0, False):
+        raise InvalidPathError("first letter must be the unbarred 0")
+    if any(v < 0 for v, _ in w):
+        raise InvalidPathError("letter values must be non-negative")
+    for i in range(1, len(w)):
+        if key(w[i]) > key(w[i - 1]) + 1:
+            raise InvalidPathError(f"letter {i} exceeds the successor of letter {i - 1}")
+    rises = frozenset(i for i in range(1, len(w)) if w[i][0] > w[i - 1][0])
+    for i in decorated:
+        if i not in rises:
+            raise InvalidPathError(f"decorated index {i} is not a rise")
+
+
+def reference_encode(paths):
+    """``polyomino_encode`` over the set of squares of the polyomino."""
+    cells = paths.cells()
+    green_events = [(0, 0)]
+    x = y = 0
+    for step in paths.green:
+        if step == "N":
+            y += 1
+        else:
+            x += 1
+            green_events.append((x, y))
+    red_tops = []
+    x = y = 0
+    for step in paths.red:
+        if step == "N":
+            y += 1
+            red_tops.append((x, y))
+        else:
+            x += 1
+    crossed = set()
+    events = []
+    for gx, gy in green_events:
+        v = 0
+        while (gx - 1 - v, gy + v) in cells:
+            crossed.add((gx - 1 - v, gy + v))
+            v += 1
+        events.append((gx + gy, 1, (v, False)))
+    for rx, ry in red_tops:
+        dots = sum(
+            1
+            for c in range(paths.m)
+            if (c, ry - 1) in cells and (c, ry - 1) not in crossed
+        )
+        events.append((rx + ry, 0, (dots, True)))
+    events.sort(key=lambda e: (e[0], e[1]))
+    return PolyominoWord([e[2] for e in events])
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` did: its value, or its exception class and
+    message."""
+    try:
+        return "returned", fn(*args)
+    except Exception as exc:  # the class is part of what is compared
+        return type(exc), str(exc)
+
+
+def _faulty_area_words(n):
+    """Every area word of size n; every valid prefix followed by a step to
+    -1 or one of +2, then zeros; and the starts -1 and 1."""
+    if not n:
+        yield ()
+        return
+    yield from ((x,) + (0,) * (n - 1) for x in (-1, 1))
+
+    def rec(word):
+        if len(word) == n:
+            yield word
+            return
+        top = word[-1] + 1
+        for x in range(top + 1):
+            yield from rec(word + (x,))
+        for x in (-1, top + 1):
+            yield word + (x,) + (0,) * (n - len(word) - 1)
+
+    yield from rec((0,))
+
+
+def test_validate_raises_as_the_reference_does():
+    # label tuples: every one over -1..3 up to size 4 and over {-1, 1, 2}
+    # at size 5, plus none and one of the wrong length; decorations: every
+    # set of at most three indices in 0..n+1 on three labellings; a ghost
+    # row or none on each
+    faults = set()
+    for n in range(6):
+        values = (-1, 0, 1, 2, 3) if n <= 4 else (-1, 1, 2)
+        labellings = [None, (1,) * (n + 1), *product(values, repeat=n)]
+        firm = tuple(range(1, n + 1))
+        decorations = [d for r in range(4) for d in combinations(range(n + 2), r)]
+        for word in _faulty_area_words(n):
+            cases = [(labels, ()) for labels in labellings]
+            cases += [
+                (labels, dec)
+                for dec in decorations
+                for labels in (None, firm, (2,) + firm[1:])
+            ]
+            for labels, dec in cases:
+                for ghost in (False, True):
+                    got = _outcome(DecoratedLabelledPath, word, labels, dec, ghost)
+                    want = _outcome(
+                        reference_validate, word, labels, frozenset(dec), ghost
+                    )
+                    assert got[0] == want[0] and (
+                        got[0] == "returned" or got[1] == want[1]
+                    ), (word, labels, dec, ghost)
+                    faults.add(str(want[1]).split(" at row")[0])
+    # every check was reached, decorated index 0, 1 and n+1 included
+    assert {
+        "area word must start with 0",
+        "area word steps by more than +1",
+        "labels length differs from area word",
+        "labels must be non-negative",
+        "labels not strictly increasing in column",
+        "decorated index 0 is not a rise",
+        "decorated index 1 is not a rise",
+        "decorated index 6 is not a rise",
+        "decorated index 3 is not a rise",
+        "ghost row requires a labelled row 1",
+        "ghost row must be the car 2 at level 0",
+    } <= faults
+
+
+def test_word_in_runs_answers_as_the_reference_does():
+    # every permutation of 1..N and every word of length <= 4 over 1..6,
+    # against the runs of every (k,n,m)-shuffle and two-shuffle of size N
+    short = [w for length in range(5) for w in product(range(1, 7), repeat=length)]
+    checked = accepted = 0
+    for size in range(7):
+        runs_list = [
+            knm_runs(k, n, m)
+            for k in range(size + 1)
+            for n in range(k, size + k + 1)
+            for m in range(k, size + k + 1)
+            if m + n - k == size
+        ]
+        runs_list += [two_shuffle_runs(m, size - m) for m in range(size + 1)]
+        for word in [*permutations(range(1, size + 1)), *short]:
+            for runs in runs_list:
+                want = reference_word_in_runs(word, runs)
+                assert word_in_runs(word, runs) == want, (word, runs)
+                checked += 1
+                accepted += want
+    assert accepted and checked > 50000
+
+
+def test_polyomino_word_validate_raises_as_the_reference_does():
+    letters = [(v, b) for v in (-1, 0, 1, 2) for b in (False, True)]
+    for length in range(5):
+        decorations = [
+            d for r in range(3) for d in combinations(range(-1, length + 1), r)
+        ]
+        for w in product(letters, repeat=length):
+            for dec in decorations:
+                got = _outcome(PolyominoWord, w, dec)
+                want = _outcome(reference_word_validate, w, frozenset(dec))
+                assert got[0] == want[0] and (
+                    got[0] == "returned" or got[1] == want[1]
+                ), (w, dec)
+
+
+def test_encode_matches_the_reference_on_every_path_pair():
+    pairs = 0
+    for m in range(8):
+        for n in range(9 - m):
+            strings = [
+                "".join("E" if i in east else "N" for i in range(m + n))
+                for east in combinations(range(m + n), m)
+            ]
+            for red in strings:
+                for green in strings:
+                    try:
+                        paths = PolyominoPaths(m, n, red, green)
+                    except GeometryError:
+                        continue
+                    assert polyomino_encode(paths) == reference_encode(paths), paths
+                    pairs += 1
+    assert pairs > 1000
+
+
+def test_zero_valleys_are_the_valleys_labelled_zero():
+    from qtcomb.families import FamilySpec, generate, partitions
+
+    for m in range(4):
+        for n in range(1, 5 - m):
+            for lam in partitions(n):
+                for p in generate(FamilySpec("pld" if m else "ld", m=m, n=n, content=lam)):
+                    want = frozenset(i for i in p.valleys() if p.labels[i - 1] == 0)
+                    assert p.zero_valleys() == want, p

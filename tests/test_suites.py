@@ -259,6 +259,67 @@ def test_ehh_row_keeps_its_key_when_a_member_fails(monkeypatch):
     )
 
 
+def _ehh_row(k, n, m):
+    members = len(list(generate(FamilySpec("shuffle-knm", m=m, n=n, k=k))))
+    return f"k={k} n={n} m={m} members={members}"
+
+
+def test_ehh_row_fails_at_a_member_sent_where_another_went(monkeypatch):
+    family = list(generate(FamilySpec("shuffle-knm", m=2, n=2, k=1)))
+    first, target = family[0], family[3]
+    forward = bijections.ehh_forward
+
+    def collide_on_target(path, k, n, m):
+        hit = (path, k, n, m) == (target, 1, 2, 2)
+        return forward(first if hit else path, k, n, m)
+
+    passing = suites.suite_ehh(max_size=3)
+    monkeypatch.setattr(bijections, "ehh_forward", collide_on_target)
+    row = _one_failed_row(passing, suites.suite_ehh(max_size=3))
+    assert row == ("ehh", _ehh_row(1, 2, 2), "fail", f"not injective at {target!r}")
+
+
+def _pf2_generator(edit):
+    """``generate`` with ``edit`` applied to the members of the decorated
+    two-car family with k=1, n=2, m=2, and every other family as it is."""
+
+    def patched(spec):
+        members = generate(spec)
+        if spec == FamilySpec("pf2", m=2, n=2, k=1, ghost=True):
+            return edit(list(members))
+        return members
+
+    return patched
+
+
+def test_ehh_row_fails_at_an_image_the_two_car_generator_drops(monkeypatch):
+    pf2 = list(generate(FamilySpec("pf2", m=2, n=2, k=1, ghost=True)))
+    dropped = pf2[5]
+    [source] = [
+        path
+        for path in generate(FamilySpec("shuffle-knm", m=2, n=2, k=1))
+        if bijections.ehh_forward(path, 1, 2, 2) == dropped
+    ]
+    passing = suites.suite_ehh(max_size=3)
+    monkeypatch.setattr(
+        suites, "generate", _pf2_generator(lambda ms: [p for p in ms if p != dropped])
+    )
+    row = _one_failed_row(passing, suites.suite_ehh(max_size=3))
+    witness = f"image not generated as a pf2 member at {source!r}"
+    assert row == ("ehh", _ehh_row(1, 2, 2), "fail", witness)
+
+
+def test_ehh_row_fails_at_a_two_car_member_no_image_reaches(monkeypatch):
+    # a member generated twice: the second copy is reached by no path
+    pf2 = list(generate(FamilySpec("pf2", m=2, n=2, k=1, ghost=True)))
+    twice = pf2[2]
+    passing = suites.suite_ehh(max_size=3)
+    monkeypatch.setattr(suites, "generate", _pf2_generator(lambda ms: ms + [twice]))
+    row = _one_failed_row(passing, suites.suite_ehh(max_size=3))
+    witness = f"pf2 member not reached: {twice!r}"
+    assert row == ("ehh", _ehh_row(1, 2, 2), "fail", witness)
+
+
 def test_example_witness_names_what_it_got(monkeypatch):
     # the worked path without its last row: composition (3, 1, 2)
     short = DecoratedLabelledPath(
