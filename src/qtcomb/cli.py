@@ -2,8 +2,8 @@
 and the verification suites.
 
 Exit codes: 0 all passed, 1 a verification or transport contract failed
-or a ``verify`` row was inconclusive (checked on a grid below its derived
-degree bound), 2 usage or domain error, or a size past a capacity cap.
+or a ``verify`` row was inconclusive, 2 usage or domain error, or a size
+past a capacity cap.
 Output is deterministic for fixed flags.
 """
 
@@ -137,52 +137,72 @@ def _stats(obj):
     return out
 
 
+#: The maps of ``biject``: name -> (function, input kind, sizes,
+#: contract).  The function takes the object, then --k, --n and --m when
+#: ``sizes`` is True, and gives the image and a summary or None.  The
+#: contract, (dinv kept, area kept), is checked on the image.
 _MAPS = {
-    "eta": lambda obj, args: bijections.eta(obj),
-    "eta-inv": lambda obj, args: bijections.eta_inverse(obj),
-    "psi": lambda obj, args: bijections.psi(obj),
-    "psi-inv": lambda obj, args: bijections.psi_inverse(obj),
-    "phi": lambda obj, args: bijections.phi(
-        bijections.DominoSequence.from_path(obj)
-    ).to_path(),
-    "ehh": lambda obj, args: bijections.ehh_forward(obj, args.k, args.n, args.m),
-    "ehh-inv": lambda obj, args: bijections.ehh_inverse(obj, args.k, args.n, args.m),
-    "pld-step": lambda obj, args: bijections.pld_recursive_step(obj),
-    "shuffle-step": lambda obj, args: bijections.shuffle_recursion_step(
-        obj, args.k, args.n, args.m
+    "eta": (
+        lambda w: (bijections.eta(w), None), "polyomino word", False, (False, True)
     ),
-}
-
-# the maps that take a polyomino word; every other map takes a path
-_WORD_MAPS = ("eta", "psi")
-
-# transport contracts checked after applying a map: (dinv preserved,
-# area preserved)
-_CONTRACTS = {
-    "psi": (True, True),
-    "psi-inv": (True, True),
-    "eta-inv": (False, True),
-    "eta": (False, True),
-    "ehh": (True, True),
-    "ehh-inv": (True, True),
+    "eta-inv": (
+        lambda p: (bijections.eta_inverse(p), None), "path", False, (False, True)
+    ),
+    "psi": (
+        lambda w: (bijections.psi(w), None), "polyomino word", False, (True, True)
+    ),
+    "psi-inv": (
+        lambda p: (bijections.psi_inverse(p), None), "path", False, (True, True)
+    ),
+    "phi": (
+        lambda p: (
+            bijections.phi(bijections.DominoSequence.from_path(p)).to_path(),
+            None,
+        ),
+        "path",
+        False,
+        (False, False),
+    ),
+    "ehh": (
+        lambda p, *knm: (bijections.ehh_forward(p, *knm), None),
+        "path",
+        True,
+        (True, True),
+    ),
+    "ehh-inv": (
+        lambda p, *knm: (bijections.ehh_inverse(p, *knm), None),
+        "path",
+        True,
+        (True, True),
+    ),
+    "pld-step": (
+        lambda p: (bijections.pld_recursive_step(p), None),
+        "path",
+        False,
+        (False, False),
+    ),
+    "shuffle-step": (
+        lambda p, *knm: bijections.shuffle_recursion_step(p, *knm),
+        "path",
+        True,
+        (False, False),
+    ),
 }
 
 
 def cmd_biject(args):
+    fn, takes, sized, (keep_dinv, keep_area) = _MAPS[args.map]
     for flag in ("m", "n", "k"):
-        if args.map in ("ehh", "ehh-inv", "shuffle-step"):
-            setattr(args, flag, getattr(args, flag) or 0)
-        elif getattr(args, flag) is not None:
+        if getattr(args, flag) is not None and not sized:
             raise UsageError(f"biject --map {args.map} does not take --{flag}")
     obj = _load_object(args.infile)
-    takes = "polyomino word" if args.map in _WORD_MAPS else "path"
     kind = "polyomino word" if isinstance(obj, PolyominoWord) else "path"
     if kind != takes:
         raise UsageError(f"--map {args.map} takes a {takes}, got a {kind}")
-    summary = None
-    image = _MAPS[args.map](obj, args)
-    if args.map == "shuffle-step":
-        image, summary = image
+    if sized:
+        image, summary = fn(obj, args.k or 0, args.n or 0, args.m or 0)
+    else:
+        image, summary = fn(obj)
     before, after = _stats(obj), _stats(image)
     report = {
         "map": args.map,
@@ -196,7 +216,6 @@ def cmd_biject(args):
     if summary is not None:
         report["summary"] = summary
     _write(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
-    keep_dinv, keep_area = _CONTRACTS.get(args.map, (False, False))
     if keep_dinv and before["dinv"] != after["dinv"]:
         print("transport contract violated: dinv changed", file=sys.stderr)
         return 1
@@ -209,14 +228,12 @@ def cmd_biject(args):
 def cmd_verify(args):
     for flag, value, readers in (
         ("--name", args.name, ("identities", "all")),
-        ("--grid-bound", args.grid_bound, ("identities", "all")),
         ("--max", args.max, (set(SUITES) | {"all"}) - {"examples", "engine"}),
     ):
         if value is not None and args.suite not in readers:
             raise UsageError(f"verify {args.suite} does not take {flag}")
-    for flag, value in (("--max", args.max), ("--grid-bound", args.grid_bound)):
-        if value is not None and value < 0:
-            raise UsageError(f"{flag} must be >= 0, got {value}")
+    if args.max is not None and args.max < 0:
+        raise UsageError(f"--max must be >= 0, got {args.max}")
     max_size = 5 if args.max is None else args.max
     if args.suite == "all":
         names = [n for n in SUITES if n != "delta-ehh"]
@@ -227,9 +244,7 @@ def cmd_verify(args):
         suite = SUITES[name]
         if name == "identities":
             idnames = (args.name,) if args.name else None
-            reports += suite(
-                names=idnames, max_size=max_size, grid_bound=args.grid_bound
-            )
+            reports += suite(names=idnames, max_size=max_size)
         elif name in ("examples", "engine"):
             reports += suite()
         else:
@@ -331,7 +346,6 @@ def build_parser():
         choices=IDENTITY_NAMES,
         help="identity name for the identities suite",
     )
-    p_verify.add_argument("--grid-bound", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

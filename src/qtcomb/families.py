@@ -105,6 +105,8 @@ class FamilySpec:
                 raise FamilySpecError("content weight must equal n")
             if self.k and self.k >= self.n:
                 raise FamilySpecError("pld requires n > k >= 0")
+        if self.r is None and self.r_sem != "ghost":
+            raise FamilySpecError("r_sem is read only with r")
         if self.r is not None:
             lo = 0 if self.r_sem == "nonghost" else 1
             if self.r < lo:

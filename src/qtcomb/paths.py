@@ -141,20 +141,6 @@ class DecoratedLabelledPath:
     def size(self):
         return len(self.area_word)
 
-    def rises(self):
-        """1-based indices i with a_i > a_{i-1}."""
-        a = self.area_word
-        return frozenset(
-            i + 1 for i in range(1, len(a)) if a[i] > a[i - 1]
-        )
-
-    def valleys(self):
-        """1-based indices of non-rise rows (row 1 included)."""
-        a = self.area_word
-        return frozenset([1] if a else []) | frozenset(
-            i + 1 for i in range(1, len(a)) if a[i] <= a[i - 1]
-        )
-
     def zero_valleys(self):
         """Valleys carrying the label 0."""
         a, labels = self.area_word, self.labels

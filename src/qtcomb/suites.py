@@ -10,24 +10,22 @@ per report row, and ``_rows`` runs every row the same way.  A check is a
 zero-argument thunk that returns None when it holds, a witness string
 when it fails, and an ``Inconclusive`` witness when what it ran on does
 not decide it.  A member check walks a materialised family; a grid check,
-``_grid``, compares two exact evaluators on the (q_deg+1) x (t_deg+1)
-grid of the degree bound (q_deg, t_deg) of their polynomials.  A new
-check is one more thunk in a row, not a new loop.
+``_grid``, compares two sides on the (q_deg+1) x (t_deg+1) grid of the
+larger of their degree bounds (q_deg, t_deg) in each variable.  A side
+is an (evaluator of (q0, t0), (q_deg, t_deg)) pair.  A new check is one
+more thunk in a row, not a new loop.
 
 Each bound is derived per instance and per variable from the data the
-evaluators read, never assumed from the size, and a check takes the
-larger of its two sides in each variable: a Delta side's from
+evaluators read, never assumed from the size: a Delta side's from
 ``macdonald.side_degree`` over the same ``macdonald.SIDES`` rows that
-its evaluator sums, an enumerator side's as its exact ``degree()``, the
-hook identity's as the exact degrees of its two sides, and each
-reciprocity pair's from ``macdonald.reciprocity_degree``, the degrees of
-the Macdonald coefficients, the plethysm and Pi added up.  A pass on
-that grid is a proof under one assumption, that each side is a
-polynomial: for nabla by Garsia and Haiman, for the Delta and Delta'
-sides by Haglund, Remmel and Wilson (2015); see
-``macdonald.degree_bound``.  A ``grid_bound`` G asks for the
-(G+1) x (G+1) grid instead; a row where G is below either entry of a
-check's derived bound is inconclusive, not a pass.
+its evaluator sums (``_side``), an enumerator side's as its exact
+``degree()`` (``_exact``), the hook identity's as the exact degrees of
+its two sides, and each reciprocity side's from
+``macdonald.reciprocity_degree``, the degrees of the Macdonald
+coefficients, the plethysm and Pi added up.  A pass on that grid is a
+proof under one assumption, that each side is a polynomial: for nabla by
+Garsia and Haiman, for the Delta and Delta' sides by Haglund, Remmel and
+Wilson (2015); see ``macdonald.degree_bound``.
 """
 
 from __future__ import annotations
@@ -77,16 +75,13 @@ def _failed(result):
     return isinstance(result, str) and not isinstance(result, Inconclusive)
 
 
-def _rows(suite, rows, grid_bound=None):
+def _rows(suite, rows):
     """Reports of ``rows``, each an (instance, checks) pair of thunks.  A
     row fails at its first check that returns a witness string, with that
-    witness: a difference at a grid point disproves the identity on any
-    grid.  Otherwise it is inconclusive when a grid check returned the
-    largest entry of a derived bound above ``grid_bound`` (the witness
-    names the largest), when a check returned an ``Inconclusive`` witness
-    (the first such), or when it has no checks; else it passes.  Each
-    report is timed from the previous one, so a row's time includes
-    building it (a family or an enumerator, say)."""
+    witness.  Otherwise it is inconclusive when a check returned an
+    ``Inconclusive`` witness (the first such) or when it has no checks;
+    else it passes.  Each report is timed from the previous one, so a
+    row's time includes building it (a family or an enumerator, say)."""
     reports = []
     start = time.perf_counter()
     for instance, checks in rows:
@@ -95,13 +90,9 @@ def _rows(suite, rows, grid_bound=None):
             results.append(check())
             if _failed(results[-1]):
                 break
-        short = [result for result in results if isinstance(result, int)]
         undecided = [result for result in results if isinstance(result, Inconclusive)]
         if results and _failed(results[-1]):
             status, witness = "fail", results[-1]
-        elif short:
-            status = "inconclusive"
-            witness = f"grid bound {grid_bound} below derived bound {max(short)}"
         elif undecided:
             status, witness = "inconclusive", undecided[0]
         elif results:
@@ -263,26 +254,32 @@ IDENTITY_NAMES = ("mac-hook", "reciprocity", *IDENTITY_PAIRS)
 IDENTITY_CLAMPS = {"mac-hook": 5, "reciprocity": 4}
 
 
-def _bound(*degrees):
-    """The grid bound (q_deg, t_deg) of a check: in each variable the
-    largest degree bound of its sides, and at least 0."""
-    return tuple(max(0, *entries) for entries in zip(*degrees))
-
-
 def _ev(fn, *args):
     return lambda q0, t0: fn(*args, EvalPoint(q0, t0))
 
 
-def _grid(witness, left, right, bound, grid_bound=None):
-    """A grid check: ``witness`` if the evaluators ``left`` and ``right``
-    of (q0, t0) differ on the grid of the derived degree bound
-    (q_deg, t_deg), or on the (G+1) x (G+1) grid of ``grid_bound`` G when
-    one is given.  If they agree on a grid where G is below either entry
-    of the bound, the largest entry; None if the check holds."""
-    used = bound if grid_bound is None else (grid_bound, grid_bound)
-    if not poly_equal_by_grid(left, right, used):
-        return witness
-    return max(bound) if max(used) < max(bound) else None
+def _side(name, *args):
+    """The named ``macdonald`` side at its arguments, bounded from its
+    ``macdonald.SIDES`` rows."""
+    return _ev(getattr(macdonald, name), *args), macdonald.side_degree(name, *args)
+
+
+def _exact(poly):
+    """A polynomial as a side, bounded by its exact degree."""
+    return poly.eval, poly.degree()
+
+
+def _shown(left, right):
+    """The ``bound=`` of a check's row: the largest entry of its grid."""
+    return max(0, *left[1], *right[1])
+
+
+def _grid(witness, left, right):
+    """A grid check: ``witness`` if the sides ``left`` and ``right`` differ
+    on the grid of, in each variable, the larger of their degree bounds
+    and at least 0; None if they agree there."""
+    bound = tuple(max(0, a, b) for a, b in zip(left[1], right[1]))
+    return None if poly_equal_by_grid(left[0], right[0], bound) else witness
 
 
 def _instances(max_size, k_cap=None):
@@ -296,48 +293,48 @@ def _instances(max_size, k_cap=None):
                 yield m, n, k
 
 
-def suite_identities(names=None, max_size=6, grid_bound=None):
+def suite_identities(names=None, max_size=6):
     """Exact grid verification of the symmetric-function identities, each
-    check on the grid of its derived degree bound, or of ``grid_bound``;
-    ``mac-hook`` and ``reciprocity`` run at most at their
-    ``IDENTITY_CLAMPS`` size."""
+    check on the grid of its derived degree bound; ``mac-hook`` and
+    ``reciprocity`` run at most at their ``IDENTITY_CLAMPS`` size."""
     names = names or IDENTITY_NAMES
     reports = []
     if "mac-hook" in names:
-        rows = _mac_hook_rows(min(max_size, IDENTITY_CLAMPS["mac-hook"]), grid_bound)
-        reports += _rows("mac-hook", rows, grid_bound)
+        rows = _mac_hook_rows(min(max_size, IDENTITY_CLAMPS["mac-hook"]))
+        reports += _rows("mac-hook", rows)
     if "reciprocity" in names:
         nmax = min(max_size, IDENTITY_CLAMPS["reciprocity"])
-        reports += _rows("reciprocity", _reciprocity_rows(nmax, grid_bound), grid_bound)
+        reports += _rows("reciprocity", _reciprocity_rows(nmax))
     for name in names:
         if name in IDENTITY_PAIRS:
-            rows = _pair_rows(*IDENTITY_PAIRS[name], max_size, grid_bound)
-            reports += _rows(name, rows, grid_bound)
+            reports += _rows(name, _pair_rows(*IDENTITY_PAIRS[name], max_size))
     return reports
 
 
-def _mac_hook_rows(nmax, grid_bound):
+def _mac_hook_rows(nmax):
     """One row per n; each check on the grid of the exact degrees of its
     two sides, per variable, and the row shows the largest entry."""
     for n in range(1, nmax + 1):
         checks = [
             (
                 f"mu={tuple(mu)} r={r}",
-                _ev(macdonald.pair_htilde_hook, mu, r),
-                _ev(macdonald.pleth_e, r, macdonald.b_minus_one(mu)),
-                _bound(
+                (
+                    _ev(macdonald.pair_htilde_hook, mu, r),
                     macdonald.pairing_degree(mu, ("hook", r)),
+                ),
+                (
+                    _ev(macdonald.pleth_e, r, macdonald.b_minus_one(mu)),
                     macdonald.eigenvalue_degree(("e'", r), mu),
                 ),
             )
             for mu in partitions_of(n)
             for r in range(n)
         ]
-        shown = max(max(c[3]) for c in checks) if grid_bound is None else grid_bound
-        yield f"n={n} bound={shown}", [partial(_grid, *c, grid_bound) for c in checks]
+        shown = max(_shown(left, right) for _, left, right in checks)
+        yield f"n={n} bound={shown}", [partial(_grid, *c) for c in checks]
 
 
-def _reciprocity_rows(nmax, grid_bound):
+def _reciprocity_rows(nmax):
     """One row per size pair; each (alpha, beta) check on the grid of the
     larger ``macdonald.reciprocity_degree`` of its two sides, per
     variable."""
@@ -347,39 +344,27 @@ def _reciprocity_rows(nmax, grid_bound):
                 partial(
                     _grid,
                     f"alpha={tuple(alpha)} beta={tuple(beta)}",
-                    _ev(macdonald.reciprocity_side, alpha, beta),
-                    _ev(macdonald.reciprocity_side, beta, alpha),
-                    _bound(
+                    (
+                        _ev(macdonald.reciprocity_side, alpha, beta),
                         macdonald.reciprocity_degree(alpha, beta),
+                    ),
+                    (
+                        _ev(macdonald.reciprocity_side, beta, alpha),
                         macdonald.reciprocity_degree(beta, alpha),
                     ),
-                    grid_bound,
                 )
                 for alpha in partitions_of(a)
                 for beta in partitions_of(b)
             )
 
 
-def _pair_rows(left, right, max_size, grid_bound):
-    """Rows of one identity pair, named by its two ``macdonald`` sides:
-    each side is evaluated by its function and bounded from its
-    ``macdonald.SIDES`` rows."""
+def _pair_rows(left, right, max_size):
+    """Rows of one identity pair, named by its two ``macdonald`` sides."""
     witness = f"{left} != {right}"
     for m, n, k in _instances(max_size):
-        bound = _bound(
-            macdonald.side_degree(left, m, n, k),
-            macdonald.side_degree(right, m, n, k),
-        )
-        shown = max(bound) if grid_bound is None else grid_bound
-        yield f"m={m} n={n} k={k} bound={shown}", [
-            partial(
-                _grid,
-                witness,
-                _ev(getattr(macdonald, left), m, n, k),
-                _ev(getattr(macdonald, right), m, n, k),
-                bound,
-                grid_bound,
-            )
+        sides = _side(left, m, n, k), _side(right, m, n, k)
+        yield f"m={m} n={n} k={k} bound={_shown(*sides)}", [
+            partial(_grid, witness, *sides)
         ]
 
 
@@ -401,9 +386,8 @@ def _delta_hh_rows(max_size):
             partial(
                 _grid,
                 "lhs_delta_hh != pf2 enumerator",
-                _ev(macdonald.lhs_delta_hh, m, n, k),
-                enum.eval,
-                _bound(macdonald.side_degree("lhs_delta_hh", m, n, k), enum.degree()),
+                _side("lhs_delta_hh", m, n, k),
+                _exact(enum),
             )
         ]
 
@@ -415,12 +399,8 @@ def _delta_content_rows(max_size):
             partial(
                 _grid,
                 f"content {lam}",
-                _ev(macdonald.delta_lhs_by_content, m, n, k, lam),
-                enum.eval,
-                _bound(
-                    macdonald.side_degree("delta_lhs_by_content", m, n, k, lam),
-                    enum.degree(),
-                ),
+                _side("delta_lhs_by_content", m, n, k, lam),
+                _exact(enum),
             )
             for lam, enum in sorted(by_content.items())
         ]
@@ -455,17 +435,12 @@ def _delta_ehh_rows(max_size):
                     if word_in_runs(word, runs)
                     for pair in pairs
                 )
-                side = (m, n, k, j, a, b)
                 yield f"m={m} n={n} k={k} e{j}h{a}h{b}", [
                     partial(
                         _grid,
                         f"delta_pairing != {spec.family} enumerator",
-                        _ev(macdonald.lhs_delta_ehh, *side),
-                        enum.eval,
-                        _bound(
-                            macdonald.side_degree("lhs_delta_ehh", *side),
-                            enum.degree(),
-                        ),
+                        _side("lhs_delta_ehh", m, n, k, j, a, b),
+                        _exact(enum),
                     )
                 ]
 
@@ -479,9 +454,8 @@ def suite_engine():
         partial(
             _grid,
             f"n={n} d={d}",
-            _ev(macdonald.pair_delta_e_d, d, n),
-            _ev(macdonald.pair_en_eh, n, d),
-            _bound(macdonald.side_degree("pair_delta_e_d", d, n)),
+            _side("pair_delta_e_d", d, n),
+            (_ev(macdonald.pair_en_eh, n, d), (0, 0)),  # an integer constant
         )
         for n in range(1, 6)
         for d in range(n + 1)

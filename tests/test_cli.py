@@ -162,6 +162,15 @@ def test_enum_bucket_below_its_range_exits_2(capsys, family):
     assert err == "error: bucket index below its semantic range\n"
 
 
+@pytest.mark.parametrize("family", ["pf2", "shuffle-knm"])
+def test_enum_bucket_semantics_without_a_bucket_exits_2(capsys, family):
+    # --r-sem names how --r counts, so without --r it would change nothing
+    argv = ("--family", family, "--m", "2", "--n", "1", "--r-sem", "nonghost")
+    code, out, err = run(capsys, "enum", *argv, "--count")
+    assert code == 2 and out == ""
+    assert err == "error: r_sem is read only with r\n"
+
+
 @pytest.mark.parametrize("content", ["1,x", "1,,1", "2.0"])
 def test_enum_bad_content_exits_2(capsys, content):
     code, out, err = run(
@@ -303,33 +312,11 @@ def test_verify_size_is_not_clamped(capsys):
     assert code == 0 and "max_size=6 " in out
 
 
-def test_verify_negative_grid_bound_exits_2(capsys):
-    argv = ("verify", "identities", "--name", "new-id", "--max", "3")
-    code, out, err = run(capsys, *argv, "--grid-bound", "-1")
+def test_verify_grid_bound_is_no_flag(capsys):
+    # every grid check runs on its derived bound; no flag overrides it
+    code, out, err = run(capsys, "verify", "identities", "--grid-bound", "0")
     assert code == 2 and out == ""
-    assert err.startswith("error: --grid-bound") and err.count("\n") == 1
-
-
-def test_verify_grid_bound_zero_is_honoured(capsys):
-    argv = ("verify", "identities", "--name", "new-id", "--max", "2")
-    code, out, err = run(capsys, *argv, "--grid-bound", "0")
-    rows = out.splitlines()[1:]
-    assert code == 1 and len(rows) == 6
-    assert all("bound=0" in row for row in rows)
-    # m=1 n=1 k=0 has degree (1, 1): one grid point proves nothing there
-    inconclusive = '"inconclusive","grid bound 0 below derived bound 1"'
-    assert [row for row in rows if '"pass"' not in row] == [
-        f'"new-id","m=1 n=1 k=0 bound=0",{inconclusive}'
-    ]
-    assert err.startswith("5/6 checks passed, 1 inconclusive")
-
-
-def test_verify_grid_bound_above_the_derived_one_is_checked(capsys):
-    argv = ("verify", "identities", "--name", "new-id", "--max", "3")
-    code, out, _ = run(capsys, *argv, "--grid-bound", "4")
-    rows = out.splitlines()[1:]
-    assert code == 0 and len(rows) == 12
-    assert all('bound=4","pass"' in row for row in rows)
+    assert "unrecognized arguments: --grid-bound 0" in err
 
 
 @pytest.mark.parametrize(
@@ -366,9 +353,7 @@ def test_verify_names_every_clamp_on_one_line(capsys, monkeypatch, suite):
 
 
 @pytest.mark.parametrize("suite", ["delta-tiny", "ndinv", "engine"])
-@pytest.mark.parametrize(
-    "flag, value", [("--name", "new-id"), ("--grid-bound", "0")]
-)
+@pytest.mark.parametrize("flag, value", [("--name", "new-id")])
 def test_verify_flag_of_identities_only_exits_2(capsys, suite, flag, value):
     code, out, err = run(capsys, "verify", suite, "--max", "2", flag, value)
     assert code == 2 and out == ""
@@ -429,17 +414,12 @@ def test_flag_a_command_ignores_exits_2(tmp_path, monkeypatch, capsys, argv):
 
 
 def test_verify_all_passes_identity_flags_on(capsys):
-    argv = ("verify", "all", "--max", "2", "--name", "new-id", "--grid-bound", "0")
+    argv = ("verify", "all", "--max", "2", "--name", "new-id")
     code, out, _ = run(capsys, *argv)
     suites = [row.split(",")[0].strip('"') for row in out.splitlines()[1:]]
-    # the one row of degree above 0 is inconclusive on a one-point grid
-    assert code == 1 and "engine" in suites
+    assert code == 0 and "engine" in suites
     identity_rows = [row for row in out.splitlines() if row.startswith('"new-id"')]
-    assert identity_rows and all("bound=0" in row for row in identity_rows)
-    assert [row for row in out.splitlines() if '"inconclusive"' in row] == [
-        '"new-id","m=1 n=1 k=0 bound=0","inconclusive",'
-        '"grid bound 0 below derived bound 1"'
-    ]
+    assert len(identity_rows) == 6
     assert not set(suites) & (set(IDENTITY_NAMES) - {"new-id"})
 
 

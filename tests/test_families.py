@@ -333,10 +333,15 @@ def reference_labelled_paths(size, multiset, first_nonzero):
 
 
 def reference_decorated(paths, k):
+    """Each path with every k of its rises (1-based rows i with
+    a_i > a_(i-1)) decorated."""
     return [
         DecoratedLabelledPath(p.area_word, p.labels, dec, p.ghost_row)
         for p in paths
-        for dec in combinations(sorted(p.rises()), k)
+        for dec in combinations(
+            [i + 1 for i in range(1, p.size) if p.area_word[i] > p.area_word[i - 1]],
+            k,
+        )
     ]
 
 

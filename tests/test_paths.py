@@ -599,5 +599,8 @@ def test_zero_valleys_are_the_valleys_labelled_zero():
         for n in range(1, 5 - m):
             for lam in partitions(n):
                 for p in generate(FamilySpec("pld" if m else "ld", m=m, n=n, content=lam)):
-                    want = frozenset(i for i in p.valleys() if p.labels[i - 1] == 0)
+                    # valleys: row 1 and every row that is not a rise
+                    a = p.area_word
+                    valleys = [1] + [i + 1 for i in range(1, p.size) if a[i] <= a[i - 1]]
+                    want = frozenset(i for i in valleys if p.labels[i - 1] == 0)
                     assert p.zero_valleys() == want, p

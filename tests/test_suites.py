@@ -9,7 +9,7 @@ from qtcomb import bijections, macdonald, recursion, suites
 from qtcomb.cli import main
 from qtcomb.families import FamilySpec, generate
 from qtcomb.paths import DecoratedLabelledPath
-from qtcomb.qt import EvalPoint, q_primes
+from qtcomb.qt import EvalPoint, poly_equal_by_grid, q_primes
 
 
 def test_each_row_gets_its_own_instance_time(monkeypatch):
@@ -84,8 +84,9 @@ def test_perturbation_hidden_below_the_derived_bound_fails_at_it(monkeypatch):
     # a perturbation that vanishes at every q-value of the grid one below
     # the derived bound, but not at the extra q-value of the derived grid
     m, n, k = 2, 3, 0
-    bound = max(macdonald.side_degree("mid_delta_hn", m, n, k))
-    assert bound == 6
+    bound = 6
+    right = suites._side("rhs_nabla_ehh", m, n, k)
+    assert suites._side("mid_delta_hn", m, n, k)[1] == right[1] == (bound, bound)
     mid = macdonald.mid_delta_hn
 
     def perturbed(m2, n2, k2, pt):
@@ -95,21 +96,17 @@ def test_perturbation_hidden_below_the_derived_bound_fails_at_it(monkeypatch):
         return value
 
     monkeypatch.setattr(macdonald, "mid_delta_hn", perturbed)
-    instance = f"m={m} n={n} k={k}"
-    at_derived = suites.suite_identities(names=("new-id",), max_size=5)
-    assert _failed_rows(at_derived) == [
-        ("new-id", f"{instance} bound={bound}", "fail", "mid_delta_hn != rhs_nabla_ehh")
+    wrong = suites._side("mid_delta_hn", m, n, k)[0]
+    assert poly_equal_by_grid(wrong, right[0], (bound - 1, bound))
+    assert not poly_equal_by_grid(wrong, right[0], (bound, bound))
+    reports = suites.suite_identities(names=("new-id",), max_size=5)
+    instance = f"m={m} n={n} k={k} bound={bound}"
+    assert _failed_rows(reports) == [
+        ("new-id", instance, "fail", "mid_delta_hn != rhs_nabla_ehh")
     ]
-    below = suites.suite_identities(names=("new-id",), max_size=5, grid_bound=bound - 1)
-    assert (
-        "new-id",
-        f"{instance} bound={bound - 1}",
-        "inconclusive",
-        f"grid bound {bound - 1} below derived bound {bound}",
-    ) in _failed_rows(below)
 
 
-def test_row_fails_at_its_first_failure_else_names_its_largest_short_entry():
+def test_row_fails_at_its_first_failing_check():
     def same(q0, t0):
         return q0
 
@@ -126,34 +123,30 @@ def test_row_fails_at_its_first_failure_else_names_its_largest_short_entry():
             (
                 "fails",
                 [
-                    partial(grid, "first", same, same, (1, 1)),
-                    partial(grid, "second", same, differ, (1, 1)),
+                    partial(grid, "first", (same, (1, 1)), (same, (0, 0))),
+                    partial(grid, "second", (same, (1, 0)), (differ, (0, 1))),
                     unreached,
                 ],
             ),
-            (
-                "short",
-                [
-                    partial(grid, "w", same, same, (3, 1), 2),
-                    partial(grid, "w", same, same, (1, 5), 2),
-                    partial(grid, "w", same, same, (2, 2), 2),
-                ],
-            ),
-            (
-                "short, then fails",
-                [
-                    partial(grid, "w", same, same, (3, 3), 2),
-                    partial(grid, "differs", same, differ, (1, 1), 2),
-                ],
-            ),
         ],
-        grid_bound=2,
     )
-    assert [r.row() for r in reports] == [
-        ("demo", "fails", "fail", "second"),
-        ("demo", "short", "inconclusive", "grid bound 2 below derived bound 5"),
-        ("demo", "short, then fails", "fail", "differs"),
-    ]
+    assert [r.row() for r in reports] == [("demo", "fails", "fail", "second")]
+
+
+def test_a_grid_check_takes_the_larger_bound_of_its_sides(monkeypatch):
+    seen = []
+
+    def record(left, right, bound):
+        seen.append(bound)
+        return True
+
+    def zero(q0, t0):
+        return 0
+
+    monkeypatch.setattr(suites, "poly_equal_by_grid", record)
+    assert suites._grid("w", (zero, (3, -1)), (zero, (1, 2))) is None
+    assert suites._grid("w", (zero, (-1, -1)), (zero, (-1, -1))) is None
+    assert seen == [(3, 2), (0, 0)]
 
 
 def test_a_row_with_no_checks_is_not_a_pass():
