@@ -34,6 +34,14 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``UsageError`` on a bad command line, so that ``main``
+    reports it as one ``error:`` line; subparsers share the class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _write(out, text):
     if not out:
         sys.stdout.write(text)
@@ -67,7 +75,6 @@ def _spec_from_args(args):
             n=args.n,
             k=args.k,
             r=args.r,
-            r_sem=args.r_sem,
             content=content,
             ghost=args.ghost,
         )
@@ -298,9 +305,9 @@ def cmd_verify(args):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--out", help="write output to this file")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qtcomb",
         description="exact q,t-combinatorics of lattice paths and polyominoes",
     )
@@ -314,7 +321,6 @@ def build_parser():
     p_enum.add_argument("--n", type=int, default=0)
     p_enum.add_argument("--k", type=int, default=0)
     p_enum.add_argument("--r", type=int, default=None)
-    p_enum.add_argument("--r-sem", choices=("nonghost", "ghost"), default="ghost")
     p_enum.add_argument("--content", help="comma-separated partition")
     p_enum.add_argument("--ghost", action="store_true")
     p_enum.add_argument("--count", action="store_true")
@@ -351,13 +357,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:
+        # only --help exits here: argparse errors raise UsageError
+        return exc.code
     except (
         UsageError,
         FamilySpecError,

@@ -49,8 +49,6 @@ FAMILIES = (
     "rp",
 )
 
-R_SEMANTICS = ("nonghost", "ghost")
-
 
 class FamilySpecError(ValueError):
     """A family descriptor is malformed or inconsistent."""
@@ -67,7 +65,6 @@ class FamilySpec:
     n: int = 0
     k: int = 0
     r: int | None = None
-    r_sem: str = "ghost"
     content: tuple | None = None
     ghost: bool = False
 
@@ -76,8 +73,6 @@ class FamilySpec:
             raise FamilySpecError(f"unknown family {self.family!r}")
         if self.m < 0 or self.n < 0 or self.k < 0:
             raise FamilySpecError("family parameters must be non-negative")
-        if self.r_sem not in R_SEMANTICS:
-            raise FamilySpecError(f"unknown r semantics {self.r_sem!r}")
         if self.content is not None:
             c = tuple(self.content)
             if any(x < 1 for x in c) or list(c) != sorted(c, reverse=True):
@@ -91,7 +86,6 @@ class FamilySpec:
                 ("k", self.k, set(FAMILIES) - {"catalan-pld"}),
                 ("content", self.content is not None, ("ld", "pld")),
                 ("r", self.r is not None, ("pf2", "shuffle-knm")),
-                ("r_sem", self.r_sem != "ghost", ("pf2", "shuffle-knm")),
                 ("ghost", self.ghost, ("pf2",)),
             )
             if given and f not in readers
@@ -105,12 +99,8 @@ class FamilySpec:
                 raise FamilySpecError("content weight must equal n")
             if self.k and self.k >= self.n:
                 raise FamilySpecError("pld requires n > k >= 0")
-        if self.r is None and self.r_sem != "ghost":
-            raise FamilySpecError("r_sem is read only with r")
-        if self.r is not None:
-            lo = 0 if self.r_sem == "nonghost" else 1
-            if self.r < lo:
-                raise FamilySpecError("bucket index below its semantic range")
+        if self.r is not None and self.r < 1:
+            raise FamilySpecError("bucket index below its semantic range")
         if f in ("two-shuffle", "shuffle-knm", "pf2") and self.k > min(self.m, self.n):
             raise FamilySpecError("k exceeds min(m, n)")
         object.__setattr__(
@@ -346,36 +336,25 @@ def _generate(spec):
         labels, runs, decorations, big = spec.shape
         pairs = _labelled_paths(len(labels), labels, runs, min_rises=decorations)
         if spec.r is not None:
-            pairs = (
-                (w, l) for w, l in pairs if _bucket(w, l, big, spec.r_sem) == spec.r
-            )
+            pairs = ((w, l) for w, l in pairs if _bucket(w, l, big) == spec.r)
         yield from _decorated(pairs, decorations, spec.ghost)
 
 
 # -- diagonal big-car buckets -------------------------------------------
 
 
-def _bucket(word, labels, big, r_sem):
-    """Rows on the main diagonal whose label is at least ``big``, plus
-    one for the conventional diagonal car under "ghost" semantics."""
-    count = sum(1 for a, l in zip(word, labels) if a == 0 and l >= big)
-    return count if r_sem == "nonghost" else count + 1
+def _bucket(word, labels, big):
+    """The bucket r: rows on the main diagonal whose label is at least
+    ``big``, plus one for the conventional diagonal car."""
+    return 1 + sum(1 for a, l in zip(word, labels) if a == 0 and l >= big)
 
 
-def bucket_index(path, r_sem="ghost"):
-    """Diagonal 2-car count of a two-car path under the given semantics.
-
-    "nonghost" counts the diagonal 2-cars of the underlying path;
-    "ghost" counts one more (the conventional diagonal car, whether or
-    not it is materialized as a ghost row).
-    """
+def bucket_index(path):
+    """The bucket r of a two-car path: its diagonal 2-cars plus the
+    conventional diagonal car, whether or not that car is materialized
+    as a ghost row."""
     skip = 1 if path.ghost_row else 0
-    return _bucket(path.area_word[skip:], path.labels[skip:], 2, r_sem)
-
-
-def shuffle_bucket_index(path, n, r_sem="ghost"):
-    """Diagonal big-car count of a (k,n,m)-shuffle path (labels > n)."""
-    return _bucket(path.area_word, path.labels, n + 1, r_sem)
+    return _bucket(path.area_word[skip:], path.labels[skip:], 2)
 
 
 # -- enumerators --------------------------------------------------------
@@ -451,8 +430,6 @@ def validate_family(obj, spec):
         return False, "reading word not in the shuffle"
     if len(obj.decorated_rises) != decorations:
         return False, f"expected {decorations} decorated rises"
-    if spec.r is not None and spec.r != _bucket(
-        obj.area_word[skip:], body, big, spec.r_sem
-    ):
+    if spec.r is not None and spec.r != _bucket(obj.area_word[skip:], body, big):
         return False, "wrong diagonal big-car bucket"
     return True, "ok"

@@ -35,7 +35,7 @@ through the same code and give equal values.
 
 Caches are ``functools.lru_cache`` tables that live as long as the
 process: the point-free ones are keyed by partition, the per-point ones
-(``pleth_e``, ``_en_weight``, the value behind ``htilde_at_alphabet``,
+(``pleth_e``, ``_en_weight``, ``htilde_at_alphabet``,
 each named side's value in ``_side``) by their arguments including the
 point, because the grid revisits the same points for every instance of
 an identity, and two identity pairs that read one side share its value.
@@ -43,8 +43,7 @@ An alphabet is a ``QtPolynomial`` (B_mu = sum of q^coarm t^coleg, M = (1-q)(1-t)
 [r]_q), and p_j[A] = A(q^j, t^j); a polynomial stores its hash, and the
 alphabets built from others (``b_minus_one``, ``b_one_minus_t``,
 ``_negated``, ``_m_times``) are cached too, so equal cache keys share one
-object and its stored hash.  ``DEGREE_CAP`` guards only ``htilde`` and
-``htilde_at_alphabet``, which serves reciprocity, a check of this engine.
+object and its stored hash.
 """
 
 from __future__ import annotations
@@ -56,22 +55,11 @@ from itertools import combinations_with_replacement
 from math import factorial, lcm
 
 from qtcomb.qt import (
-    CapacityError,
     PoleError,
     QtPolynomial,
     exact_quotient,
     q_int,
 )
-
-#: Largest Macdonald degree ``htilde`` and ``htilde_at_alphabet`` accept;
-#: read at call time.
-DEGREE_CAP = 7
-
-
-def _check_degree(degree):
-    if degree > DEGREE_CAP:
-        raise CapacityError(f"degree {degree} above the cap {DEGREE_CAP}")
-
 
 class DegreeMismatchError(ValueError):
     """Hall pairing of inhomogeneous degrees."""
@@ -471,7 +459,7 @@ def htilde_mcoeff(mu, lam):
     _, below, arms, legs, attacks = _diagram_data(tuple(mu))
     content = [i for i, mult in enumerate(lam, start=1) for _ in range(mult)]
 
-    def weights():
+    def terms():
         for filling in _multiset_perms(content):
             maj = 0
             arm_sum = 0
@@ -484,14 +472,13 @@ def htilde_mcoeff(mu, lam):
                 raise AssertionError("negative inv statistic; orientation broken")
             yield (inv, maj), 1
 
-    return QtPolynomial(weights())
+    return QtPolynomial(terms())
 
 
 def htilde(mu, pt):
     """Monomial-basis coordinates of the modified Macdonald polynomial at
     a point, {lam: coefficient of m_lam}, exact (ints at int points)."""
     mu = Partition(mu)
-    _check_degree(mu.size)
     return {
         lam: htilde_mcoeff(tuple(mu), tuple(lam)).eval(pt.q0, pt.t0)
         for lam in partitions_of(mu.size)
@@ -517,16 +504,11 @@ def _htilde_p_coeffs(mu):
     return denom, tuple((tuple(rho), p) for rho, p in coeffs.items() if p)
 
 
+@lru_cache(maxsize=None)
 def htilde_at_alphabet(mu, alphabet, pt):
     """Plethystic evaluation of the Macdonald polynomial on an alphabet;
     coefficients stay fixed, only the alphabet is raised to powers.  It
-    serves reciprocity; the degree cap is checked on every call."""
-    _check_degree(sum(mu))
-    return _htilde_at_alphabet(tuple(mu), alphabet, pt)
-
-
-@lru_cache(maxsize=None)
-def _htilde_at_alphabet(mu, alphabet, pt):
+    serves reciprocity."""
     if not mu:
         return 1
     denom, coeffs = _htilde_p_coeffs(mu)
@@ -639,7 +621,7 @@ def _en_weight(mu, r, pt):
     the closed form (1 - q^r) h_r[(1 - t) B_mu] Pi_mu (at r = 1 the
     Garsia-Haiman M B_mu Pi_mu), from [r]_q = B_(r), reciprocity,
     H_(r)[X] = (q;q)_r h_r[X / (1 - q)] and Pi_(r) = (q;q)_(r-1): it reads
-    no Macdonald coefficient, so ``DEGREE_CAP`` bounds no r or n."""
+    no Macdonald coefficient."""
     if mu.size == 0:
         return 1
     w = w_mu(mu, pt)
@@ -901,7 +883,7 @@ def pair_delta_e_d(d, n, pt):
 def sum_r_lhs(m, n, k, pt):
     """Sum over r of t^(m-k-r+1) <Delta_{h_(m-k-r+1)} Delta_{e_k}
     e_n[X [r]_q], e_n> as <nabla F, h_n>, one ``delta_pairing`` row per r;
-    a row reads only the coefficient 1 of m_(n), which no cap bounds."""
+    a row reads only the coefficient 1 of m_(n)."""
     return _side("sum_r_lhs", (m, n, k), pt)
 
 

@@ -63,10 +63,6 @@ class Composition(tuple):
             raise InvalidPathError("composition parts must be >= 1")
         return super().__new__(cls, parts)
 
-    @property
-    def weight(self):
-        return sum(self)
-
 
 class DecoratedLabelledPath:
     """A (partially) labelled Dyck path with decorated rises.

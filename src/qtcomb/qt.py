@@ -28,7 +28,7 @@ class PoleError(ArithmeticError):
 
 
 class CapacityError(RuntimeError):
-    """A size or degree beyond a configured cap was requested."""
+    """A size beyond a configured cap was requested."""
 
 
 class InfeasibleGridError(RuntimeError):
@@ -190,9 +190,6 @@ class QtPolynomial:
         if not self.terms:
             return (-1, -1)
         return (max(k[0] for k in self.terms), max(k[1] for k in self.terms))
-
-    def coeff(self, q_exp, t_exp):
-        return self.terms.get((q_exp, t_exp), 0)
 
     def eval(self, q0, t0):
         """Exact evaluation: an int at int points, a Fraction at Fraction

@@ -162,11 +162,11 @@ def all_variants():
 
 
 def brute_buckets(m, n, k):
-    """Bucketed enumerators of the two-car family, keyed by the raw
-    diagonal big-car count."""
+    """Bucketed enumerators of the two-car family, keyed by
+    ``bucket_index``: the diagonal big cars plus the conventional one."""
     out = {}
     for member in generate(FamilySpec("pf2", m=m, n=n, k=k)):
-        key = bucket_index(member, "nonghost")
+        key = bucket_index(member)
         out.setdefault(key, QtPolynomial.zero())
         out[key] += QtPolynomial.monomial(1, member.dinv(), member.area())
     return out
@@ -189,7 +189,8 @@ def reconcile_recursion(max_size):
         for m, n, k, buckets in instances:
             r_lo, r_hi = shift, m + shift + 1
             for r in range(r_lo, r_hi + 1):
-                want = buckets.get(r - shift, QtPolynomial.zero())
+                # the variant counts r from shift, the buckets from 1
+                want = buckets.get(r - shift + 1, QtPolynomial.zero())
                 try:
                     got = pf2_recursion(m, r, n, k, v)
                 except VariantDomainError as exc:

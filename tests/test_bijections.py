@@ -366,8 +366,6 @@ class TestShuffleStep:
                         assert p.area() - img.area() == p.size - diag
 
     def test_image_bucket_matches_u(self):
-        from qtcomb.families import shuffle_bucket_index
-
         for n in range(1, 4):
             for m in range(0, 4):
                 if m + n > 4:
@@ -377,7 +375,13 @@ class TestShuffleStep:
                     if img.size:
                         u = summary["h"] + summary["level1_big"]
                         n2 = n - summary["s"]
-                        assert shuffle_bucket_index(img, n2, "nonghost") == u - 1
+                        # the image's diagonal big cars, labels above n2
+                        diag_big = sum(
+                            1
+                            for a, l in zip(img.area_word, img.labels)
+                            if a == 0 and l > n2
+                        )
+                        assert diag_big == u - 1
 
 
 def reference_dominoes(dominoes):

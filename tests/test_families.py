@@ -2,6 +2,7 @@
 
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -15,7 +16,6 @@ from qtcomb.families import (
     partitions,
     qt_enumerator,
     qt_enumerator_by_content,
-    shuffle_bucket_index,
     validate_family,
 )
 from qtcomb.paths import (
@@ -64,6 +64,18 @@ def test_d_counts_match_catalan():
         members = list(generate(FamilySpec("d", n=n)))
         assert len(members) == catalan(n)
         assert len(set(members)) == len(members)
+
+
+def test_pf2_and_rp_counts_match_the_closed_form():
+    # the q = t = 1 value of the two-part shuffle case:
+    # C(N+1, m) C(N+1, n) / (N+1) members, N = m + n
+    for m in range(7):
+        for n in range(7 - m):
+            size = m + n + 1
+            want = comb(size, m) * comb(size, n) // size
+            for family in ("pf2", "rp"):
+                got = sum(1 for _ in generate(FamilySpec(family, m=m, n=n)))
+                assert got == want, (family, m, n)
 
 
 def test_d3_has_five_members():
@@ -134,7 +146,7 @@ def test_canonical_order():
 def test_shape_is_derived_and_shared():
     spec = FamilySpec("pf2", m=1, n=2, r=1)
     assert repr(spec) == (
-        "FamilySpec(family='pf2', m=1, n=2, k=0, r=1, r_sem='ghost',"
+        "FamilySpec(family='pf2', m=1, n=2, k=0, r=1,"
         " content=None, ghost=False)"
     )
     assert spec.shape == ((1, 1, 2), (), 0, 2)
@@ -172,13 +184,10 @@ def test_enumerator_ghost_invariant():
 def test_bucketed_sums_to_total():
     for m in range(4):
         for n in range(4 - m + 1):
-            for sem, start in (("nonghost", 0), ("ghost", 1)):
-                total = QtPolynomial.zero()
-                for r in range(start, m + start + 1):
-                    total += qt_enumerator(
-                        FamilySpec("pf2", m=m, n=n, r=r, r_sem=sem)
-                    )
-                assert total == qt_enumerator(FamilySpec("pf2", m=m, n=n))
+            total = QtPolynomial.zero()
+            for r in range(1, m + 2):
+                total += qt_enumerator(FamilySpec("pf2", m=m, n=n, r=r))
+            assert total == qt_enumerator(FamilySpec("pf2", m=m, n=n))
 
 
 def test_two_shuffle_matches_two_car():
@@ -218,7 +227,6 @@ def test_membership_examples():
     assert validate_family(relabelled, ld) == (False, "wrong car counts")
     # the bucket r of a shuffle path counts its diagonal cars above n
     bucket3 = DecoratedLabelledPath((0, 0, 0, 0), (1, 2, 4, 3))
-    assert shuffle_bucket_index(bucket3, 2) == 3
     assert validate_family(bucket3, FamilySpec("shuffle-knm", m=3, n=2, k=1, r=3))[0]
     ok, why = validate_family(bucket3, FamilySpec("shuffle-knm", m=3, n=2, k=1, r=4))
     assert (ok, why) == (False, "wrong diagonal big-car bucket")
@@ -290,8 +298,12 @@ def test_enumerator_by_content():
 
 
 def test_bucket_index_semantics():
-    p = next(iter(generate(FamilySpec("pf2", m=1, n=1))))
-    assert bucket_index(p, "ghost") == bucket_index(p, "nonghost") + 1
+    # r counts the conventional diagonal car: a path with no diagonal
+    # 2-car is in bucket 1, with or without its ghost row
+    p = DecoratedLabelledPath((0, 1, 0), (1, 2, 1))
+    assert bucket_index(p) == 1
+    assert bucket_index(p.with_ghost()) == 1
+    assert bucket_index(DecoratedLabelledPath((0, 1, 0), (1, 2, 2))) == 2
 
 
 def test_catalan_pld_counts_match_rp():
@@ -361,21 +373,21 @@ def reference_members(spec):
         ]
         if f == "two-shuffle":
             return reference_decorated(paths, spec.k)
+        # the bucket r: diagonal cars above n, plus the conventional one
         return [
             p
             for p in paths
-            if spec.r is None or shuffle_bucket_index(p, spec.n, spec.r_sem) == spec.r
+            if spec.r is None
+            or spec.r == 1 + sum(
+                1 for a, l in zip(p.area_word, p.labels) if a == 0 and l > spec.n
+            )
         ]
     if f == "pf2":
         paths = reference_labelled_paths(size, [1] * spec.n + [2] * spec.m, False)
         members = reference_decorated(paths, spec.k)
         if spec.ghost:
             members = [p.with_ghost() for p in members]
-        return [
-            p
-            for p in members
-            if spec.r is None or bucket_index(p, spec.r_sem) == spec.r
-        ]
+        return [p for p in members if spec.r is None or bucket_index(p) == spec.r]
     multiset = [0] * spec.m + [
         i for i, mult in enumerate(spec.content, start=1) for _ in range(mult)
     ]
@@ -392,9 +404,7 @@ ORACLE_CASES = {
     ]
     + [FamilySpec("shuffle-knm", m=3, n=3), FamilySpec("shuffle-knm", m=4, n=4, k=2)],
     "shuffle-knm-r": [
-        FamilySpec("shuffle-knm", m=3, n=2, k=1, r=r, r_sem=sem)
-        for sem, lo in (("nonghost", 0), ("ghost", 1))
-        for r in range(lo, lo + 4)
+        FamilySpec("shuffle-knm", m=3, n=2, k=1, r=r) for r in range(1, 5)
     ],
     "two-shuffle": [
         FamilySpec("two-shuffle", m=m, n=n, k=k)
@@ -410,13 +420,12 @@ ORACLE_CASES = {
         for ghost in (False, True)
     ],
     "pf2-r": [
-        FamilySpec("pf2", m=m, n=n, k=k, r=r, r_sem=sem, ghost=ghost)
+        FamilySpec("pf2", m=m, n=n, k=k, r=r, ghost=ghost)
         for m in range(1, 4)
         for n in range(1, 5 - m)
         for k in range(min(m, n) + 1)
         for ghost in (False, True)
-        for sem, lo in (("nonghost", 0), ("ghost", 1))
-        for r in range(lo, lo + m + 1)
+        for r in range(1, m + 2)
     ],
     "ld-pld": [
         FamilySpec("pld" if m else "ld", m=m, n=n, k=k, content=lam)

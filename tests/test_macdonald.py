@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from qtcomb import macdonald, suites
 from qtcomb.families import FamilySpec, qt_enumerator
 from qtcomb.macdonald import (
-    CapacityError,
     Partition,
     b_alphabet,
     bracket_q,
@@ -225,10 +224,6 @@ class TestHtilde:
     def test_htilde_at_point(self):
         f = htilde(Partition((2,)), PT)
         assert f == {(2,): 1, (1, 1): 1 + PT.q0}
-
-    def test_degree_cap(self):
-        with pytest.raises(CapacityError):
-            htilde(Partition((8,)), PT)
 
 
 def _variable_monomials(basis, part, d):
@@ -526,10 +521,9 @@ class TestCauchyWeight:
                 (max((m + n) * (m + n - 1) // 2, 1),) * 2,
             ), (m, n, k, r)
 
-    def test_sum_r_lhs_reads_no_capped_coefficient(self, monkeypatch):
-        # the closed-form weight reads no Macdonald coefficient, so
-        # sum_r_lhs runs past the degree cap at every size
-        monkeypatch.setattr(macdonald, "DEGREE_CAP", 2)
+    def test_sum_r_lhs_reads_no_capped_coefficient(self):
+        # the closed-form weight reads no Macdonald coefficient, and
+        # sum_r_lhs agrees with the middle side at every size
         pt = EvalPoint(2, 101)
         for m in range(5):
             n = 4 - m
@@ -559,7 +553,7 @@ def _fresh_eval(fn, args, pt):
     for cache in (
         pleth_e,
         macdonald._en_weight,
-        macdonald._htilde_at_alphabet,
+        htilde_at_alphabet,
         macdonald._side,
     ):
         cache.cache_clear()

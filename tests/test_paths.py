@@ -117,7 +117,6 @@ class TestCompositions:
 
     def test_zero_composition_reference(self):
         assert ZC.zero_composition() == (3, 1, 2, 1)
-        assert ZC.zero_composition().weight == 7
 
     def test_zero_composition_all_diagonal(self):
         p = DecoratedLabelledPath((0, 0, 0), (0, 0, 0))

@@ -23,8 +23,8 @@ def test_base_cases():
 def test_reconciled_variant_values():
     # brute-force buckets are the oracle
     buckets = brute_buckets(1, 1, 0)
-    assert pf2_recursion(1, 1, 1, 0) == buckets[0]  # = t
-    assert pf2_recursion(1, 2, 1, 0) == buckets[1]  # = 1 + q
+    assert pf2_recursion(1, 1, 1, 0) == buckets[1]  # = t
+    assert pf2_recursion(1, 2, 1, 0) == buckets[2]  # = 1 + q
     assert pf2_recursion(1, 1, 1, 0) == QtPolynomial({(0, 1): 1})
     assert pf2_recursion(1, 2, 1, 0) == QtPolynomial({(0, 0): 1, (1, 0): 1})
 
