@@ -109,7 +109,9 @@ def _load_object(path):
             obj = json.load(fh)
     except OSError as exc:
         raise UsageError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError and the int-digits limit are
+        # ValueErrors; nesting past the recursion limit is a RecursionError
         raise UsageError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise UsageError(

@@ -5,7 +5,7 @@ on alphabets, modified Macdonald polynomials in the monomial basis
 (computed from the combinatorial filling formula with inv and maj
 weights), Hall pairings against h-products, e-h products and hook Schur
 functions, and the partition-sum evaluators used for identity
-verification on the prime grid.
+verification.
 
 The one change of basis is the m<->h/e/p matrices, ``_basis_to_m_matrix``
 (counted) and ``_m_to_basis_matrix`` (inverted exactly); e_k = m_(1^k)
@@ -25,13 +25,17 @@ a list of such rows in ``SIDES``; its evaluator sums them, and
 ``side_degree`` bounds its degree from the same rows, through
 ``degree_bound``, with no symbolic partition sum built.
 
-All identity evaluation happens at exact points; symbolic data (the
-Macdonald monomial coefficients, the Hall pairings built from them) are
-integer q,t-polynomials, built once per partition and evaluated per point.
-At the int points of the prime grid every evaluator stays in integer
-arithmetic: a rational partition sum is carried as an integer numerator
-over a common denominator, divided once at the end.  Fraction points go
-through the same code and give equal values.
+An evaluator built from + - * ** and ``exact_quotient`` by an integer
+gives an int at the int points of the prime grid, a Fraction at
+Fraction points and its polynomial at ``qt.SYMBOLIC``, by the same
+code: T_mu, Pi_mu, w_mu and ``reciprocity_side`` have no second,
+point-free form.  Symbolic data (the Macdonald monomial coefficients,
+the Hall pairings built from them) are integer q,t-polynomials, built
+once per partition.  The partition sums divide by w_mu, so they are
+evaluated at grid points only and compared on the grid, as is mac-hook,
+whose grid points perfbench's tracer counts.  At an int point a
+rational partition sum is carried as an integer numerator over a common
+denominator, divided once at the end.
 
 Caches are ``functools.lru_cache`` tables that live as long as the
 process: the point-free ones are keyed by partition, the per-point ones
@@ -165,55 +169,35 @@ def bracket_q(r):
     return q_int(r)
 
 
-def t_mu(mu, pt=None):
+def t_mu(mu, pt):
     """T_mu, the product of q^coarm t^coleg over all cells."""
     stats = _cell_stats(mu)
-    a = sum(s[0] for s in stats)
-    b = sum(s[1] for s in stats)
-    if pt is None:
-        return QtPolynomial.monomial(1, a, b)
-    return pt.q0**a * pt.t0**b
+    return pt.q0 ** sum(s[0] for s in stats) * pt.t0 ** sum(s[1] for s in stats)
 
 
-def pi_mu(mu, pt=None):
+def pi_mu(mu, pt):
     """Pi_mu, product of 1 - q^coarm t^coleg over cells other than the corner."""
+    out = pt.q0**0
     # the corner (0, 0) is the first cell
-    if pt is None:
-        out = QtPolynomial.one()
-        for a, l, _, _ in _cell_stats(mu)[1:]:
-            out *= QtPolynomial.one() - QtPolynomial.monomial(1, a, l)
-        return out
-    out = 1
     for a, l, _, _ in _cell_stats(mu)[1:]:
         out *= 1 - pt.q0**a * pt.t0**l
     return out
 
 
-def w_mu(mu, pt=None):
+def w_mu(mu, pt):
     """w_mu, product over cells of (q^arm - t^(leg+1))(t^leg - q^(arm+1))."""
-    if pt is None:
-        out = QtPolynomial.one()
-        for _, _, a, l in _cell_stats(mu):
-            out *= (
-                QtPolynomial.monomial(1, a, 0) - QtPolynomial.monomial(1, 0, l + 1)
-            ) * (
-                QtPolynomial.monomial(1, 0, l) - QtPolynomial.monomial(1, a + 1, 0)
-            )
-        return out
-    out = 1
+    out = pt.q0**0
     for _, _, a, l in _cell_stats(mu):
         out *= (pt.q0**a - pt.t0 ** (l + 1)) * (pt.t0**l - pt.q0 ** (a + 1))
     return out
 
 
-def partition_invariants(mu, pt=None):
-    """(B, T, Pi, w, M) for a partition; B is the alphabet B_mu, the rest
-    are exact values at a point (ints at int points), or polynomials."""
-    B = b_alphabet(mu)
-    if pt is None:
-        return B, t_mu(mu), pi_mu(mu), w_mu(mu), m_alphabet()
+def partition_invariants(mu, pt):
+    """(B, T, Pi, w, M) for a partition: B is the alphabet B_mu, the rest
+    are values at the point (ints at int points, polynomials at
+    ``SYMBOLIC``)."""
     M = (1 - pt.q0) * (1 - pt.t0)
-    return B, t_mu(mu, pt), pi_mu(mu, pt), w_mu(mu, pt), M
+    return b_alphabet(mu), t_mu(mu, pt), pi_mu(mu, pt), w_mu(mu, pt), M
 
 
 # -- plethystic e and h ---------------------------------------------------
@@ -508,9 +492,9 @@ def _htilde_p_coeffs(mu):
 def htilde_at_alphabet(mu, alphabet, pt):
     """Plethystic evaluation of the Macdonald polynomial on an alphabet;
     coefficients stay fixed, only the alphabet is raised to powers.  It
-    serves reciprocity."""
+    serves reciprocity, at ``SYMBOLIC`` as the polynomial itself."""
     if not mu:
-        return 1
+        return pt.q0**0
     denom, coeffs = _htilde_p_coeffs(mu)
     powers = [None] + [pleth_p(j, alphabet, pt) for j in range(1, sum(mu) + 1)]
     total = 0
@@ -761,33 +745,6 @@ def degree_bound(n, operators, rhs, r=1):
         if num is not None:
             w_q, w_t = _degree_data(mu)[2]
             q_deg, t_deg = max(q_deg, num[0] - w_q), max(t_deg, num[1] - w_t)
-    return q_deg, t_deg
-
-
-def reciprocity_degree(alpha, beta):
-    """Per-variable degree bound (q_deg, t_deg) of ``reciprocity_side(alpha,
-    beta, pt)``, H_alpha[M B_beta] Pi_beta, as a polynomial; a = |alpha|.
-
-    The degrees add up over its three factors:
-    - the coefficients of H_alpha: the largest degree of its
-      ``htilde_mcoeff`` polynomials, at most (n(alpha'), n(alpha)); the
-      p-basis coefficients the evaluator reads are rational
-      combinations of them;
-    - the plethysm: H_alpha[M B_beta] is homogeneous of degree a in the
-      alphabet and p_j[A] = A(q^j, t^j), so it adds a times the largest
-      degree of a monomial of M B_beta, (a (1 + maxq(B_beta)),
-      a (1 + maxt(B_beta)));
-    - Pi_beta: (n(beta'), n(beta)).
-    Each entry is at most a(a-1)/2 + ab + b(b-1)/2, with b = |beta|."""
-    a = sum(alpha)
-    q_deg = t_deg = 0
-    for lam in partitions_of(a):
-        q, t = htilde_mcoeff(tuple(alpha), tuple(lam)).degree()
-        q_deg, t_deg = max(q_deg, q), max(t_deg, t)
-    qs, ts, _ = _degree_data(tuple(beta))
-    if qs:
-        q_deg += a * (1 + qs[0]) + sum(qs)
-        t_deg += a * (1 + ts[0]) + sum(ts)
     return q_deg, t_deg
 
 

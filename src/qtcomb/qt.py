@@ -6,11 +6,13 @@ never changed after it is built and stores its hash once, so it is a
 cheap cache key: the plethystic alphabets of ``macdonald`` (B_mu, M,
 [r]_q) are ``QtPolynomial``s.  Specializations are exact: at int
 points an integer polynomial evaluates to an int, at
-``fractions.Fraction`` points to a Fraction, by the same code.  Equality
-of evaluator-defined polynomials is decided on a deterministic grid of
-prime points, handed to the evaluators as plain ints: q-values are drawn
-from the small primes, t-values from primes >= 101, so no mixed
-prime-power coincidences can make structured denominators vanish.
+``fractions.Fraction`` points to a Fraction, and at ``SYMBOLIC`` to
+itself, by the same code.  Equality of evaluators that are not compared
+at ``SYMBOLIC`` (a partition sum divides by w_mu) is decided on a
+deterministic grid of prime points, handed to the evaluators as plain
+ints: q-values are drawn from the small primes, t-values from primes >=
+101, so no mixed prime-power coincidences can make structured
+denominators vanish.
 Evaluators keep a rational value as an integer numerator and denominator
 and divide once, with ``exact_quotient``, at the end.
 """
@@ -256,15 +258,21 @@ class EvalPoint(NamedTuple):
     """An exact evaluation point (q0, t0).
 
     The coordinates are kept as given: ints on the grid, where every
-    evaluator stays in integer arithmetic, or Fractions.  A tuple, so
-    that the per-point caches hash and compare it in C.
+    evaluator stays in integer arithmetic, Fractions, or the polynomials
+    q and t themselves (``SYMBOLIC``).  A tuple, so that the per-point
+    caches hash and compare it in C.
     """
 
-    q0: int | Fraction
-    t0: int | Fraction
+    q0: int | Fraction | QtPolynomial
+    t0: int | Fraction | QtPolynomial
 
     def swap(self):
         return EvalPoint(self.t0, self.q0)
+
+
+#: The point (q, t) itself: every evaluator built from + - * ** returns
+#: its polynomial here, by the code that returns an int at a grid point.
+SYMBOLIC = EvalPoint(QtPolynomial.q(), QtPolynomial.t())
 
 
 # -- q-analogues -----------------------------------------------------
@@ -388,7 +396,13 @@ def poly_equal_by_grid(f, g, degree_bound):
 
 
 def exact_quotient(num, den):
-    """num / den exactly: an int when den divides num, else a Fraction."""
+    """num / den exactly: an int when den divides num, else a Fraction.
+    A ``QtPolynomial`` num is divided coefficient by coefficient and must
+    stay integral (ValueError otherwise)."""
+    if isinstance(num, QtPolynomial):
+        if any(c % den for c in num.terms.values()):
+            raise ValueError(f"{num} is not divisible by {den}")
+        return QtPolynomial({k: c // den for k, c in num.terms.items()})
     quot, rem = divmod(num, den)
     return quot if not rem else Fraction(num, den)
 

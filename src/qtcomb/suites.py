@@ -9,23 +9,25 @@ Every suite is data: a row generator yields one (instance, checks) pair
 per report row, and ``_rows`` runs every row the same way.  A check is a
 zero-argument thunk that returns None when it holds, a witness string
 when it fails, and an ``Inconclusive`` witness when what it ran on does
-not decide it.  A member check walks a materialised family; a grid check,
-``_grid``, compares two sides on the (q_deg+1) x (t_deg+1) grid of the
-larger of their degree bounds (q_deg, t_deg) in each variable.  A side
-is an (evaluator of (q0, t0), (q_deg, t_deg)) pair.  A new check is one
-more thunk in a row, not a new loop.
+not decide it.  A member check walks a materialised family.  An exact
+check compares two sides as polynomials, computed at ``qt.SYMBOLIC``:
+reciprocity and the engine's normalizations, with no bound and no
+assumption.  A grid check, ``_grid``, compares two sides on the
+(q_deg+1) x (t_deg+1) grid of the larger of their degree bounds
+(q_deg, t_deg) in each variable; it serves the partition sums, which
+divide by w_mu, and mac-hook.  A side is an (evaluator of (q0, t0),
+(q_deg, t_deg)) pair.  A new check is one more thunk in a row, not a
+new loop.
 
 Each bound is derived per instance and per variable from the data the
 evaluators read, never assumed from the size: a Delta side's from
 ``macdonald.side_degree`` over the same ``macdonald.SIDES`` rows that
 its evaluator sums (``_side``), an enumerator side's as its exact
-``degree()`` (``_exact``), the hook identity's as the exact degrees of
-its two sides, and each reciprocity side's from
-``macdonald.reciprocity_degree``, the degrees of the Macdonald
-coefficients, the plethysm and Pi added up.  A pass on that grid is a
-proof under one assumption, that each side is a polynomial: for nabla by
-Garsia and Haiman, for the Delta and Delta' sides by Haglund, Remmel and
-Wilson (2015); see ``macdonald.degree_bound``.
+``degree()`` (``_exact``), and the hook identity's as the exact degrees
+of its two sides.  A pass on that grid is a proof under one assumption,
+that each side is a polynomial: for nabla by Garsia and Haiman, for the
+Delta and Delta' sides by Haglund, Remmel and Wilson (2015); see
+``macdonald.degree_bound``.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from qtcomb.paths import (
     polyomino_encode,
     word_in_runs,
 )
-from qtcomb.qt import EvalPoint, QtPolynomial, poly_equal_by_grid
+from qtcomb.qt import SYMBOLIC, EvalPoint, QtPolynomial, poly_equal_by_grid
 
 
 @dataclass
@@ -335,27 +337,31 @@ def _mac_hook_rows(nmax):
 
 
 def _reciprocity_rows(nmax):
-    """One row per size pair; each (alpha, beta) check on the grid of the
-    larger ``macdonald.reciprocity_degree`` of its two sides, per
-    variable."""
+    """One row per size pair; each (alpha, beta) check compares the two
+    sides as polynomials, computed at ``SYMBOLIC`` inside the check."""
     for a in range(1, nmax + 1):
         for b in range(1, nmax + 1):
             yield f"|alpha|={a} |beta|={b}", (
-                partial(
-                    _grid,
-                    f"alpha={tuple(alpha)} beta={tuple(beta)}",
-                    (
-                        _ev(macdonald.reciprocity_side, alpha, beta),
-                        macdonald.reciprocity_degree(alpha, beta),
-                    ),
-                    (
-                        _ev(macdonald.reciprocity_side, beta, alpha),
-                        macdonald.reciprocity_degree(beta, alpha),
-                    ),
-                )
+                partial(_reciprocal, alpha, beta)
                 for alpha in partitions_of(a)
                 for beta in partitions_of(b)
             )
+
+
+def _reciprocal(alpha, beta):
+    """None if H_alpha[M B_beta] Pi_beta and H_beta[M B_alpha] Pi_alpha
+    are equal polynomials; else the pair and the first monomial where
+    their coefficients differ, with both coefficients."""
+    lhs = macdonald.reciprocity_side(alpha, beta, SYMBOLIC)
+    rhs = macdonald.reciprocity_side(beta, alpha, SYMBOLIC)
+    differ = (lhs - rhs).terms
+    if not differ:
+        return None
+    e = min(differ)
+    return (
+        f"alpha={tuple(alpha)} beta={tuple(beta)} q^{e[0]} t^{e[1]}: "
+        f"{lhs.terms.get(e, 0)} != {rhs.terms.get(e, 0)}"
+    )
 
 
 def _pair_rows(left, right, max_size):
@@ -462,7 +468,7 @@ def suite_engine():
     )
     rows = [
         (f"basis round trips d<={ENGINE_DEGREE}", [_basis_round_trips]),
-        ("normalizations n<=5", [partial(_normalizations, pt)]),
+        ("normalizations n<=5", [partial(_normalizations, SYMBOLIC)]),
         ("q-t swap symmetry", [partial(_swap_symmetry, pt)]),
         ("e-h Delta pairing n<=5", e_h_checks),
     ]
@@ -489,7 +495,7 @@ def _basis_round_trips():
 
 def _normalizations(pt):
     """The first mu where <H_mu, s_(n)> is not 1 or <H_mu, s_(1^n)> is not
-    T_mu at ``pt``, or None."""
+    T_mu at ``pt`` (as polynomials at ``SYMBOLIC``), or None."""
     for n in range(1, 6):
         for mu in partitions_of(n):
             if macdonald.htilde_mcoeff(tuple(mu), (n,)).eval(pt.q0, pt.t0) != 1:

@@ -255,6 +255,23 @@ def test_biject_bad_input_file_exits_2(tmp_path, capsys, text, message):
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth"),
+        ('{"area_word": ' + "9" * 5000 + "}", "integer string conversion"),
+    ],
+    ids=["nested", "long-int"],
+)
+def test_biject_json_past_the_parser_limits_exits_2(tmp_path, capsys, text, message):
+    infile = tmp_path / "deep.json"
+    infile.write_text(text)
+    code, out, err = run(capsys, "biject", "--map", "psi", "--in", str(infile))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {infile}: not valid JSON: ")
+    assert message in err and err.count("\n") == 1
+
+
 def test_biject_ghost_candidate_rising_at_row_2_exits_2(tmp_path, capsys):
     path = {"area_word": [0, 1, 0], "labels": [2, 3, 1], "ghost_row": True}
     infile = tmp_path / "f.json"

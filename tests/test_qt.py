@@ -1,14 +1,17 @@
 """Polynomial arithmetic, q-analogues and grid equality."""
 
+from fractions import Fraction
 from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtcomb.qt import (
+    SYMBOLIC,
     InfeasibleGridError,
     PoleError,
     QtPolynomial,
+    exact_quotient,
     poly_equal_by_grid,
     q_binomial,
     q_factorial,
@@ -63,6 +66,20 @@ def test_exact_div_roundtrip(a, b):
     if b.is_zero():
         return
     assert (a * b).exact_div(b) == a
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys)
+def test_a_polynomial_at_symbolic_is_itself(a):
+    assert a.eval(*SYMBOLIC) == a
+
+
+def test_exact_quotient_of_a_polynomial_is_coefficientwise():
+    q, t = SYMBOLIC
+    assert exact_quotient(6 * q * t - 4, 2) == 3 * q * t - 2
+    with pytest.raises(ValueError, match="not divisible"):
+        exact_quotient(6 * q + 3, 2)
+    assert exact_quotient(7, 2) == Fraction(7, 2)
 
 
 def test_q_int_and_factorial():

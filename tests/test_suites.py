@@ -9,7 +9,7 @@ from qtcomb import bijections, macdonald, recursion, suites
 from qtcomb.cli import main
 from qtcomb.families import FamilySpec, generate
 from qtcomb.paths import DecoratedLabelledPath
-from qtcomb.qt import EvalPoint, poly_equal_by_grid, q_primes
+from qtcomb.qt import SYMBOLIC, EvalPoint, poly_equal_by_grid, q_primes
 
 
 def test_each_row_gets_its_own_instance_time(monkeypatch):
@@ -335,29 +335,57 @@ def test_engine_loop_names_its_first_failing_case(monkeypatch):
         macdonald, "pair_htilde_hook", lambda mu, r, pt: hook(mu, r, pt) + 1
     )
     # every mu fails; the first of n <= 5 is (1,)
-    assert suites._normalizations(EvalPoint(3, 101)) == "<H,s_(1^n)> at (1,)"
+    assert suites._normalizations(SYMBOLIC) == "<H,s_(1^n)> at (1,)"
 
 
-def test_reciprocity_checks_run_on_their_per_pair_grids(monkeypatch):
-    # the larger reciprocity_degree of the two sides in each variable,
-    # where the size pair's formula gave every check of a row one square
-    seen = []
+def test_normalizations_are_polynomial_identities(monkeypatch):
+    # a T_mu off by (q - 3)(t - 101) agrees at the old point (3, 101); the
+    # row compares polynomials, so it fails
+    t_mu = macdonald.t_mu
+    monkeypatch.setattr(
+        macdonald,
+        "t_mu",
+        lambda mu, pt: t_mu(mu, pt) + (pt.q0 - 3) * (pt.t0 - 101),
+    )
+    assert suites._normalizations(EvalPoint(3, 101)) is None
+    # the swap row fails too: nabla's eigenvalue is T_mu
+    row = ("engine", "normalizations n<=5", "fail", "<H,s_(1^n)> at (1,)")
+    assert row in _failed_rows(suites.suite_engine())
 
-    def record(left, right, bound):
-        seen.append(bound)
-        return True
 
-    monkeypatch.setattr(suites, "poly_equal_by_grid", record)
+def test_reciprocity_runs_no_grid_check(monkeypatch):
+    # both sides are compared as polynomials at SYMBOLIC, with no bound
+    def refuse(*args):
+        raise AssertionError("reciprocity ran a grid check")
+
+    monkeypatch.setattr(suites, "poly_equal_by_grid", refuse)
     reports = suites.suite_identities(names=("reciprocity",), max_size=2)
     assert [r.status for r in reports] == ["pass"] * 4
-    assert seen == [
-        (1, 1),  # (1,), (1,)
-        (3, 2),  # (1,), (2,)
-        (2, 3),  # (1,), (1, 1)
-        (3, 2),  # (2,), (1,)
-        (2, 3),  # (1, 1), (1,)
-        (6, 2),  # (2,), (2,)
-        (5, 5),  # (2,), (1, 1)
-        (5, 5),  # (1, 1), (2,)
-        (2, 6),  # (1, 1), (1, 1)
+
+
+def test_reciprocity_names_the_first_differing_monomial(monkeypatch):
+    # a q t planted in H_(2)[M B_(1)] Pi_(1), whose coefficient there is 1
+    side = macdonald.reciprocity_side
+
+    def planted(alpha, beta, pt):
+        value = side(alpha, beta, pt)
+        if (tuple(alpha), tuple(beta)) == ((2,), (1,)):
+            value += pt.q0 * pt.t0
+        return value
+
+    monkeypatch.setattr(macdonald, "reciprocity_side", planted)
+    reports = suites.suite_identities(names=("reciprocity",), max_size=2)
+    assert _failed_rows(reports) == [
+        (
+            "reciprocity",
+            "|alpha|=1 |beta|=2",
+            "fail",
+            "alpha=(1,) beta=(2,) q^1 t^1: 1 != 2",
+        ),
+        (
+            "reciprocity",
+            "|alpha|=2 |beta|=1",
+            "fail",
+            "alpha=(2,) beta=(1,) q^1 t^1: 2 != 1",
+        ),
     ]
