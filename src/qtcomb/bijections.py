@@ -17,6 +17,11 @@ The maps implemented here:
 The maps that end on a shuffle or Catalan-type path (``eta``,
 ``pld_recursive_step``, ``ehh_inverse``, ``shuffle_recursion_step``)
 assign each row to a run and leave the labels to ``paths.run_labels``.
+
+``eta_inverse`` and ``eta`` pass the polyomino as column heights, and
+``ndinv`` loops the ``phi`` kernel on one domino tuple and checks every
+intermediate sequence; tests/test_bijections.py keeps the step-string
+and per-step forms as references.
 """
 
 from __future__ import annotations
@@ -59,34 +64,26 @@ def eta_inverse(path):
     horizontal sits below the k-th red one at distance equal to the
     area value of the corresponding zero-valley row.
     """
-    m = len(path.zero_valleys()) - 1
-    n = len(path.positive_rows())
+    m, n = path.catalan_sizes()
     if m < 0:
         raise DomainError("eta_inverse: path has no zero valleys")
     _require(path, _spec("catalan-pld", m=m, n=n), "eta_inverse")
 
-    red, green = [], []
+    red, green = [], []  # the heights of the horizontal steps, column by column
     y_red = 0
-    y_green_prev = 0
-    for i in range(path.size):
-        if path.labels[i] == 0:
-            z = path.area_word[i]
-            if i > 0:
-                red.append("E")
+    for i, (z, label) in enumerate(zip(path.area_word, path.labels)):
+        if label == 0:
             y_green = y_red - z
-            if y_green < y_green_prev:
+            if y_green < (green[-1] if green else 0):
                 raise DomainError("eta_inverse: green heights not monotone")
             if i > 0:
-                green.append("N" * (y_green - y_green_prev) + "E")
-                y_green_prev = y_green
+                red.append(y_red)
+                green.append(y_green)
             elif z != 0:
                 raise DomainError("eta_inverse: corner row must sit on the diagonal")
         else:
-            red.append("N")
             y_red += 1
-    green.append("N" * (n - y_green_prev))
-    paths = PolyominoPaths(m, n, "".join(red), "".join(green))
-    return polyomino_encode(paths)
+    return polyomino_encode(PolyominoPaths.from_heights(m, n, red, green))
 
 
 def eta(word):
@@ -94,23 +91,18 @@ def eta(word):
     if word.decorated_rises:
         raise DomainError("eta expects an undecorated polyomino")
     paths = polyomino_decode(word)
-    red_h = paths.red_heights()
-    green_h = paths.green_heights()
-
     rows = [("z", 0)]
-    k = 0
-    prev_a = 0
-    for step in paths.red:
-        if step == "E":
-            z = red_h[k] - green_h[k]
-            k += 1
-            if z > prev_a:
-                raise DomainError("eta: valley deeper than the previous row allows")
-            rows.append(("z", z))
-            prev_a = z
-        else:
-            prev_a = prev_a + 1
-            rows.append(("p", None))
+    y = prev_a = 0
+    for r, g in zip(paths.red_heights, paths.green_heights):
+        rows += [("p", None)] * (r - y)
+        prev_a += r - y
+        y = r
+        z = r - g
+        if z > prev_a:
+            raise DomainError("eta: valley deeper than the previous row allows")
+        rows.append(("z", z))
+        prev_a = z
+    rows += [("p", None)] * (paths.n - y)
     return assemble_catalan_pld(rows)
 
 
@@ -152,27 +144,8 @@ class DominoSequence:
     __slots__ = ("dominoes",)
 
     def __init__(self, dominoes):
-        # one pass reads every domino; the faults it finds are raised after
-        # it, in order: the start, then the labels, then the levels
-        d = []
-        labels_ok = levels_ok = True
-        prev = -1  # the first level must be 0
-        for l, a in dominoes:
-            l, a = int(l), int(a)
-            if l != 1 and l != 2:
-                labels_ok = False
-            if a < 0 or a > prev + 1:
-                levels_ok = False
-            prev = a
-            d.append((l, a))
-        self.dominoes = d = tuple(d)
-        if d:
-            if d[0] != (2, 0):
-                raise DomainError("domino sequence must start with [2,0]")
-            if not labels_ok:
-                raise DomainError("domino labels must be 1 or 2")
-            if not levels_ok:
-                raise DomainError("domino levels do not form an area word")
+        self.dominoes = tuple([(int(l), int(a)) for l, a in dominoes])
+        _check_dominoes(self.dominoes)
 
     @classmethod
     def from_path(cls, path):
@@ -202,6 +175,25 @@ class DominoSequence:
         return "Dominoes(%s)" % ", ".join(f"[{l},{a}]" for l, a in self.dominoes)
 
 
+def _check_dominoes(d):
+    """Raise the first fault of a tuple of (label, level) int pairs, in
+    order: the start, then the labels, then the levels; one pass."""
+    if not d:
+        return
+    if d[0] != (2, 0):
+        raise DomainError("domino sequence must start with [2,0]")
+    levels_ok = True
+    prev = -1  # the first level must be 0
+    for l, a in d:
+        if l != 1 and l != 2:
+            raise DomainError("domino labels must be 1 or 2")
+        if a < 0 or a > prev + 1:
+            levels_ok = False
+        prev = a
+    if not levels_ok:
+        raise DomainError("domino levels do not form an area word")
+
+
 def phi(seq):
     """One block step on a domino sequence.
 
@@ -212,22 +204,22 @@ def phi(seq):
     [2,x][1,x+1] is rewritten as [1,x][2,x+1], and the block (leading
     [2,0] kept unchanged) moves to the end of the sequence.
     """
-    d = list(seq.dominoes)
+    return DominoSequence(_phi(seq.dominoes))
+
+
+def _phi(d):
+    """``phi`` on a tuple of dominoes: the tuple of the image, unchecked."""
     if not d:
         raise DomainError("phi needs a nonempty sequence")
-    end = len(d)
-    for i in range(1, len(d)):
-        if d[i] == (2, 0):
-            end = i
-            break
-    block, rest = d[:end], d[end:]
-    if len(block) == 1:
-        return DominoSequence(rest)
-    if block[1] != (1, 0):
+    try:
+        end = d.index((2, 0), 1)
+    except ValueError:
+        end = len(d)
+    if end == 1:
+        return d[1:]
+    if d[1] != (1, 0):
         raise DomainError("phi: domino after the leading [2,0] must be [1,0]")
-    body = [
-        (l, a - 1) if l == 2 else (l, a) for l, a in block[2:]
-    ]
+    body = [(l, a - 1) if l == 2 else (l, a) for l, a in d[2:end]]
     i = 0
     while i + 1 < len(body):
         (l1, a1), (l2, a2) = body[i], body[i + 1]
@@ -236,7 +228,7 @@ def phi(seq):
             i += 2
         else:
             i += 1
-    return DominoSequence(rest + [(2, 0)] + body)
+    return d[end:] + ((2, 0),) + tuple(body)
 
 
 def _as_dominoes(obj, n=None):
@@ -269,11 +261,6 @@ def _as_dominoes(obj, n=None):
     raise DomainError("ndinv needs a two-car or two-shuffle path")
 
 
-def _phi_block_is_singleton(seq):
-    d = seq.dominoes
-    return len(d) == 1 or d[1] == (2, 0)
-
-
 def ndinv(obj, n=None):
     """The recursive statistic: each nontrivial phi step contributes
     (number of [2,0] dominoes) - 1; the trivial step that deletes a lone
@@ -281,14 +268,16 @@ def ndinv(obj, n=None):
 
     The zero contribution of trivial steps is forced by the path-level
     picture, where deleting one of two leading diagonal zero valleys
-    leaves dinv unchanged.
+    leaves dinv unchanged.  Each step runs ``_phi`` on the domino tuple
+    and the ``DominoSequence`` checks on its image.
     """
-    seq = _as_dominoes(obj, n)
+    d = _as_dominoes(obj, n).dominoes
     total = 0
-    while len(seq):
-        if not _phi_block_is_singleton(seq):
-            total += seq.dominoes.count((2, 0)) - 1
-        seq = phi(seq)
+    while d:
+        if len(d) > 1 and d[1] != (2, 0):
+            total += d.count((2, 0)) - 1
+        d = _phi(d)
+        _check_dominoes(d)
     return total
 
 
@@ -304,8 +293,7 @@ def pld_recursive_step(path):
     zero valleys move one step toward the diagonal), and the region is
     cycled to the end.
     """
-    m = len(path.zero_valleys()) - 1
-    n = len(path.positive_rows())
+    m, n = path.catalan_sizes()
     if m < 0:
         raise DomainError("pld_recursive_step: path has no zero valleys")
     _require(path, _spec("catalan-pld", m=m, n=n), "pld_recursive_step")

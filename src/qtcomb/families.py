@@ -19,6 +19,7 @@ searched with pruning rather than filtered after generation.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -73,6 +74,10 @@ class FamilySpec:
             raise FamilySpecError(f"unknown family {self.family!r}")
         if self.m < 0 or self.n < 0 or self.k < 0:
             raise FamilySpecError("family parameters must be non-negative")
+        for name in ("m", "n", "k"):
+            if getattr(self, name) > sys.maxsize:
+                # a family that large has more rows than a list can index
+                raise FamilySpecError(f"family size {name} exceeds sys.maxsize")
         if self.content is not None:
             c = tuple(self.content)
             if any(x < 1 for x in c) or list(c) != sorted(c, reverse=True):

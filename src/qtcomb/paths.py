@@ -10,14 +10,15 @@ each row takes the next label of its run in reading order, and
 ``word_in_runs`` checks such a reading word.  Reduced parallelogram
 polyominoes are area words over the doubled alphabet
 0 < 0b < 1 < 1b < 2 < ... (b marks a barred letter), with the ghost
-letter 0 at index 0.  Step-grid geometry is derived, not stored.
+letter 0 at index 0.  ``PolyominoPaths`` stores the red and green column
+heights of a polyomino; its N/E step strings are derived from them.
 
-The constructors' checks, ``word_in_runs`` and ``polyomino_encode`` walk
-their rows once.  Their earlier forms are kept as references in
-tests/test_paths.py (``reference_validate``, ``reference_word_validate``,
-``reference_word_in_runs``, ``reference_encode``), which require the
-same answer, exception class and message on every small input, valid or
-not; ``dinv_pairs`` stays here as the reference of ``dinv``.
+The constructors' checks, ``word_in_runs``, the polyomino codec and the
+compositions walk their rows once.  Their earlier forms are kept as
+references (``reference_*``) in tests/test_paths.py and
+tests/test_bijections.py, which require the same answer, exception
+class and message on every small input, valid or not; ``dinv_pairs``
+stays here as the reference of ``dinv``.
 """
 
 from __future__ import annotations
@@ -137,16 +138,18 @@ class DecoratedLabelledPath:
     def size(self):
         return len(self.area_word)
 
-    def zero_valleys(self):
-        """Valleys carrying the label 0."""
-        a, labels = self.area_word, self.labels
-        if labels is None:
-            return frozenset()
-        return frozenset(
-            i + 1
-            for i in range(len(a))
-            if labels[i] == 0 and (i == 0 or a[i] <= a[i - 1])
-        )
+    def catalan_sizes(self):
+        """(m, n) of a Catalan-type path in one pass: its valleys labelled
+        0 less one, and its positive rows; m is -1 when it has no such
+        valley, as when it has no labels."""
+        m, n, prev = -1, 0, 0  # row 1 is at level 0, so it is a valley
+        for x, label in zip(self.area_word, self.labels or ()):
+            if label:
+                n += 1
+            elif x <= prev:
+                m += 1
+            prev = x
+        return m, n
 
     def positive_rows(self):
         if self.labels is None:
@@ -216,36 +219,35 @@ class DecoratedLabelledPath:
         """Groups of 0-labels split at the 0-labels on the main diagonal."""
         if self.labels is None or self.size == 0 or self.labels[0] != 0:
             raise DomainError("zero composition needs a 0 in the bottom-left corner")
-        anchors = [
-            i
-            for i in range(self.size)
-            if self.area_word[i] == 0 and self.labels[i] == 0
-        ]
-        zeros = [i for i in range(self.size) if self.labels[i] == 0]
         parts = []
-        for j, start in enumerate(anchors):
-            end = anchors[j + 1] if j + 1 < len(anchors) else self.size
-            parts.append(sum(1 for i in zeros if start <= i < end))
+        for x, label in zip(self.area_word, self.labels):
+            if label == 0:
+                if x == 0:
+                    parts.append(1)
+                else:
+                    parts[-1] += 1
         return Composition(parts)
 
     def big_car_composition(self):
         """Groups of 2-cars split at the 2-cars on the main diagonal."""
-        if self.labels is None or not set(self.labels) <= {1, 2}:
+        if self.labels is None:
             raise DomainError("big car composition needs labels in {1, 2}")
-        anchors = [
-            i
-            for i in range(self.size)
-            if self.area_word[i] == 0 and self.labels[i] == 2
-        ]
-        bigs = [i for i in range(self.size) if self.labels[i] == 2]
-        if not anchors:
-            raise DomainError("no big car on the main diagonal")
-        if bigs and bigs[0] < anchors[0]:
-            raise DomainError("big car before the first diagonal big car")
         parts = []
-        for j, start in enumerate(anchors):
-            end = anchors[j + 1] if j + 1 < len(anchors) else self.size
-            parts.append(sum(1 for i in bigs if start <= i < end))
+        early = False  # a 2-car below the first diagonal one
+        for x, label in zip(self.area_word, self.labels):
+            if label == 2:
+                if x == 0:
+                    parts.append(1)
+                elif parts:
+                    parts[-1] += 1
+                else:
+                    early = True
+            elif label != 1:
+                raise DomainError("big car composition needs labels in {1, 2}")
+        if not parts:
+            raise DomainError("no big car on the main diagonal")
+        if early:
+            raise DomainError("big car before the first diagonal big car")
         return Composition(parts)
 
     # -- ghost handling -----------------------------------------------
@@ -450,51 +452,73 @@ class PolyominoWord:
 
 
 class PolyominoPaths:
-    """A reduced polyomino as a pair of N/E step strings from (0,0) to (m,n).
+    """A reduced polyomino from (0,0) to (m,n): the heights of its red and
+    green horizontal steps in columns 0..m-1, given as N/E step strings
+    (``red`` and ``green``, derived) or to ``from_heights``.
 
     The red path must stay weakly above the green one.  The conventional
     overlapping ghost steps from (-1,0) to (0,0) are implicit.
     """
 
-    __slots__ = ("m", "n", "red", "green")
+    __slots__ = ("m", "n", "red_heights", "green_heights")
 
     def __init__(self, m, n, red, green):
         self.m, self.n = int(m), int(n)
-        self.red, self.green = str(red), str(green)
-        self._validate()
-
-    def _validate(self):
-        for name, path in (("red", self.red), ("green", self.green)):
+        heights = []
+        for name, path in (("red", str(red)), ("green", str(green))):
             if set(path) - {"N", "E"}:
                 raise GeometryError(f"{name} path has steps other than N/E")
-            if path.count("E") != self.m or path.count("N") != self.n:
-                raise GeometryError(
-                    f"{name} path does not go from (0,0) to ({self.m},{self.n})"
-                )
-        gh = self.green_heights()
-        rh = self.red_heights()
-        if any(g > r for g, r in zip(gh, rh)):
-            raise GeometryError("red path dips below the green path")
+            columns, y = [], 0
+            for step in path:
+                if step == "N":
+                    y += 1
+                else:
+                    columns.append(y)
+            heights.append(self._checked(name, tuple(columns), y))
+        self.red_heights, self.green_heights = heights
+        self._check_order()
 
-    def _horizontal_heights(self, path):
-        """Height of the horizontal step crossing each column 0..m-1."""
-        heights, y = [], 0
-        for step in path:
-            if step == "N":
-                y += 1
-            else:
-                heights.append(y)
+    @classmethod
+    def from_heights(cls, m, n, red_heights, green_heights):
+        """The polyomino whose red and green horizontal steps cross column
+        c at heights ``red_heights[c]`` and ``green_heights[c]``."""
+        self = object.__new__(cls)
+        self.m, self.n = m, n
+        self.red_heights = self._checked("red", tuple(red_heights), n)
+        self.green_heights = self._checked("green", tuple(green_heights), n)
+        self._check_order()
+        return self
+
+    def _checked(self, name, heights, top):
+        """``heights`` once they rise weakly from 0 to ``top``, the height
+        the path ends at (else a step is neither N nor E), and there are m
+        of them with ``top`` equal to n (else an endpoint is off)."""
+        prev = 0
+        for y in heights + (top,):
+            if y < prev:
+                raise GeometryError(f"{name} path has steps other than N/E")
+            prev = y
+        if len(heights) != self.m or top != self.n:
+            raise GeometryError(
+                f"{name} path does not go from (0,0) to ({self.m},{self.n})"
+            )
         return heights
 
-    def red_heights(self):
-        return self._horizontal_heights(self.red)
+    def _check_order(self):
+        if any(g > r for g, r in zip(self.green_heights, self.red_heights)):
+            raise GeometryError("red path dips below the green path")
 
-    def green_heights(self):
-        return self._horizontal_heights(self.green)
+    @property
+    def red(self):
+        return _step_string(self.red_heights, self.n)
+
+    @property
+    def green(self):
+        return _step_string(self.green_heights, self.n)
 
     def cells(self):
         """Unit squares strictly between the two paths, as (col, row) pairs."""
-        gh, rh = self.green_heights(), self.red_heights()
+        gh, rh = self.green_heights, self.red_heights
         return {
             (c, y) for c in range(self.m) for y in range(gh[c], rh[c])
         }
@@ -505,18 +529,27 @@ class PolyominoPaths:
     def __eq__(self, other):
         if not isinstance(other, PolyominoPaths):
             return NotImplemented
-        return (self.m, self.n, self.red, self.green) == (
-            other.m,
-            other.n,
-            other.red,
-            other.green,
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.m, self.n, self.red, self.green))
+        return hash(self._key())
+
+    def _key(self):
+        return self.m, self.n, self.red_heights, self.green_heights
 
     def __repr__(self):
         return f"PolyominoPaths({self.m}x{self.n}, red={self.red!r}, green={self.green!r})"
+
+
+def _step_string(heights, n):
+    """The N/E steps from (0,0) to (len(heights), n) whose horizontal step
+    across column c lies at height ``heights[c]``."""
+    steps, y = [], 0
+    for h in heights:
+        steps.append("N" * (h - y) + "E")
+        y = h
+    steps.append("N" * (n - y))
+    return "".join(steps)
 
 
 def polyomino_encode(paths, decorated_rises=()):
@@ -528,7 +561,7 @@ def polyomino_encode(paths, decorated_rises=()):
     diagonals.  Labels are read by sweeping the slope -1 lines x + y = d
     through the step endpoints, red label before green at ties.
     """
-    gh, rh = paths.green_heights(), paths.red_heights()
+    m, gh, rh = paths.m, paths.green_heights, paths.red_heights
     # squares of each row, then those no diagonal crosses: column c holds
     # the squares gh[c] <= y < rh[c], and each square lies on one diagonal
     missed = [0] * paths.n
@@ -536,26 +569,22 @@ def polyomino_encode(paths, decorated_rises=()):
         for y in range(g, r):
             missed[y] += 1
     # (x + y, 0 for red and 1 for green, letter): the endpoints of one
-    # path have distinct x + y, so a plain sort sweeps them in order
-    events = []
-    x, y = -1, 0  # the ghost step from (-1, 0) ends at the origin
-    for step in "E" + paths.green:
-        if step == "N":
-            y += 1
-            continue
-        x += 1
+    # path have distinct x + y, so a plain sort sweeps them in order.  The
+    # ghost step ends at the origin; green step x ends at (x, gh[x - 1]).
+    events = [(0, 1, (0, False))]
+    for x, y in enumerate(gh, 1):
         v = 0
         while x - 1 - v >= 0 and gh[x - 1 - v] <= y + v < rh[x - 1 - v]:
             missed[y + v] -= 1
             v += 1
         events.append((x + y, 1, (v, False)))
-    x = y = 0
-    for step in paths.red:
-        if step == "E":
+    # the red vertical into row y + 1 stands at x = the number of columns
+    # whose red height is at most y
+    x = 0
+    for y, dots in enumerate(missed):
+        while x < m and rh[x] <= y:
             x += 1
-        else:
-            y += 1
-            events.append((x + y, 0, (missed[y - 1], True)))
+        events.append((x + y + 1, 0, (dots, True)))
     events.sort()
     return PolyominoWord([letter for _, _, letter in events], decorated_rises)
 
@@ -568,7 +597,6 @@ def polyomino_decode(word):
     ending at height i, the k-th unbarred letter the green horizontal
     ending at x = k.
     """
-    m, n = word.m, word.n
     red_x, green_y = [], []
     bar_seen = unbar_seen = 0
     for j, (v, barred) in enumerate(word.letters):
@@ -579,6 +607,7 @@ def polyomino_decode(word):
         else:
             green_y.append(d - unbar_seen)
             unbar_seen += 1
+    m, n = unbar_seen - 1, bar_seen
     # green_y[0] belongs to the ghost step; real horizontals follow.
     if green_y[0] != 0:
         raise GeometryError("ghost letter does not sit at the origin")
@@ -591,19 +620,15 @@ def polyomino_decode(word):
             prev = x
 
     monotone(red_x, 0, m, "red vertical")
-    monotone(green_y[1:], 0, n, "green horizontal")
-
-    red, x = [], 0
-    for rx in red_x:
-        red.append("E" * (rx - x) + "N")
-        x = rx
-    red.append("E" * (m - x))
-    green, y = [], 0
-    for gy in green_y[1:]:
-        green.append("N" * (gy - y) + "E")
-        y = gy
-    green.append("N" * (n - y))
-    return PolyominoPaths(m, n, "".join(red), "".join(green))
+    del green_y[0]
+    monotone(green_y, 0, n, "green horizontal")
+    # the red height of column c counts the red verticals at x <= c
+    red, i = [], 0
+    for c in range(m):
+        while i < n and red_x[i] <= c:
+            i += 1
+        red.append(i)
+    return PolyominoPaths.from_heights(m, n, red, green_y)
 
 
 # -- shuffle run membership -------------------------------------------

@@ -32,12 +32,17 @@ from qtcomb.families import (
 from qtcomb.paths import (
     DecoratedLabelledPath,
     DomainError,
+    GeometryError,
     InvalidPathError,
+    PolyominoPaths,
     PolyominoWord,
     knm_runs,
+    polyomino_decode,
+    polyomino_encode,
     run_labels,
 )
 from qtcomb.qt import QtPolynomial
+from test_paths import _column_heights, _outcome, reference_zero_valleys
 
 # Worked pair: the Catalan-type path and its polyomino (area 13).
 CAT_PATH = DecoratedLabelledPath(
@@ -400,11 +405,54 @@ def reference_dominoes(dominoes):
     return d
 
 
+def reference_phi(seq):
+    """``phi`` as it was written on lists, building a ``DominoSequence``
+    at every step."""
+    d = list(seq.dominoes)
+    if not d:
+        raise DomainError("phi needs a nonempty sequence")
+    end = len(d)
+    for i in range(1, len(d)):
+        if d[i] == (2, 0):
+            end = i
+            break
+    block, rest = d[:end], d[end:]
+    if len(block) == 1:
+        return DominoSequence(rest)
+    if block[1] != (1, 0):
+        raise DomainError("phi: domino after the leading [2,0] must be [1,0]")
+    body = [(l, a - 1) if l == 2 else (l, a) for l, a in block[2:]]
+    i = 0
+    while i + 1 < len(body):
+        (l1, a1), (l2, a2) = body[i], body[i + 1]
+        if l1 == 2 and l2 == 1 and a2 == a1 + 1:
+            body[i], body[i + 1] = (1, a1), (2, a2)
+            i += 2
+        else:
+            i += 1
+    return DominoSequence(rest + [(2, 0)] + body)
+
+
+def reference_ndinv(seq):
+    """``ndinv`` on a ``DominoSequence`` as it was written: one
+    ``reference_phi`` per step, so every step builds and checks a new
+    sequence."""
+    total = 0
+    while len(seq):
+        d = seq.dominoes
+        if not (len(d) == 1 or d[1] == (2, 0)):
+            total += d.count((2, 0)) - 1
+        seq = reference_phi(seq)
+    return total
+
+
 def test_domino_sequence_raises_as_the_reference_does():
     # every sequence of up to four dominoes with labels 0..2 and levels
-    # -1..2: bad labels and bad levels, alone and mixed, in every order
+    # -1..2: bad labels and bad levels, alone and mixed, in every order;
+    # phi and ndinv on each one the constructor accepts
     dominoes = list(product(range(3), range(-1, 3)))
     messages = set()
+    steps = set()
     for length in range(5):
         for seq in product(dominoes, repeat=length):
             try:
@@ -417,4 +465,248 @@ def test_domino_sequence_raises_as_the_reference_does():
             except DomainError as exc:
                 got = str(exc)
             assert got == want, seq
+            if isinstance(got, str):
+                continue
+            accepted = DominoSequence(seq)
+            for fn, ref in ((phi, reference_phi), (ndinv, reference_ndinv)):
+                result = _outcome(fn, accepted)
+                assert result == _outcome(ref, accepted), (fn.__name__, seq)
+                steps.add(result[0])
     assert len(messages) == 3
+    # an intermediate sequence can break the constructor's level check
+    assert DomainError in steps and "returned" in steps
+    with pytest.raises(DomainError, match="levels do not form"):
+        ndinv(DominoSequence([(2, 0), (1, 0), (2, 1), (1, 2)]))
+
+
+# -- references for the Catalan-side kernels -----------------------------
+# Each reference below is a kernel as it was written before it ran on
+# integers: the polyomino as N/E step strings, and the compositions in
+# several passes.  The rewrites must give the same answer, or raise the
+# same exception class with the same message, on every input listed.
+
+
+def reference_decode(word):
+    """``polyomino_decode`` spelling the two paths as step strings."""
+    m, n = word.m, word.n
+    red_x, green_y = [], []
+    bar_seen = unbar_seen = 0
+    for j, (v, barred) in enumerate(word.letters):
+        d = j - v
+        if barred:
+            bar_seen += 1
+            red_x.append(d - bar_seen)
+        else:
+            green_y.append(d - unbar_seen)
+            unbar_seen += 1
+    if green_y[0] != 0:
+        raise GeometryError("ghost letter does not sit at the origin")
+
+    def monotone(xs, lo, hi, what):
+        prev = lo
+        for x in xs:
+            if x < prev or x > hi:
+                raise GeometryError(f"{what} positions not monotone in range")
+            prev = x
+
+    monotone(red_x, 0, m, "red vertical")
+    monotone(green_y[1:], 0, n, "green horizontal")
+    red, x = [], 0
+    for rx in red_x:
+        red.append("E" * (rx - x) + "N")
+        x = rx
+    red.append("E" * (m - x))
+    green, y = [], 0
+    for gy in green_y[1:]:
+        green.append("N" * (gy - y) + "E")
+        y = gy
+    green.append("N" * (n - y))
+    return PolyominoPaths(m, n, "".join(red), "".join(green))
+
+
+def reference_eta(word):
+    """``eta`` walking the red step string of ``reference_decode``."""
+    if word.decorated_rises:
+        raise DomainError("eta expects an undecorated polyomino")
+    paths = reference_decode(word)
+    red_h = _column_heights(paths.red)
+    green_h = _column_heights(paths.green)
+    rows = [("z", 0)]
+    k = prev_a = 0
+    for step in paths.red:
+        if step == "E":
+            z = red_h[k] - green_h[k]
+            k += 1
+            if z > prev_a:
+                raise DomainError("eta: valley deeper than the previous row allows")
+            rows.append(("z", z))
+            prev_a = z
+        else:
+            prev_a += 1
+            rows.append(("p", None))
+    return assemble_catalan_pld(rows)
+
+
+def reference_eta_inverse(path):
+    """``eta_inverse`` spelling the polyomino as step strings."""
+    m = len(reference_zero_valleys(path)) - 1
+    n = len(path.positive_rows())
+    if m < 0:
+        raise DomainError("eta_inverse: path has no zero valleys")
+    ok, why = validate_family(path, FamilySpec("catalan-pld", m=m, n=n))
+    if not ok:
+        raise DomainError(f"eta_inverse: {why}")
+    red, green = [], []
+    y_red = y_green_prev = 0
+    for i in range(path.size):
+        if path.labels[i] == 0:
+            z = path.area_word[i]
+            if i > 0:
+                red.append("E")
+            y_green = y_red - z
+            if y_green < y_green_prev:
+                raise DomainError("eta_inverse: green heights not monotone")
+            if i > 0:
+                green.append("N" * (y_green - y_green_prev) + "E")
+                y_green_prev = y_green
+            elif z != 0:
+                raise DomainError("eta_inverse: corner row must sit on the diagonal")
+        else:
+            red.append("N")
+            y_red += 1
+    green.append("N" * (n - y_green_prev))
+    return polyomino_encode(PolyominoPaths(m, n, "".join(red), "".join(green)))
+
+
+def reference_zero_composition(path):
+    if path.labels is None or path.size == 0 or path.labels[0] != 0:
+        raise DomainError("zero composition needs a 0 in the bottom-left corner")
+    anchors = [
+        i for i in range(path.size) if path.area_word[i] == 0 and path.labels[i] == 0
+    ]
+    zeros = [i for i in range(path.size) if path.labels[i] == 0]
+    parts = []
+    for j, start in enumerate(anchors):
+        end = anchors[j + 1] if j + 1 < len(anchors) else path.size
+        parts.append(sum(1 for i in zeros if start <= i < end))
+    return tuple(parts)
+
+
+def reference_big_car_composition(path):
+    if path.labels is None or not set(path.labels) <= {1, 2}:
+        raise DomainError("big car composition needs labels in {1, 2}")
+    anchors = [
+        i for i in range(path.size) if path.area_word[i] == 0 and path.labels[i] == 2
+    ]
+    bigs = [i for i in range(path.size) if path.labels[i] == 2]
+    if not anchors:
+        raise DomainError("no big car on the main diagonal")
+    if bigs and bigs[0] < anchors[0]:
+        raise DomainError("big car before the first diagonal big car")
+    parts = []
+    for j, start in enumerate(anchors):
+        end = anchors[j + 1] if j + 1 < len(anchors) else path.size
+        parts.append(sum(1 for i in bigs if start <= i < end))
+    return tuple(parts)
+
+
+def _polyomino_words(max_length, top):
+    """Every word of at most ``max_length`` letters with values 0..top
+    that the ``PolyominoWord`` constructor accepts."""
+    letters = [(0, False)]
+
+    def rec():
+        yield PolyominoWord(letters)
+        if len(letters) == max_length:
+            return
+        v, barred = letters[-1]
+        for rank in range(2 * v + barred + 2):
+            if rank // 2 <= top:
+                letters.append((rank // 2, bool(rank % 2)))
+                yield from rec()
+                letters.pop()
+
+    yield from rec()
+
+
+def _labelled_paths(max_size):
+    """Every path of at most ``max_size`` rows the constructor accepts:
+    unlabelled, and labelled over 0..3 (0..2 at ``max_size``), decorated
+    on its positive rises."""
+    for size in range(max_size + 1):
+        values = range(4) if size < max_size else range(3)
+        for d in generate(FamilySpec("d", n=size)):
+            word = d.area_word
+            yield d
+            rises = [i + 1 for i in range(1, size) if word[i] > word[i - 1]]
+            for labels in product(values, repeat=size):
+                dec = [i for i in rises if labels[i - 1] > 0]
+                try:
+                    yield DecoratedLabelledPath(word, labels, dec)
+                except InvalidPathError:
+                    continue
+
+
+def _ghost_two_car_paths(max_size):
+    """Every two-car path of at most ``max_size`` rows with the leading
+    diagonal 2-car: a rise puts a 2 over a 1."""
+    rows = [(0, 2)]
+
+    def rec():
+        word, labels = zip(*rows)
+        yield DecoratedLabelledPath(word, labels, ghost_row=True)
+        if len(rows) == max_size:
+            return
+        level, label = rows[-1]
+        for a in range(level + 2):
+            for car in (1, 2):
+                if a == level + 1 and (label, car) != (1, 2):
+                    continue
+                rows.append((a, car))
+                yield from rec()
+                rows.pop()
+
+    yield from rec()
+
+
+def test_decode_and_eta_match_the_references_on_every_small_word():
+    words = list(_polyomino_words(6, 3))
+    decoded = 0
+    for w in words:
+        got, want = _outcome(polyomino_decode, w), _outcome(reference_decode, w)
+        assert got == want, w
+        decoded += got[0] == "returned"
+        got, want = _outcome(eta, w), _outcome(reference_eta, w)
+        assert got == want, w
+    assert decoded > 100
+
+
+def test_catalan_maps_match_the_references_on_every_small_path():
+    kernels = (
+        (eta_inverse, reference_eta_inverse),
+        (DecoratedLabelledPath.zero_composition, reference_zero_composition),
+        (DecoratedLabelledPath.big_car_composition, reference_big_car_composition),
+    )
+    mapped = 0
+    for p in _labelled_paths(6):
+        for fn, ref in kernels:
+            got, want = _outcome(fn, p), _outcome(ref, p)
+            assert got == want, (fn.__name__, p)
+            mapped += fn is eta_inverse and got[0] == "returned"
+        m_n = (-1, 0) if p.labels is None else (
+            len(reference_zero_valleys(p)) - 1,
+            len(p.positive_rows()),
+        )
+        assert p.catalan_sizes() == m_n, p
+    assert mapped > 100
+
+
+def test_ndinv_and_big_car_match_the_references_on_every_ghost_two_car_path():
+    paths = 0
+    for p in _ghost_two_car_paths(8):
+        got = _outcome(ndinv, p)
+        assert got == _outcome(reference_ndinv, DominoSequence.from_path(p)), p
+        got = _outcome(DecoratedLabelledPath.big_car_composition, p)
+        assert got == _outcome(reference_big_car_composition, p), p
+        paths += 1
+    assert paths > 1000

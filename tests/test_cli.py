@@ -449,3 +449,30 @@ def test_biject_wrong_object_type_exits_2(tmp_path, capsys, map_name, obj, takes
     assert code == 2 and out == ""
     assert err.startswith(f"error: --map {map_name} takes a {takes}")
     assert err.count("\n") == 1
+
+
+# past sys.maxsize: no list of that many rows can exist, so the size is
+# refused before anything is built
+_OVERSIZED = "99999999999999999999"
+_OVERSIZED_ERROR = "error: family size n exceeds sys.maxsize\n"
+
+
+@pytest.mark.parametrize(
+    "family", ["pf2", "shuffle-knm", "two-shuffle", "catalan-pld", "d", "rp"]
+)
+def test_enum_oversized_family_exits_2(capsys, family):
+    code, out, err = run(
+        capsys, "enum", "--family", family, "--m", "1", "--n", _OVERSIZED, "--count"
+    )
+    assert code == 2 and out == ""
+    assert err == _OVERSIZED_ERROR
+
+
+def test_biject_oversized_family_exits_2(tmp_path, capsys):
+    path = {"area_word": [0, 0], "labels": [2, 1], "ghost_row": True}
+    infile = tmp_path / "f.json"
+    infile.write_text(json.dumps(path))
+    argv = ("biject", "--map", "ehh-inv", "--n", _OVERSIZED, "--m", "1")
+    code, out, err = run(capsys, *argv, "--in", str(infile))
+    assert code == 2 and out == ""
+    assert err == _OVERSIZED_ERROR

@@ -591,6 +591,103 @@ def test_encode_matches_the_reference_on_every_path_pair():
     assert pairs > 1000
 
 
+def _column_heights(steps):
+    heights, y = [], 0
+    for step in steps:
+        if step == "N":
+            y += 1
+        else:
+            heights.append(y)
+    return heights
+
+
+def reference_paths_validate(m, n, red, green):
+    """``PolyominoPaths`` validation on step strings, as it was written
+    before the heights were stored."""
+    for name, path in (("red", red), ("green", green)):
+        if set(path) - {"N", "E"}:
+            raise GeometryError(f"{name} path has steps other than N/E")
+        if path.count("E") != m or path.count("N") != n:
+            raise GeometryError(f"{name} path does not go from (0,0) to ({m},{n})")
+    if any(g > r for g, r in zip(_column_heights(green), _column_heights(red))):
+        raise GeometryError("red path dips below the green path")
+
+
+def test_paths_validate_raises_as_the_reference_does():
+    # every pair of strings over N/E of length <= 4, and strings with
+    # another letter, at every size up to 3 x 3; an accepted pair reads
+    # back its own strings
+    strings = [
+        "".join(s) for length in range(5) for s in product("NE", repeat=length)
+    ] + ["X", "NX", "EXN"]
+    accepted = 0
+    for m in range(4):
+        for n in range(4):
+            for red in strings:
+                for green in strings:
+                    got = _outcome(PolyominoPaths, m, n, red, green)
+                    want = _outcome(reference_paths_validate, m, n, red, green)
+                    assert got[0] == want[0] and (
+                        got[0] == "returned" or got[1] == want[1]
+                    ), (m, n, red, green)
+                    if got[0] == "returned":
+                        paths = got[1]
+                        assert (paths.red, paths.green) == (red, green)
+                        assert paths.red_heights == tuple(_column_heights(red))
+                        accepted += 1
+    assert accepted > 50
+
+
+def _spelled(heights, n):
+    """The steps from (0,0) through the horizontal steps at ``heights``
+    to height n: N up, S down, E across each column."""
+    steps, y = [], 0
+    for h in list(heights) + [n]:
+        steps.append("N" * (h - y) + "S" * (y - h) + "E")
+        y = h
+    return "".join(steps)[:-1]
+
+
+def test_from_heights_checks_as_the_step_strings_do():
+    # heights that no N/E path has (out of 0..n, or falling) are spelled
+    # with S steps, which the step-string constructor rejects
+    heights = [h for length in range(4) for h in product(range(-1, 3), repeat=length)]
+    for m in range(3):
+        for n in range(3):
+            for red in heights:
+                for green in heights:
+                    got = _outcome(PolyominoPaths.from_heights, m, n, red, green)
+                    want = _outcome(
+                        PolyominoPaths, m, n, _spelled(red, n), _spelled(green, n)
+                    )
+                    assert got == want, (m, n, red, green)
+
+
+def test_word_letters_are_stored_as_int_bool_pairs():
+    canonical = PolyominoWord([(0, False), (0, True), (1, False)])
+    for letters in (
+        [[0, False], [0, True], [1, False]],
+        [(0, 0), (0, 1), (1, 0)],
+        ((False, False), (0, True), (1, False)),
+    ):
+        w = PolyominoWord(letters)
+        assert w == canonical and w.letters == canonical.letters
+        assert all(type(v) is int and type(b) is bool for v, b in w.letters)
+
+
+def reference_zero_valleys(path):
+    """The valleys labelled 0, as a set of rows: row 1 and every row
+    that is not a rise."""
+    a, labels = path.area_word, path.labels
+    if labels is None:
+        return frozenset()
+    return frozenset(
+        i + 1
+        for i in range(len(a))
+        if labels[i] == 0 and (i == 0 or a[i] <= a[i - 1])
+    )
+
+
 def test_zero_valleys_are_the_valleys_labelled_zero():
     from qtcomb.families import FamilySpec, generate, partitions
 
@@ -598,8 +695,5 @@ def test_zero_valleys_are_the_valleys_labelled_zero():
         for n in range(1, 5 - m):
             for lam in partitions(n):
                 for p in generate(FamilySpec("pld" if m else "ld", m=m, n=n, content=lam)):
-                    # valleys: row 1 and every row that is not a rise
-                    a = p.area_word
-                    valleys = [1] + [i + 1 for i in range(1, p.size) if a[i] <= a[i - 1]]
-                    want = frozenset(i for i in valleys if p.labels[i - 1] == 0)
-                    assert p.zero_valleys() == want, p
+                    want = (len(reference_zero_valleys(p)) - 1, len(p.positive_rows()))
+                    assert p.catalan_sizes() == want, p
