@@ -86,6 +86,15 @@ def cmd_enum(args):
     spec = _spec_from_args(args)
     if args.qt and args.count:
         raise UsageError("enum --qt does not take --count")
+    try:
+        return _enum(spec, args)
+    except RecursionError as exc:
+        # the searches recurse once per row; a family this deep fails
+        # before its first member
+        raise CapacityError(f"{spec.family} is too deep to generate: {exc}") from exc
+
+
+def _enum(spec, args):
     if args.qt:
         _write(args.out, _poly_csv(qt_enumerator(spec)))
         return 0

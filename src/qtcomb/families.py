@@ -15,6 +15,19 @@ outranks the label of row 1.  Failure witnesses are the first failing
 member, so they depend on this order.  Generators are streams of at
 most ``MEMBER_CAP`` members; the shuffle and decorated families are
 searched with pruning rather than filtered after generation.
+
+The enumerator of a family that ``_generate`` searches with
+``_labelled_paths`` builds no decorated member.  Neither dinv nor the
+reading word reads the decorations, and a decorated rise's row adds
+nothing to the area (``DecoratedLabelledPath.area``).  So one pass over
+the undecorated paths of the shape gives every k: each path is built
+through the validated constructor and its dinv computed once, and its
+members with k decorations have its area less the levels of k of its
+rises, so together they contribute q^dinv t^area times the k-th
+elementary sum of t^(-level) over its rises.  One ``lru_cache``, keyed
+by the shape without its decoration count (plus ``r`` and ``ghost``),
+holds the enumerators of every k.  ``catalan-pld``, ``d`` and ``rp``
+sum over their members.
 """
 
 from __future__ import annotations
@@ -233,15 +246,18 @@ def _labelled_paths(size, multiset, runs=(), min_rises=0):
     yield from rec(0, 0, len(multiset) - counts.get(smallest, 0))
 
 
+def _rises(word):
+    """The rises of an area word: its 1-based rows above the row below."""
+    return [i + 1 for i in range(1, len(word)) if word[i] > word[i - 1]]
+
+
 def _decorated(pairs, k, ghost=False):
     """One member per (area_word, labels) pair and k-set of its rises,
     each built once; ``ghost`` prepends the diagonal 2-car as row 1."""
     for word, labels in pairs:
-        rises = [i + 1 for i in range(1, len(word)) if word[i] > word[i - 1]]
         if ghost:
             word, labels = (0,) + word, (2,) + labels
-            rises = [i + 1 for i in rises]
-        for dec in combinations(rises, k):
+        for dec in combinations(_rises(word), k):
             yield DecoratedLabelledPath(word, labels, dec, ghost)
 
 
@@ -366,10 +382,78 @@ def bucket_index(path):
 
 
 def qt_enumerator(spec):
-    """Sum of q^dinv t^area over the family."""
-    return QtPolynomial(
-        ((member.dinv(), member.area()), 1) for member in generate(spec)
-    )
+    """Sum of q^dinv t^area over the family.  A family that ``_generate``
+    searches with ``_labelled_paths`` reads the enumerators of every k
+    of its shape from one pass (``_enumerators``); ``d``, ``rp`` and
+    ``catalan-pld`` sum over their members."""
+    if spec.family in ("d", "rp", "catalan-pld"):
+        return QtPolynomial(
+            ((member.dinv(), member.area()), 1) for member in generate(spec)
+        )
+    labels, runs, decorations, big = spec.shape
+    by_k = _enumerators(labels, runs, big, spec.r, spec.ghost)
+    return by_k[decorations] if decorations < len(by_k) else QtPolynomial.zero()
+
+
+@lru_cache(maxsize=None)
+def _enumerators(labels, runs, big, r, ghost):
+    """The enumerators of a shape (without its decoration count) at
+    every k, in one pass over its undecorated paths: a tuple indexed by
+    k, up to the most rises of a path."""
+    totals = []
+    for _, terms in _undecorated_terms(labels, runs, big, r, ghost):
+        _add_terms(totals, terms)
+    return tuple(QtPolynomial(counts) for counts in totals)
+
+
+def qt_enumerators_by_reading_word(spec):
+    """{reading word: the enumerators at every k, indexed by k} of a
+    family that ``_generate`` searches with ``_labelled_paths``, from
+    the pass of ``_enumerators``: neither the reading word nor dinv
+    reads the decorations, so each undecorated path is read once."""
+    labels, runs, _, big = spec.shape
+    by_word = {}
+    for path, terms in _undecorated_terms(labels, runs, big, spec.r, spec.ghost):
+        _add_terms(by_word.setdefault(path.reading_word(), []), terms)
+    return {
+        word: tuple(QtPolynomial(counts) for counts in totals)
+        for word, totals in by_word.items()
+    }
+
+
+def _undecorated_terms(labels, runs, big, r, ghost):
+    """Each undecorated path of a shape, in bucket ``r`` unless it is
+    None, with the ghost row when ``ghost``, and ``terms[k] = {(dinv,
+    area): count}`` over its members with k decorations (see the module
+    docstring)."""
+    for word, labs in _labelled_paths(len(labels), labels, runs):
+        if r is not None and _bucket(word, labs, big) != r:
+            continue
+        if ghost:
+            word, labs = (0,) + word, (2,) + labs
+        path = DecoratedLabelledPath(word, labs, (), ghost)
+        drops = [{0: 1}]  # drops[k] = {sum of k rise levels: k-sets}
+        for level in (word[i - 1] for i in _rises(word)):
+            drops.append({})
+            for k in range(len(drops) - 2, -1, -1):
+                up = drops[k + 1]
+                for drop, count in drops[k].items():
+                    up[drop + level] = up.get(drop + level, 0) + count
+        dinv, area = path.dinv(), path.area()
+        yield path, [
+            {(dinv, area - drop): count for drop, count in by_drop.items()}
+            for by_drop in drops
+        ]
+
+
+def _add_terms(totals, terms):
+    """Add one path's ``terms`` (by k) into ``totals`` (by k)."""
+    for k, counts in enumerate(terms):
+        if k == len(totals):
+            totals.append({})
+        into = totals[k]
+        for key, count in counts.items():
+            into[key] = into.get(key, 0) + count
 
 
 def qt_enumerator_by_content(m, n, k):

@@ -22,8 +22,9 @@ operator is a tag tuple (``("h", a)``, ``("e", d)``, ``("e'", b)``,
 rhs is a ``hall_pair`` tag tuple (``("h", nu)``,
 ``("eh", e_indices, h_indices)``, ``("hook", r)``).  Each named side is
 a list of such rows in ``SIDES``; its evaluator sums them, and
-``side_degree`` bounds its degree from the same rows, through
-``degree_bound``, with no symbolic partition sum built.
+``side_degree`` (per variable) and ``total_degree`` bound its degree
+from the same rows, through ``degree_bound``, with no symbolic partition
+sum built.
 
 An evaluator built from + - * ** and ``exact_quotient`` by an integer
 gives an int at the int points of the prime grid, a Fraction at
@@ -38,7 +39,8 @@ rational partition sum is carried as an integer numerator over a common
 denominator, divided once at the end.
 
 Caches are ``functools.lru_cache`` tables that live as long as the
-process: the point-free ones are keyed by partition, the per-point ones
+process: the point-free ones are keyed by partition (a side's degree
+bounds, ``_side_bound``, by its name and arguments), the per-point ones
 (``pleth_e``, ``_en_weight``, ``htilde_at_alphabet``,
 each named side's value in ``_side``) by their arguments including the
 point, because the grid revisits the same points for every instance of
@@ -657,41 +659,58 @@ def delta_pairing(n, operators, rhs, pt, r=1):
 
 @lru_cache(maxsize=None)
 def _degree_data(mu):
-    """Closed-form degree data of a partition: the q-exponents (coarms)
-    and the t-exponents (colegs) of the monomials of B_mu, each largest
-    first, and the degree of w_mu, (sum of 2 arm + 1, sum of 2 leg + 1)."""
+    """Closed-form degree data of a partition in the three gradings (q,
+    t, total): the exponents of the monomials of B_mu in each (coarm,
+    coleg, coarm + coleg), each largest first; and the exact degree of
+    w_mu in each, summed over the cells, (2 arm + 1, 2 leg + 1,
+    max(arm, leg + 1) + max(leg, arm + 1)): each of the cell's two
+    factors has two distinct monomials, and the degrees of a product
+    add."""
     stats = _cell_stats(mu)
-    return (
-        tuple(sorted((s[0] for s in stats), reverse=True)),
-        tuple(sorted((s[1] for s in stats), reverse=True)),
-        (sum(2 * s[2] + 1 for s in stats), sum(2 * s[3] + 1 for s in stats)),
+    grades = [s[0] for s in stats], [s[1] for s in stats], [s[0] + s[1] for s in stats]
+    exponents = tuple(tuple(sorted(xs, reverse=True)) for xs in grades)
+    w = (
+        sum(2 * s[2] + 1 for s in stats),
+        sum(2 * s[3] + 1 for s in stats),
+        sum(max(s[2], s[3] + 1) + max(s[3], s[2] + 1) for s in stats),
     )
+    return exponents, w
+
+
+def _eigenvalue_degrees(operator, mu):
+    """(q_deg, t_deg, tot_deg) of an operator's eigenvalue on H_mu (see
+    ``_eigenvalue``), (-1, -1, -1) when it is 0.  Exact in each grading:
+    the monomials of B_mu have coefficient 1, so no top term cancels.
+    h_a[B_mu] has a times the largest exponent, e_d[B_mu] the sum of the
+    d largest, e_b[B_mu - 1] the sum of the b largest without the
+    corner's (e_b[-1] on the empty partition is the constant (-1)^b), and
+    T_mu the sum of all: (n(mu'), n(mu), n(mu') + n(mu))."""
+    tag = operator[0]
+    if tag not in ("h", "e", "e'", "nabla"):
+        raise ValueError(f"unknown operator {tag!r}")
+    d = operator[1] if tag != "nabla" else 0
+    out = []
+    for xs in _degree_data(tuple(mu))[0]:
+        if tag == "e'":
+            if not xs:  # e_b[-1] = (-1)^b
+                out.append(0 if d >= 0 else -1)
+                continue
+            xs = xs[:-1]  # the corner's monomial is the 1
+        if tag == "nabla":
+            out.append(sum(xs))
+        elif d < 0:
+            out.append(-1)
+        elif tag == "h":
+            out.append(d * xs[0] if xs else (-1 if d else 0))
+        else:
+            out.append(sum(xs[:d]) if d <= len(xs) else -1)
+    return tuple(out)
 
 
 def eigenvalue_degree(operator, mu):
-    """(q_deg, t_deg) of an operator's eigenvalue on H_mu (see
-    ``_eigenvalue``), (-1, -1) when it is 0.  Exact: the monomials of
-    B_mu have coefficient 1, so no top term cancels.  h_a[B_mu] has a
-    times the largest exponent, e_d[B_mu] and e_b[B_mu - 1] the sum of
-    the d (or b) largest, and T_mu is (n(mu'), n(mu))."""
-    qs, ts, _ = _degree_data(tuple(mu))
-    tag = operator[0]
-    if tag == "nabla":
-        return sum(qs), sum(ts)
-    d = operator[1]
-    if tag == "e'":
-        if not qs:  # e_b[-1] = (-1)^b
-            return (0, 0) if d >= 0 else (-1, -1)
-        qs, ts = qs[:-1], ts[:-1]  # the corner's monomial is the 1
-    if d < 0:
-        return (-1, -1)
-    if tag == "h":
-        if not d:
-            return (0, 0)
-        return (d * qs[0], d * ts[0]) if qs else (-1, -1)
-    if tag in ("e", "e'"):
-        return (sum(qs[:d]), sum(ts[:d])) if d <= len(qs) else (-1, -1)
-    raise ValueError(f"unknown operator {tag!r}")
+    """(q_deg, t_deg) of an operator's eigenvalue on H_mu, (-1, -1) when
+    it is 0; exact (see ``_eigenvalue_degrees``)."""
+    return _eigenvalue_degrees(operator, mu)[:2]
 
 
 def pairing_degree(mu, rhs):
@@ -701,58 +720,71 @@ def pairing_degree(mu, rhs):
 
 
 def _numerator_degree(mu, operators, rhs, r):
-    """Degree bound of num_mu, the mu term of ``delta_pairing`` times w_mu;
-    None when the term is 0."""
-    qs, ts, _ = _degree_data(mu)
-    if qs:
-        q, t = r + r * qs[0] + sum(qs), r * (ts[0] + 1) + sum(ts)
+    """Degree bound (q_deg, t_deg, tot_deg) of num_mu, the mu term of
+    ``delta_pairing`` times w_mu; None when the term is 0."""
+    (qs, ts, tots), _ = _degree_data(mu)
+    if qs:  # (1 - q^r), h_r[(1 - t) B_mu] and Pi_mu, grading by grading
+        deg = [
+            r + r * qs[0] + sum(qs),
+            r * (ts[0] + 1) + sum(ts),
+            r + r * (tots[0] + 1) + sum(tots),
+        ]
     else:  # the empty partition has weight 1
-        q = t = 0
+        deg = [0, 0, 0]
     for operator in operators:
-        dq, dt = eigenvalue_degree(operator, mu)
-        if dq < 0:
+        eigen = _eigenvalue_degrees(operator, mu)
+        if eigen[0] < 0:
             return None
-        q, t = q + dq, t + dt
-    dq, dt = pairing_degree(mu, rhs)
-    return None if dq < 0 else (q + dq, t + dt)
+        deg = [a + b for a, b in zip(deg, eigen)]
+    pairing = _pairing(tuple(mu), rhs)
+    if not pairing:
+        return None
+    (dq, dt), dtot = pairing.degree(), pairing.total_degree()
+    return deg[0] + dq, deg[1] + dt, deg[2] + dtot
 
 
 def degree_bound(n, operators, rhs, r=1):
-    """Per-variable degree bound (q_deg, t_deg) of ``delta_pairing(n,
-    operators, rhs, pt, r)`` as a polynomial in q and t.
+    """Degree bound (q_deg, t_deg, tot_deg) of ``delta_pairing(n,
+    operators, rhs, pt, r)`` as a polynomial: in q, in t and in total.
 
     The pairing is a sum over mu of num_mu / w_mu.  Over Q(t) the
     q-degree (numerator degree minus denominator degree) of a sum of
     rational functions is at most the largest q-degree of its terms, and
-    the same holds for t over Q(q).  So *if the pairing is a polynomial*,
-    its degree in each variable is at most the largest over mu of
-    deg num_mu - deg w_mu.  That is the one assumption a grid check at
-    this bound rests on: it holds for the nabla sides by Garsia and
-    Haiman, and for the Delta and Delta' sides by Haglund, Remmel and
-    Wilson (2015).
+    the same holds for t over Q(q).  Total degree is additive over
+    products too, and deg(a + b) <= max(deg a, deg b), so the same holds
+    for it.  So *if the pairing is a polynomial*, its degree in each
+    grading is at most the largest over mu of deg num_mu - deg w_mu.
+    That is the one assumption a grid check at this bound rests on: it
+    holds for the nabla sides by Garsia and Haiman, and for the Delta and
+    Delta' sides by Haglund, Remmel and Wilson (2015).
 
     The degrees add up over the factors of num_mu, each from a closed
     form over the cell statistics, with no symbolic w_mu or Pi_mu built:
     the Cauchy weight's numerator H_mu[M [r]_q] = (1 - q^r) h_r[(1 - t)
-    B_mu] Pi_mu, the form ``_en_weight`` computes, at most (r + r maxq(B_mu)
-    + n(mu'), r (maxt(B_mu) + 1) + n(mu)); each ``eigenvalue_degree``;
-    and the ``pairing_degree``.  A mu whose term ``delta_pairing`` drops
-    as zero contributes nothing; (-1, -1) when no term is left.
+    B_mu] Pi_mu, the form ``_en_weight`` computes, where (1 - q^r)
+    contributes (r, 0, r), h_r[(1 - t) B_mu] at most r times the largest
+    exponent of (1 - t) B_mu, (max coarm, max coleg + 1, max(coarm +
+    coleg) + 1), and Pi_mu the sums (n(mu'), n(mu), n(mu') + n(mu));
+    each eigenvalue's ``_eigenvalue_degrees``; and the exact degrees of
+    the pairing ``_pairing``.  w_mu's degrees are exact (``_degree_data``).
+    A mu whose term ``delta_pairing`` drops as zero contributes nothing;
+    (-1, -1, -1) when no term is left.
     """
-    q_deg = t_deg = -1
+    bound = (-1, -1, -1)
     for mu in partitions_of(n):
         num = _numerator_degree(mu, operators, rhs, r)
         if num is not None:
-            w_q, w_t = _degree_data(mu)[2]
-            q_deg, t_deg = max(q_deg, num[0] - w_q), max(t_deg, num[1] - w_t)
-    return q_deg, t_deg
+            w = _degree_data(mu)[1]
+            bound = tuple(max(b, a - c) for b, a, c in zip(bound, num, w))
+    return bound
 
 
 #: Every named Delta side as data: name -> a function of the side's
 #: arguments that gives its rows ``(shift, n, operators, rhs, r)``, each
 #: the term t^shift <(operators) e_n[X [r]_q], rhs> of ``delta_pairing``;
 #: the side is the sum of its rows.  The evaluators below read their rows
-#: here and ``side_degree`` bounds the same rows, so the two cannot drift.
+#: here and ``side_degree`` and ``total_degree`` bound the same rows, so
+#: they cannot drift.
 SIDES = {
     "lhs_delta_hh": lambda m, n, k: [
         (0, m + n, (("e'", m + n - k - 1),), ("eh", (), (m, n)), 1)
@@ -783,16 +815,42 @@ SIDES = {
 }
 
 
+@lru_cache(maxsize=None)
+def _side_bound(name, args):
+    """(q_deg, t_deg, tot_deg) of the named side of ``SIDES`` at its
+    arguments: per grading, the largest ``degree_bound`` of its rows,
+    each with its t-shift added to its t- and total degree; (-1, -1, -1)
+    when every row is 0.  Kept per (name, args) like ``_side``, so that
+    ``side_degree`` and ``total_degree`` read one computation."""
+    out = (-1, -1, -1)
+    for shift, n, operators, rhs, r in SIDES[name](*args):
+        q, t, tot = degree_bound(n, operators, rhs, r)
+        if q >= 0:
+            out = (max(out[0], q), max(out[1], t + shift), max(out[2], tot + shift))
+    return out
+
+
 def side_degree(name, *args):
     """Per-variable degree bound (q_deg, t_deg) of the named side of
-    ``SIDES`` at its arguments: the largest ``degree_bound`` of its rows,
-    each with its t-shift added; (-1, -1) when every row is 0."""
-    q_deg = t_deg = -1
-    for shift, n, operators, rhs, r in SIDES[name](*args):
-        q, t = degree_bound(n, operators, rhs, r)
-        if q >= 0 and t >= 0:
-            q_deg, t_deg = max(q_deg, q), max(t_deg, t + shift)
-    return q_deg, t_deg
+    ``SIDES`` at its arguments (see ``_side_bound``); (-1, -1) when every
+    row is 0."""
+    return _side_bound(name, args)[:2]
+
+
+def total_degree(name, *args):
+    """Total-degree bound of the named side of ``SIDES`` at its arguments,
+    from the same rows as ``side_degree``: per row, the largest over mu of
+    the bound on the total degree of num_mu minus the exact total degree
+    of w_mu, plus the row's t-shift; the largest over the rows, and -1
+    when every row is 0.  The closed forms are those of
+    ``degree_bound``: (1 - q^r) contributes r, h_r[(1 - t) B_mu] at most
+    r (max(coarm + coleg) + 1), Pi_mu the sum of coarm + coleg, w_mu
+    exactly the sum of max(arm, leg + 1) + max(leg, arm + 1), an
+    eigenvalue a times the largest coarm + coleg (h_a), the sum of the d
+    largest (e_d; without the corner's for e'_b) or of all (nabla), and
+    the pairing its exact total degree.  It rests on the one assumption
+    of ``degree_bound``, that the side is a polynomial."""
+    return _side_bound(name, args)[2]
 
 
 @lru_cache(maxsize=None)

@@ -193,6 +193,10 @@ class QtPolynomial:
             return (-1, -1)
         return (max(k[0] for k in self.terms), max(k[1] for k in self.terms))
 
+    def total_degree(self):
+        """Max q_exp + t_exp over all terms; -1 for zero."""
+        return max((a + b for a, b in self.terms), default=-1)
+
     def eval(self, q0, t0):
         """Exact evaluation: an int at int points, a Fraction at Fraction
         points."""
@@ -349,29 +353,35 @@ MAX_REPLACEMENTS = 8
 
 def poly_equal_by_grid(f, g, degree_bound):
     """Decide f == g for evaluators of polynomials of degree at most
-    ``degree_bound = (q_deg, t_deg)``, per variable.
+    ``degree_bound = (q_deg, t_deg, tot_deg)``: q_deg in q, t_deg in t
+    and tot_deg in total.  A square grid is ``(Q, T, Q + T)``.
 
     ``f`` and ``g`` map int coordinates (q0, t0) to exact numbers (int or
     Fraction) and may raise PoleError; a float raises TypeError, since a
     rounded value would turn the proof into a float comparison.
-    The grid is (q_deg+1) x (t_deg+1): at each of q_deg+1 distinct
-    q-values the difference, a t-polynomial of degree at most t_deg, is
-    checked at t_deg+1 distinct t-values, so it vanishes there; then each
-    of its t-coefficients, a q-polynomial of degree at most q_deg, has
-    q_deg+1 roots and is zero.  A point where a side reports a pole (or
-    where the two prime lists would collide) is replaced by a further
-    t-prime at the same q, so the column argument stays intact.  A
-    negative entry is a ValueError: it would check no point at all.
+    The points form a lower set, a staircase: at the i-th q-value, for
+    i = 0..min(q_deg, tot_deg), min(t_deg, tot_deg - i) + 1 distinct
+    t-values.  The proof: the difference D has q-degree <= q_deg,
+    t-degree <= t_deg and total degree <= tot_deg.  On column 0 it is a
+    t-polynomial of degree <= min(t_deg, tot_deg), checked at one more
+    point than that, so it vanishes there and D = (q - q_0) D_1, where
+    D_1 has q-degree <= q_deg - 1 and total degree <= tot_deg - 1; D_1
+    vanishes on column 1, since q_1 != q_0.  Repeat: after the last
+    column the quotient has a negative degree, so it is 0, and so is D.
+    A point where a side reports a pole (or where the two prime lists
+    would collide) is replaced by a further t-prime at the same q, so the
+    column argument stays intact.  A negative entry is a ValueError: it
+    would check no point at all.
     """
-    q_deg, t_deg = degree_bound
-    if q_deg < 0 or t_deg < 0:
+    q_deg, t_deg, tot_deg = degree_bound
+    if q_deg < 0 or t_deg < 0 or tot_deg < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
-    mq, mt = q_deg + 1, t_deg + 1
+    mq, mt = min(q_deg, tot_deg) + 1, t_deg + 1
     qs = q_primes(mq)
     ts = t_primes(mt * (MAX_REPLACEMENTS + 1))
     for i in range(mq):
         q0 = qs[i]
-        for j in range(mt):
+        for j in range(min(t_deg, tot_deg - i) + 1):
             for rep in range(MAX_REPLACEMENTS + 1):
                 t0 = ts[j + rep * mt]
                 if t0 == q0:

@@ -13,18 +13,21 @@ not decide it.  A member check walks a materialised family.  An exact
 check compares two sides as polynomials, computed at ``qt.SYMBOLIC``:
 reciprocity and the engine's normalizations, with no bound and no
 assumption.  A grid check, ``_grid``, compares two sides on the
-(q_deg+1) x (t_deg+1) grid of the larger of their degree bounds
-(q_deg, t_deg) in each variable; it serves the partition sums, which
-divide by w_mu, and mac-hook.  A side is an (evaluator of (q0, t0),
-(q_deg, t_deg)) pair.  A new check is one more thunk in a row, not a
-new loop.
+staircase grid of ``qt.poly_equal_by_grid``, a lower set of points, for
+the larger of their degree bounds (q_deg, t_deg, tot_deg) in each
+variable and in total.  It serves the partition sums, which divide by
+w_mu, and mac-hook.  A side is an (evaluator of (q0, t0), (q_deg, t_deg,
+tot_deg)) pair.  A new check is one more thunk in a row, not a new
+loop.
 
-Each bound is derived per instance and per variable from the data the
-evaluators read, never assumed from the size: a Delta side's from
-``macdonald.side_degree`` over the same ``macdonald.SIDES`` rows that
-its evaluator sums (``_side``), an enumerator side's as its exact
-``degree()`` (``_exact``), and the hook identity's as the exact degrees
-of its two sides.  A pass on that grid is a proof under one assumption,
+Each bound is derived per instance from the data the evaluators read,
+never assumed from the size: a Delta side's from
+``macdonald.side_degree`` and ``macdonald.total_degree`` over the same
+``macdonald.SIDES`` rows that its evaluator sums (``_side``), an
+enumerator side's as its exact degrees (``_exact``), and the hook
+identity's as the exact degrees of its two sides, with q_deg + t_deg in
+total.  The ``bound=`` of a row shows the per-variable bounds only.  A
+pass on that grid is a proof under one assumption,
 that each side is a polynomial: for nabla by Garsia and Haiman, for the
 Delta and Delta' sides by Haglund, Remmel and Wilson (2015); see
 ``macdonald.degree_bound``.
@@ -35,6 +38,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import groupby
 
 from qtcomb import bijections, macdonald, recursion
 from qtcomb.families import (
@@ -42,6 +46,7 @@ from qtcomb.families import (
     generate,
     qt_enumerator,
     qt_enumerator_by_content,
+    qt_enumerators_by_reading_word,
 )
 from qtcomb.macdonald import partitions_of
 from qtcomb.paths import (
@@ -263,23 +268,28 @@ def _ev(fn, *args):
 def _side(name, *args):
     """The named ``macdonald`` side at its arguments, bounded from its
     ``macdonald.SIDES`` rows."""
-    return _ev(getattr(macdonald, name), *args), macdonald.side_degree(name, *args)
+    bound = (
+        *macdonald.side_degree(name, *args),
+        macdonald.total_degree(name, *args),
+    )
+    return _ev(getattr(macdonald, name), *args), bound
 
 
 def _exact(poly):
-    """A polynomial as a side, bounded by its exact degree."""
-    return poly.eval, poly.degree()
+    """A polynomial as a side, bounded by its exact degrees."""
+    return poly.eval, (*poly.degree(), poly.total_degree())
 
 
 def _shown(left, right):
-    """The ``bound=`` of a check's row: the largest entry of its grid."""
-    return max(0, *left[1], *right[1])
+    """The ``bound=`` of a check's row: the largest per-variable entry of
+    its grid."""
+    return max(0, *left[1][:2], *right[1][:2])
 
 
 def _grid(witness, left, right):
     """A grid check: ``witness`` if the sides ``left`` and ``right`` differ
-    on the grid of, in each variable, the larger of their degree bounds
-    and at least 0; None if they agree there."""
+    on the grid of, in each variable and in total, the larger of their
+    degree bounds and at least 0; None if they agree there."""
     bound = tuple(max(0, a, b) for a, b in zip(left[1], right[1]))
     return None if poly_equal_by_grid(left[0], right[0], bound) else witness
 
@@ -315,16 +325,17 @@ def suite_identities(names=None, max_size=6):
 
 def _mac_hook_rows(nmax):
     """One row per n; each check on the grid of the exact degrees of its
-    two sides, per variable, and the row shows the largest entry."""
+    two sides, per variable and q_deg + t_deg in total, the square grid,
+    and the row shows the largest entry."""
     for n in range(1, nmax + 1):
         checks = [
             (
                 f"mu={tuple(mu)} r={r}",
-                (
+                _square(
                     _ev(macdonald.pair_htilde_hook, mu, r),
                     macdonald.pairing_degree(mu, ("hook", r)),
                 ),
-                (
+                _square(
                     _ev(macdonald.pleth_e, r, macdonald.b_minus_one(mu)),
                     macdonald.eigenvalue_degree(("e'", r), mu),
                 ),
@@ -334,6 +345,12 @@ def _mac_hook_rows(nmax):
         ]
         shown = max(_shown(left, right) for _, left, right in checks)
         yield f"n={n} bound={shown}", [partial(_grid, *c) for c in checks]
+
+
+def _square(evaluator, degree):
+    """A side bounded per variable by ``degree`` = (q_deg, t_deg) and by
+    q_deg + t_deg in total."""
+    return evaluator, (*degree, sum(degree))
 
 
 def _reciprocity_rows(nmax):
@@ -419,36 +436,32 @@ def suite_delta_ehh(max_size=4):
 
 
 def _delta_ehh_rows(max_size):
-    for m, n, k in _instances(max_size, DELTA_K_CAP):
-        spec = FamilySpec(
-            "pld" if m else "ld", m=m, n=n, k=k, content=tuple([1] * n)
-        )
-        # (dinv, area) of the members, grouped by reading word
-        stats = {}
-        for path in generate(spec):
-            stats.setdefault(path.reading_word(), []).append(
-                (path.dinv(), path.area())
-            )
-        for j in range(n + 1):
-            for a in range(n - j + 1):
-                b = n - j - a
-                if a < b:
-                    continue
-                runs = knm_runs(j, j + a, j + b)
-                enum = QtPolynomial(
-                    (pair, 1)
-                    for word, pairs in stats.items()
-                    if word_in_runs(word, runs)
-                    for pair in pairs
-                )
-                yield f"m={m} n={n} k={k} e{j}h{a}h{b}", [
-                    partial(
-                        _grid,
-                        f"delta_pairing != {spec.family} enumerator",
-                        _side("lhs_delta_ehh", m, n, k, j, a, b),
-                        _exact(enum),
+    instances = _instances(max_size, DELTA_K_CAP)
+    for (m, n), group in groupby(instances, key=lambda mnk: mnk[:2]):
+        family = "pld" if m else "ld"
+        # the enumerators by reading word, every k from one pass
+        spec = FamilySpec(family, m=m, n=n, content=tuple([1] * n))
+        by_word = qt_enumerators_by_reading_word(spec)
+        for _, _, k in group:
+            at_k = [(word, by_k[k]) for word, by_k in by_word.items() if k < len(by_k)]
+            for j in range(n + 1):
+                for a in range(n - j + 1):
+                    b = n - j - a
+                    if a < b:
+                        continue
+                    runs = knm_runs(j, j + a, j + b)
+                    enum = sum(
+                        (poly for word, poly in at_k if word_in_runs(word, runs)),
+                        QtPolynomial.zero(),
                     )
-                ]
+                    yield f"m={m} n={n} k={k} e{j}h{a}h{b}", [
+                        partial(
+                            _grid,
+                            f"delta_pairing != {family} enumerator",
+                            _side("lhs_delta_ehh", m, n, k, j, a, b),
+                            _exact(enum),
+                        )
+                    ]
 
 
 # -- engine self-validation ------------------------------------------------
@@ -461,7 +474,7 @@ def suite_engine():
             _grid,
             f"n={n} d={d}",
             _side("pair_delta_e_d", d, n),
-            (_ev(macdonald.pair_en_eh, n, d), (0, 0)),  # an integer constant
+            (_ev(macdonald.pair_en_eh, n, d), (0, 0, 0)),  # an integer constant
         )
         for n in range(1, 6)
         for d in range(n + 1)

@@ -476,3 +476,21 @@ def test_biject_oversized_family_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, *argv, "--in", str(infile))
     assert code == 2 and out == ""
     assert err == _OVERSIZED_ERROR
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--family", "d", "--n", "1200", "--count"),
+        ("--family", "rp", "--m", "600", "--n", "600", "--count"),
+        ("--family", "catalan-pld", "--m", "600", "--n", "600", "--count"),
+        ("--family", "pf2", "--m", "600", "--n", "600", "--count"),
+        ("--family", "pf2", "--m", "600", "--n", "600", "--qt"),
+    ],
+)
+def test_enum_too_deep_to_generate_exits_2(capsys, flags):
+    # the searches recurse once per row and fail before the first member
+    code, out, err = run(capsys, "enum", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flags[1]} is too deep to generate: ")
+    assert err.count("\n") == 1

@@ -466,3 +466,29 @@ def test_generate_matches_filtered_reference(case):
     and in order."""
     for spec in ORACLE_CASES[case]:
         assert list(generate(spec)) == reference_members(spec), spec
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_enumerator_is_the_member_sum(case):
+    """The one-pass enumerator equals the sum of q^dinv t^area over the
+    generated members."""
+    for spec in ORACLE_CASES[case]:
+        members = QtPolynomial(((p.dinv(), p.area()), 1) for p in generate(spec))
+        assert qt_enumerator(spec) == members, spec
+
+
+def test_enumerators_by_reading_word_are_the_member_sums():
+    for m, n in ((0, 3), (1, 3), (2, 2), (0, 4)):
+        spec = FamilySpec("pld" if m else "ld", m=m, n=n, content=(1,) * n)
+        by_word = families.qt_enumerators_by_reading_word(spec)
+        for k in range(n):
+            grouped = {}
+            for p in generate(FamilySpec(spec.family, m=m, n=n, k=k, content=(1,) * n)):
+                grouped.setdefault(p.reading_word(), []).append(((p.dinv(), p.area()), 1))
+            want = {word: QtPolynomial(terms) for word, terms in grouped.items()}
+            got = {
+                word: by_k[k]
+                for word, by_k in by_word.items()
+                if k < len(by_k) and by_k[k]
+            }
+            assert got == want, (m, n, k)

@@ -45,6 +45,12 @@ from qtcomb.qt import SYMBOLIC, EvalPoint, QtPolynomial, poly_equal_by_grid, q_i
 PT = EvalPoint(Fraction(2), Fraction(101))
 
 
+def _square(bound):
+    """The square grid's bound: ``bound`` in each variable, twice it in
+    total."""
+    return bound, bound, 2 * bound
+
+
 class TestPartition:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -440,7 +446,7 @@ class TestIdentities:
                         d, n, EvalPoint(q0, t0)
                     ),
                     lambda q0, t0, d=d, n=n: pair_en_eh(n, d, None),
-                    (max(n * (n - 1) // 2, 1),) * 2,
+                    _square(max(n * (n - 1) // 2, 1)),
                 )
 
     def test_reciprocity_pairs(self):
@@ -457,7 +463,7 @@ class TestIdentities:
         assert poly_equal_by_grid(
             lambda q0, t0: mid_delta_hn(1, 1, 0, EvalPoint(q0, t0)),
             enum.eval,
-            (1, 1),
+            _square(1),
         )
 
     def test_new_id_small(self):
@@ -518,7 +524,7 @@ class TestCauchyWeight:
             assert poly_equal_by_grid(
                 lambda q0, t0: _sum_r_row(m, n, k, r, EvalPoint(q0, t0)),
                 enum.eval,
-                (max((m + n) * (m + n - 1) // 2, 1),) * 2,
+                _square(max((m + n) * (m + n - 1) // 2, 1)),
             ), (m, n, k, r)
 
     def test_sum_r_lhs_reads_no_capped_coefficient(self):
@@ -745,14 +751,16 @@ class TestDegreeBound:
             for row in macdonald.SIDES[name](*args):
                 poly = _symbolic_row(*row)
                 true_q, true_t = poly.degree()
-                bound_q, bound_t = macdonald.degree_bound(*row[1:])
+                bound_q, bound_t, bound_tot = macdonald.degree_bound(*row[1:])
                 assert true_q <= bound_q and true_t <= bound_t + row[0], row
+                assert poly.total_degree() <= bound_tot + row[0], row
                 side += poly
             # the rebuilt polynomial is the evaluator's
             assert side.eval(*pt) == getattr(macdonald, name)(*args, pt)
             true_q, true_t = side.degree()
             bound_q, bound_t = macdonald.side_degree(name, *args)
             assert true_q <= bound_q and true_t <= bound_t, (name, args)
+            assert side.total_degree() <= macdonald.total_degree(name, *args)
 
     def test_eigenvalue_degrees_are_exact(self):
         for n in range(6):
@@ -762,8 +770,13 @@ class TestDegreeBound:
                     (tag, d) for tag in ("h", "e", "e'") for d in range(-1, n + 2)
                 ]
                 for operator in operators:
+                    poly = _symbolic_eigenvalue(operator, mu)
                     assert macdonald.eigenvalue_degree(operator, mu) == (
-                        _symbolic_eigenvalue(operator, mu).degree()
+                        poly.degree()
+                    ), (operator, mu)
+                    assert macdonald._eigenvalue_degrees(operator, mu) == (
+                        *poly.degree(),
+                        poly.total_degree(),
                     ), (operator, mu)
 
     def test_cauchy_numerator_bound_covers_the_weight(self):
@@ -771,9 +784,11 @@ class TestDegreeBound:
         for n in range(1, 6):
             for mu in partitions_of(n):
                 for r in range(1, 5):
-                    true_q, true_t = _symbolic_weight(tuple(mu), r).degree()
+                    weight = _symbolic_weight(tuple(mu), r)
+                    true_q, true_t = weight.degree()
                     bound = macdonald._numerator_degree(mu, (), ("h", (n,)), r)
                     assert true_q <= bound[0] and true_t <= bound[1], (mu, r)
+                    assert weight.total_degree() <= bound[2], (mu, r)
 
     def test_reciprocity_side_at_symbolic_is_the_whole_polynomial(self):
         # H_alpha[M B_beta] Pi_beta rebuilt from the p-expansion equals the
@@ -791,11 +806,13 @@ class TestDegreeBound:
 
     def test_side_degree_adds_the_row_shift(self, monkeypatch):
         row = (3, 2, (("e", 1),), ("h", (2,)), 1)
-        q_deg, t_deg = macdonald.degree_bound(*row[1:])
+        q_deg, t_deg, tot_deg = macdonald.degree_bound(*row[1:])
         monkeypatch.setitem(macdonald.SIDES, "shifted", lambda: [row])
         assert macdonald.side_degree("shifted") == (q_deg, t_deg + 3)
+        assert macdonald.total_degree("shifted") == tot_deg + 3
 
     def test_a_vanishing_term_adds_nothing(self):
         # e_3[B_mu] vanishes for every mu of 2, so the pairing is 0
-        assert macdonald.degree_bound(2, (("e", 3),), ("h", (2,))) == (-1, -1)
+        assert macdonald.degree_bound(2, (("e", 3),), ("h", (2,))) == (-1, -1, -1)
         assert macdonald.side_degree("pair_delta_e_d", 3, 2) == (-1, -1)
+        assert macdonald.total_degree("pair_delta_e_d", 3, 2) == -1

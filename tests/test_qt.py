@@ -1,6 +1,7 @@
 """Polynomial arithmetic, q-analogues and grid equality."""
 
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
@@ -118,16 +119,16 @@ def test_grid_primes_disjoint_at_desk_scale():
 
 def test_poly_equal_by_grid_basics():
     f = q_binomial(3, 1)
-    assert poly_equal_by_grid(f.eval, f.eval, (3, 3))
+    assert poly_equal_by_grid(f.eval, f.eval, (3, 3, 6))
     g = QtPolynomial({(0, 0): 1, (1, 0): 1, (0, 1): 1})
     h = QtPolynomial({(0, 0): 1, (1, 0): 1, (0, 2): 1})
-    assert not poly_equal_by_grid(g.eval, h.eval, (2, 2))
+    assert not poly_equal_by_grid(g.eval, h.eval, (2, 2, 4))
 
 
 @settings(max_examples=40, deadline=None)
 @given(polys, polys)
 def test_grid_equality_matches_coefficients(a, b):
-    assert poly_equal_by_grid(a.eval, b.eval, (4, 4)) == (a == b)
+    assert poly_equal_by_grid(a.eval, b.eval, (4, 4, 8)) == (a == b)
 
 
 def test_pole_skip():
@@ -138,13 +139,13 @@ def test_pole_skip():
             raise PoleError("test pole")
         return f.eval(q0, t0)
 
-    assert poly_equal_by_grid(with_pole, f.eval, (2, 2))
+    assert poly_equal_by_grid(with_pole, f.eval, (2, 2, 4))
 
     def always_pole(q0, t0):
         raise PoleError("always")
 
     with pytest.raises(InfeasibleGridError):
-        poly_equal_by_grid(always_pole, f.eval, (1, 1))
+        poly_equal_by_grid(always_pole, f.eval, (1, 1, 2))
 
 
 def test_constant_hashes_like_its_int():
@@ -169,9 +170,9 @@ def test_negative_exponent_rejected():
 def test_float_evaluator_rejected():
     f = QtPolynomial({(1, 0): 1})
     with pytest.raises(TypeError):
-        poly_equal_by_grid(lambda q0, t0: float(f.eval(q0, t0)), f.eval, (1, 1))
+        poly_equal_by_grid(lambda q0, t0: float(f.eval(q0, t0)), f.eval, (1, 1, 2))
     with pytest.raises(TypeError):
-        poly_equal_by_grid(f.eval, lambda q0, t0: q0 / 1, (1, 1))
+        poly_equal_by_grid(f.eval, lambda q0, t0: q0 / 1, (1, 1, 2))
 
 
 def test_grid_hands_out_int_points():
@@ -181,14 +182,14 @@ def test_grid_hands_out_int_points():
         seen.append((q0, t0))
         return 0
 
-    assert poly_equal_by_grid(record, lambda q0, t0: 0, (1, 1))
+    assert poly_equal_by_grid(record, lambda q0, t0: 0, (1, 1, 2))
     assert seen == [(2, 101), (2, 103), (3, 101), (3, 103)]
     assert all(type(c) is int for point in seen for c in point)
 
 
 def test_negative_degree_bound_rejected():
     # a bound of -1 would check no grid point and still read as equal
-    for bound in ((-1, -1), (-1, 2), (2, -1)):
+    for bound in ((-1, -1, -2), (-1, 2, 1), (2, -1, 1), (2, 2, -1)):
         with pytest.raises(ValueError, match="degree bound"):
             poly_equal_by_grid(lambda q0, t0: 0, lambda q0, t0: 1, bound)
 
@@ -200,7 +201,7 @@ def test_grid_is_one_more_than_each_entry():
         seen.append((q0, t0))
         return 0
 
-    assert poly_equal_by_grid(record, lambda q0, t0: 0, (1, 3))
+    assert poly_equal_by_grid(record, lambda q0, t0: 0, (1, 3, 4))
     assert seen == [(q0, t0) for q0 in q_primes(2) for t0 in t_primes(4)]
 
 
@@ -217,9 +218,61 @@ def test_each_variable_needs_its_own_entry(q_deg, t_deg):
     def in_t(q0, t0):
         return prod(t0 - p for p in t_primes(t_deg))
 
-    assert not poly_equal_by_grid(in_q, zero, (q_deg, t_deg))
-    assert not poly_equal_by_grid(in_t, zero, (q_deg, t_deg))
+    assert not poly_equal_by_grid(in_q, zero, (q_deg, t_deg, q_deg + t_deg))
+    assert not poly_equal_by_grid(in_t, zero, (q_deg, t_deg, q_deg + t_deg))
     if q_deg:
-        assert poly_equal_by_grid(in_q, zero, (q_deg - 1, t_deg))
+        assert poly_equal_by_grid(in_q, zero, (q_deg - 1, t_deg, q_deg - 1 + t_deg))
     if t_deg:
-        assert poly_equal_by_grid(in_t, zero, (q_deg, t_deg - 1))
+        assert poly_equal_by_grid(in_t, zero, (q_deg, t_deg - 1, q_deg + t_deg - 1))
+
+
+def test_grid_is_a_staircase_under_the_total_degree():
+    # column i checks min(t_deg, tot_deg - i) + 1 t-values
+    seen = []
+
+    def record(q0, t0):
+        seen.append((q0, t0))
+        return 0
+
+    assert poly_equal_by_grid(record, lambda q0, t0: 0, (2, 3, 3))
+    qs, ts = q_primes(3), t_primes(4)
+    assert seen == [(qs[i], t0) for i in range(3) for t0 in ts[: 4 - i]]
+
+
+def _newton(i, j):
+    """The product of (q - q_a) over the first i grid q-values and of
+    (t - t_b) over the first j grid t-values: q^i t^j plus lower terms,
+    zero on every grid column before i and every t-value before j."""
+
+    def value(q0, t0):
+        return prod(q0 - p for p in q_primes(i)) * prod(t0 - p for p in t_primes(j))
+
+    return value
+
+
+def _zero(q0, t0):
+    return 0
+
+
+def test_a_perturbation_past_the_total_degree_hides_off_the_staircase():
+    # total degree d + 1 but within the per-variable bounds: it vanishes on
+    # every point of the staircase for d, so only the total bound tells
+    q_deg = t_deg = d = 3
+    for i in range(1, d + 1):
+        hidden = _newton(i, d + 1 - i)
+        assert poly_equal_by_grid(hidden, _zero, (q_deg, t_deg, d))
+        assert not poly_equal_by_grid(hidden, _zero, (q_deg, t_deg, d + 1))
+        assert not poly_equal_by_grid(hidden, _zero, (q_deg, t_deg, q_deg + t_deg))
+
+
+def test_the_staircase_catches_every_monomial_in_its_bound():
+    # each monomial q^i t^j with i <= q_deg, j <= t_deg and i + j <= d, and
+    # its Newton form, which vanishes on every point of the staircase
+    # before (i, j) in its column and row
+    for q_deg, t_deg, d in product(range(5), repeat=3):
+        bound = (q_deg, t_deg, d)
+        for i in range(q_deg + 1):
+            for j in range(min(t_deg, d - i) + 1):
+                assert not poly_equal_by_grid(_newton(i, j), _zero, bound), (i, j)
+                monomial = QtPolynomial.monomial(1, i, j)
+                assert not poly_equal_by_grid(monomial.eval, _zero, bound), (i, j)

@@ -7,9 +7,9 @@ from types import SimpleNamespace
 
 from qtcomb import bijections, macdonald, recursion, suites
 from qtcomb.cli import main
-from qtcomb.families import FamilySpec, generate
+from qtcomb.families import FamilySpec, generate, qt_enumerator
 from qtcomb.paths import DecoratedLabelledPath
-from qtcomb.qt import SYMBOLIC, EvalPoint, poly_equal_by_grid, q_primes
+from qtcomb.qt import SYMBOLIC, EvalPoint, QtPolynomial, poly_equal_by_grid, q_primes
 
 
 def test_each_row_gets_its_own_instance_time(monkeypatch):
@@ -86,7 +86,8 @@ def test_perturbation_hidden_below_the_derived_bound_fails_at_it(monkeypatch):
     m, n, k = 2, 3, 0
     bound = 6
     right = suites._side("rhs_nabla_ehh", m, n, k)
-    assert suites._side("mid_delta_hn", m, n, k)[1] == right[1] == (bound, bound)
+    # per variable and in total
+    assert suites._side("mid_delta_hn", m, n, k)[1] == right[1] == (bound,) * 3
     mid = macdonald.mid_delta_hn
 
     def perturbed(m2, n2, k2, pt):
@@ -97,8 +98,8 @@ def test_perturbation_hidden_below_the_derived_bound_fails_at_it(monkeypatch):
 
     monkeypatch.setattr(macdonald, "mid_delta_hn", perturbed)
     wrong = suites._side("mid_delta_hn", m, n, k)[0]
-    assert poly_equal_by_grid(wrong, right[0], (bound - 1, bound))
-    assert not poly_equal_by_grid(wrong, right[0], (bound, bound))
+    assert poly_equal_by_grid(wrong, right[0], (bound - 1, bound, bound))
+    assert not poly_equal_by_grid(wrong, right[0], (bound,) * 3)
     reports = suites.suite_identities(names=("new-id",), max_size=5)
     instance = f"m={m} n={n} k={k} bound={bound}"
     assert _failed_rows(reports) == [
@@ -123,8 +124,8 @@ def test_row_fails_at_its_first_failing_check():
             (
                 "fails",
                 [
-                    partial(grid, "first", (same, (1, 1)), (same, (0, 0))),
-                    partial(grid, "second", (same, (1, 0)), (differ, (0, 1))),
+                    partial(grid, "first", (same, (1, 1, 2)), (same, (0, 0, 0))),
+                    partial(grid, "second", (same, (1, 0, 1)), (differ, (0, 1, 1))),
                     unreached,
                 ],
             ),
@@ -144,9 +145,9 @@ def test_a_grid_check_takes_the_larger_bound_of_its_sides(monkeypatch):
         return 0
 
     monkeypatch.setattr(suites, "poly_equal_by_grid", record)
-    assert suites._grid("w", (zero, (3, -1)), (zero, (1, 2))) is None
-    assert suites._grid("w", (zero, (-1, -1)), (zero, (-1, -1))) is None
-    assert seen == [(3, 2), (0, 0)]
+    assert suites._grid("w", (zero, (3, -1, 2)), (zero, (1, 2, 3))) is None
+    assert suites._grid("w", (zero, (-1, -1, -1)), (zero, (-1, -1, -1))) is None
+    assert seen == [(3, 2, 3), (0, 0, 0)]
 
 
 def test_a_row_with_no_checks_is_not_a_pass():
@@ -389,3 +390,34 @@ def test_reciprocity_names_the_first_differing_monomial(monkeypatch):
             "alpha=(2,) beta=(1,) q^1 t^1: 2 != 1",
         ),
     ]
+
+
+def _bounded_sides(max_size):
+    """(what, grid side, the exact polynomial it equals) for every
+    ``macdonald`` side and instance the suites use at m+n <= max_size:
+    the four pair sides with the ghost pf2 enumerator, the delta-tiny and
+    delta-ehh sides with the enumerators of their rows, and the engine's
+    e-h pairings with their constants."""
+    for m, n, k in suites._instances(max_size):
+        enum = qt_enumerator(FamilySpec("pf2", m=m, n=n, k=k, ghost=True))
+        for name in ("lhs_delta_hh", "mid_delta_hn", "rhs_nabla_ehh", "sum_r_lhs"):
+            yield (name, m, n, k), suites._side(name, m, n, k), enum
+    for instance, checks in (
+        *suites._delta_hh_rows(max_size),
+        *suites._delta_content_rows(max_size),
+        *suites._delta_ehh_rows(max_size),
+    ):
+        for check in checks:
+            witness, side, (evaluator, _) = check.args
+            yield (instance, witness), side, evaluator.__self__
+    for n in range(1, 6):
+        for d in range(n + 1):
+            const = QtPolynomial.const(macdonald.pair_en_eh(n, d, None))
+            yield (d, n), suites._side("pair_delta_e_d", d, n), const
+
+
+def test_total_degree_covers_the_equal_enumerator():
+    cases = list(_bounded_sides(6))
+    assert len(cases) == 772
+    for what, side, poly in cases:
+        assert side[1][2] >= poly.total_degree(), what
