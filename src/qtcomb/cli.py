@@ -268,7 +268,12 @@ def cmd_verify(args):
         else:
             reports += suite(max_size=max_size)
     if not reports:
-        raise UsageError(f"no checks ran: verify {args.suite} --max {max_size}")
+        given = "".join(
+            f" {flag} {value}"
+            for flag, value in (("--name", args.name), ("--max", args.max))
+            if value is not None
+        )
+        raise UsageError(f"no checks ran: verify {args.suite}{given}")
     rows = sorted(r.row() for r in reports)
     if args.format == "json":
         text = (

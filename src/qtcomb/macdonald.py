@@ -22,9 +22,8 @@ operator is a tag tuple (``("h", a)``, ``("e", d)``, ``("e'", b)``,
 rhs is a ``hall_pair`` tag tuple (``("h", nu)``,
 ``("eh", e_indices, h_indices)``, ``("hook", r)``).  Each named side is
 a list of such rows in ``SIDES``; its evaluator sums them, and
-``side_degree`` (per variable) and ``total_degree`` bound its degree
-from the same rows, through ``degree_bound``, with no symbolic partition
-sum built.
+``side_bound`` bounds its degree in q, in t and in total from the same
+rows, through ``degree_bound``, with no symbolic partition sum built.
 
 An evaluator built from + - * ** and ``exact_quotient`` by an integer
 gives an int at the int points of the prime grid, a Fraction at
@@ -40,7 +39,7 @@ denominator, divided once at the end.
 
 Caches are ``functools.lru_cache`` tables that live as long as the
 process: the point-free ones are keyed by partition (a side's degree
-bounds, ``_side_bound``, by its name and arguments), the per-point ones
+bounds, ``side_bound``, by its name and arguments), the per-point ones
 (``pleth_e``, ``_en_weight``, ``htilde_at_alphabet``,
 each named side's value in ``_side``) by their arguments including the
 point, because the grid revisits the same points for every instance of
@@ -607,7 +606,8 @@ def _en_weight(mu, r, pt):
     the closed form (1 - q^r) h_r[(1 - t) B_mu] Pi_mu (at r = 1 the
     Garsia-Haiman M B_mu Pi_mu), from [r]_q = B_(r), reciprocity,
     H_(r)[X] = (q;q)_r h_r[X / (1 - q)] and Pi_(r) = (q;q)_(r-1): it reads
-    no Macdonald coefficient."""
+    no Macdonald coefficient.  No point of the prime grid is a zero of
+    w_mu (see ``qt.poly_equal_by_grid``); other points can be, q = t say."""
     if mu.size == 0:
         return 1
     w = w_mu(mu, pt)
@@ -677,7 +677,7 @@ def _degree_data(mu):
     return exponents, w
 
 
-def _eigenvalue_degrees(operator, mu):
+def eigenvalue_degree(operator, mu):
     """(q_deg, t_deg, tot_deg) of an operator's eigenvalue on H_mu (see
     ``_eigenvalue``), (-1, -1, -1) when it is 0.  Exact in each grading:
     the monomials of B_mu have coefficient 1, so no top term cancels.
@@ -707,16 +707,12 @@ def _eigenvalue_degrees(operator, mu):
     return tuple(out)
 
 
-def eigenvalue_degree(operator, mu):
-    """(q_deg, t_deg) of an operator's eigenvalue on H_mu, (-1, -1) when
-    it is 0; exact (see ``_eigenvalue_degrees``)."""
-    return _eigenvalue_degrees(operator, mu)[:2]
-
-
 def pairing_degree(mu, rhs):
-    """(q_deg, t_deg) of ``hall_pair(mu, rhs, pt)`` as a polynomial, read
-    from the cached point-free ``_pairing``; (-1, -1) when it is 0."""
-    return _pairing(tuple(mu), rhs).degree()
+    """(q_deg, t_deg, tot_deg) of ``hall_pair(mu, rhs, pt)`` as a
+    polynomial, exact, read from the cached point-free ``_pairing``;
+    (-1, -1, -1) when it is 0."""
+    pairing = _pairing(tuple(mu), rhs)
+    return (*pairing.degree(), pairing.total_degree())
 
 
 def _numerator_degree(mu, operators, rhs, r):
@@ -732,15 +728,14 @@ def _numerator_degree(mu, operators, rhs, r):
     else:  # the empty partition has weight 1
         deg = [0, 0, 0]
     for operator in operators:
-        eigen = _eigenvalue_degrees(operator, mu)
+        eigen = eigenvalue_degree(operator, mu)
         if eigen[0] < 0:
             return None
         deg = [a + b for a, b in zip(deg, eigen)]
-    pairing = _pairing(tuple(mu), rhs)
-    if not pairing:
+    pairing = pairing_degree(mu, rhs)
+    if pairing[0] < 0:
         return None
-    (dq, dt), dtot = pairing.degree(), pairing.total_degree()
-    return deg[0] + dq, deg[1] + dt, deg[2] + dtot
+    return tuple(a + b for a, b in zip(deg, pairing))
 
 
 def degree_bound(n, operators, rhs, r=1):
@@ -765,8 +760,8 @@ def degree_bound(n, operators, rhs, r=1):
     contributes (r, 0, r), h_r[(1 - t) B_mu] at most r times the largest
     exponent of (1 - t) B_mu, (max coarm, max coleg + 1, max(coarm +
     coleg) + 1), and Pi_mu the sums (n(mu'), n(mu), n(mu') + n(mu));
-    each eigenvalue's ``_eigenvalue_degrees``; and the exact degrees of
-    the pairing ``_pairing``.  w_mu's degrees are exact (``_degree_data``).
+    each eigenvalue's ``eigenvalue_degree``; and the exact
+    ``pairing_degree``.  w_mu's degrees are exact (``_degree_data``).
     A mu whose term ``delta_pairing`` drops as zero contributes nothing;
     (-1, -1, -1) when no term is left.
     """
@@ -783,8 +778,7 @@ def degree_bound(n, operators, rhs, r=1):
 #: arguments that gives its rows ``(shift, n, operators, rhs, r)``, each
 #: the term t^shift <(operators) e_n[X [r]_q], rhs> of ``delta_pairing``;
 #: the side is the sum of its rows.  The evaluators below read their rows
-#: here and ``side_degree`` and ``total_degree`` bound the same rows, so
-#: they cannot drift.
+#: here and ``side_bound`` bounds the same rows, so they cannot drift.
 SIDES = {
     "lhs_delta_hh": lambda m, n, k: [
         (0, m + n, (("e'", m + n - k - 1),), ("eh", (), (m, n)), 1)
@@ -816,41 +810,19 @@ SIDES = {
 
 
 @lru_cache(maxsize=None)
-def _side_bound(name, args):
+def side_bound(name, *args):
     """(q_deg, t_deg, tot_deg) of the named side of ``SIDES`` at its
     arguments: per grading, the largest ``degree_bound`` of its rows,
     each with its t-shift added to its t- and total degree; (-1, -1, -1)
-    when every row is 0.  Kept per (name, args) like ``_side``, so that
-    ``side_degree`` and ``total_degree`` read one computation."""
+    when every row is 0.  Kept per (name, args) like ``_side``.  It rests
+    on the one assumption of ``degree_bound``, that the side is a
+    polynomial."""
     out = (-1, -1, -1)
     for shift, n, operators, rhs, r in SIDES[name](*args):
         q, t, tot = degree_bound(n, operators, rhs, r)
         if q >= 0:
             out = (max(out[0], q), max(out[1], t + shift), max(out[2], tot + shift))
     return out
-
-
-def side_degree(name, *args):
-    """Per-variable degree bound (q_deg, t_deg) of the named side of
-    ``SIDES`` at its arguments (see ``_side_bound``); (-1, -1) when every
-    row is 0."""
-    return _side_bound(name, args)[:2]
-
-
-def total_degree(name, *args):
-    """Total-degree bound of the named side of ``SIDES`` at its arguments,
-    from the same rows as ``side_degree``: per row, the largest over mu of
-    the bound on the total degree of num_mu minus the exact total degree
-    of w_mu, plus the row's t-shift; the largest over the rows, and -1
-    when every row is 0.  The closed forms are those of
-    ``degree_bound``: (1 - q^r) contributes r, h_r[(1 - t) B_mu] at most
-    r (max(coarm + coleg) + 1), Pi_mu the sum of coarm + coleg, w_mu
-    exactly the sum of max(arm, leg + 1) + max(leg, arm + 1), an
-    eigenvalue a times the largest coarm + coleg (h_a), the sum of the d
-    largest (e_d; without the corner's for e'_b) or of all (nabla), and
-    the pairing its exact total degree.  It rests on the one assumption
-    of ``degree_bound``, that the side is a polynomial."""
-    return _side_bound(name, args)[2]
 
 
 @lru_cache(maxsize=None)

@@ -10,9 +10,8 @@ points an integer polynomial evaluates to an int, at
 itself, by the same code.  Equality of evaluators that are not compared
 at ``SYMBOLIC`` (a partition sum divides by w_mu) is decided on a
 deterministic grid of prime points, handed to the evaluators as plain
-ints: q-values are drawn from the small primes, t-values from primes >=
-101, so no mixed prime-power coincidences can make structured
-denominators vanish.
+ints: q-values are the small primes, t-values the primes above both 100
+and the grid's largest q-value (see ``poly_equal_by_grid``).
 Evaluators keep a rational value as an integer numerator and denominator
 and divide once, with ``exact_quotient``, at the end.
 """
@@ -26,15 +25,12 @@ from typing import NamedTuple
 
 
 class PoleError(ArithmeticError):
-    """An evaluator hit a vanishing denominator at a grid point."""
+    """An evaluator hit a vanishing denominator at its point, which no
+    point of the prime grid is (see ``poly_equal_by_grid``)."""
 
 
 class CapacityError(RuntimeError):
     """A size beyond a configured cap was requested."""
-
-
-class InfeasibleGridError(RuntimeError):
-    """Every candidate grid point was rejected by an evaluator."""
 
 
 class QtPolynomial:
@@ -341,14 +337,11 @@ def q_primes(count):
     return _primes_from(2, count)
 
 
-def t_primes(count):
-    """t-coordinates of the grid: 101, 103, 107, ... (disjoint from q_primes)."""
-    return _primes_from(101, count)
-
-
-#: Further t-primes ``poly_equal_by_grid`` tries for one grid cell before
-#: it gives up on the cell.
-MAX_REPLACEMENTS = 8
+def t_primes(count, q_max):
+    """t-coordinates of a grid whose largest q-value is ``q_max``: the
+    first ``count`` primes above both 100 and ``q_max`` (101, 103, 107, ...
+    while ``q_max`` < 101), so no t-value is a q-value."""
+    return _primes_from(max(101, q_max + 1), count)
 
 
 def poly_equal_by_grid(f, g, degree_bound):
@@ -357,10 +350,10 @@ def poly_equal_by_grid(f, g, degree_bound):
     and tot_deg in total.  A square grid is ``(Q, T, Q + T)``.
 
     ``f`` and ``g`` map int coordinates (q0, t0) to exact numbers (int or
-    Fraction) and may raise PoleError; a float raises TypeError, since a
-    rounded value would turn the proof into a float comparison.
+    Fraction); a float raises TypeError, since a rounded value would turn
+    the proof into a float comparison.
     The points form a lower set, a staircase: at the i-th q-value, for
-    i = 0..min(q_deg, tot_deg), min(t_deg, tot_deg - i) + 1 distinct
+    i = 0..min(q_deg, tot_deg), the first min(t_deg, tot_deg - i) + 1
     t-values.  The proof: the difference D has q-degree <= q_deg,
     t-degree <= t_deg and total degree <= tot_deg.  On column 0 it is a
     t-polynomial of degree <= min(t_deg, tot_deg), checked at one more
@@ -368,40 +361,30 @@ def poly_equal_by_grid(f, g, degree_bound):
     D_1 has q-degree <= q_deg - 1 and total degree <= tot_deg - 1; D_1
     vanishes on column 1, since q_1 != q_0.  Repeat: after the last
     column the quotient has a negative degree, so it is 0, and so is D.
-    A point where a side reports a pole (or where the two prime lists
-    would collide) is replaced by a further t-prime at the same q, so the
-    column argument stays intact.  A negative entry is a ValueError: it
-    would check no point at all.
+
+    Every column reads the same t-values, ``t_primes(t_deg + 1, q)`` for
+    the largest q-value q, so each point is a pair of distinct primes,
+    and no point is a pole of a partition sum: its denominators are
+    products of w_mu = prod over the cells of (q^a - t^(l+1))(t^l -
+    q^(a+1)), and by unique factorization p^i = p'^j for distinct primes
+    p, p' only when i = j = 0, which neither factor allows.  A pass thus
+    rests on two facts: each side is a polynomial within the bound, and
+    no grid point is a pole.  A PoleError from a side propagates.  A
+    negative entry is a ValueError: it would check no point at all.
     """
     q_deg, t_deg, tot_deg = degree_bound
     if q_deg < 0 or t_deg < 0 or tot_deg < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
-    mq, mt = min(q_deg, tot_deg) + 1, t_deg + 1
-    qs = q_primes(mq)
-    ts = t_primes(mt * (MAX_REPLACEMENTS + 1))
-    for i in range(mq):
-        q0 = qs[i]
-        for j in range(min(t_deg, tot_deg - i) + 1):
-            for rep in range(MAX_REPLACEMENTS + 1):
-                t0 = ts[j + rep * mt]
-                if t0 == q0:
-                    continue
-                try:
-                    lhs = f(q0, t0)
-                    rhs = g(q0, t0)
-                except PoleError:
-                    continue
-                if isinstance(lhs, float) or isinstance(rhs, float):
-                    raise TypeError(
-                        f"inexact value at ({q0}, {t0}): {lhs!r} vs {rhs!r}"
-                    )
-                if lhs != rhs:
-                    return False
-                break
-            else:
-                raise InfeasibleGridError(
-                    f"no usable point for grid cell ({i}, {j})"
-                )
+    qs = q_primes(min(q_deg, tot_deg) + 1)
+    ts = t_primes(t_deg + 1, qs[-1])
+    for i, q0 in enumerate(qs):
+        for t0 in ts[: min(t_deg, tot_deg - i) + 1]:
+            lhs = f(q0, t0)
+            rhs = g(q0, t0)
+            if isinstance(lhs, float) or isinstance(rhs, float):
+                raise TypeError(f"inexact value at ({q0}, {t0}): {lhs!r} vs {rhs!r}")
+            if lhs != rhs:
+                return False
     return True
 
 

@@ -21,16 +21,15 @@ tot_deg)) pair.  A new check is one more thunk in a row, not a new
 loop.
 
 Each bound is derived per instance from the data the evaluators read,
-never assumed from the size: a Delta side's from
-``macdonald.side_degree`` and ``macdonald.total_degree`` over the same
-``macdonald.SIDES`` rows that its evaluator sums (``_side``), an
-enumerator side's as its exact degrees (``_exact``), and the hook
-identity's as the exact degrees of its two sides, with q_deg + t_deg in
-total.  The ``bound=`` of a row shows the per-variable bounds only.  A
-pass on that grid is a proof under one assumption,
-that each side is a polynomial: for nabla by Garsia and Haiman, for the
-Delta and Delta' sides by Haglund, Remmel and Wilson (2015); see
-``macdonald.degree_bound``.
+never assumed from the size: a Delta side's from ``macdonald.side_bound``
+over the same ``macdonald.SIDES`` rows that its evaluator sums
+(``_side``), an enumerator side's as its exact degrees (``_exact``), and
+the hook identity's as the exact degrees of its two sides.  The
+``bound=`` of a row shows the per-variable bounds only.  A pass on that
+grid is a proof under one assumption, that each side is a polynomial:
+for nabla by Garsia and Haiman, for the Delta and Delta' sides by
+Haglund, Remmel and Wilson (2015); see ``macdonald.degree_bound``.  No
+grid point is a pole of a side (see ``qt.poly_equal_by_grid``).
 """
 
 from __future__ import annotations
@@ -268,11 +267,7 @@ def _ev(fn, *args):
 def _side(name, *args):
     """The named ``macdonald`` side at its arguments, bounded from its
     ``macdonald.SIDES`` rows."""
-    bound = (
-        *macdonald.side_degree(name, *args),
-        macdonald.total_degree(name, *args),
-    )
-    return _ev(getattr(macdonald, name), *args), bound
+    return _ev(getattr(macdonald, name), *args), macdonald.side_bound(name, *args)
 
 
 def _exact(poly):
@@ -324,18 +319,17 @@ def suite_identities(names=None, max_size=6):
 
 
 def _mac_hook_rows(nmax):
-    """One row per n; each check on the grid of the exact degrees of its
-    two sides, per variable and q_deg + t_deg in total, the square grid,
-    and the row shows the largest entry."""
+    """One row per n; each check on the staircase of the exact degrees
+    of its two sides, and the row shows the largest per-variable entry."""
     for n in range(1, nmax + 1):
         checks = [
             (
                 f"mu={tuple(mu)} r={r}",
-                _square(
+                (
                     _ev(macdonald.pair_htilde_hook, mu, r),
                     macdonald.pairing_degree(mu, ("hook", r)),
                 ),
-                _square(
+                (
                     _ev(macdonald.pleth_e, r, macdonald.b_minus_one(mu)),
                     macdonald.eigenvalue_degree(("e'", r), mu),
                 ),
@@ -345,12 +339,6 @@ def _mac_hook_rows(nmax):
         ]
         shown = max(_shown(left, right) for _, left, right in checks)
         yield f"n={n} bound={shown}", [partial(_grid, *c) for c in checks]
-
-
-def _square(evaluator, degree):
-    """A side bounded per variable by ``degree`` = (q_deg, t_deg) and by
-    q_deg + t_deg in total."""
-    return evaluator, (*degree, sum(degree))
 
 
 def _reciprocity_rows(nmax):

@@ -212,6 +212,13 @@ def test_empty_verify_run_exits_2(capsys):
     assert err.startswith("error: no checks ran") and err.count("\n") == 1
 
 
+def test_empty_verify_run_echoes_the_flags_given(capsys):
+    argv = ("verify", "identities", "--name", "mac-hook", "--max", "0")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: no checks ran: verify identities --name mac-hook --max 0\n"
+
+
 def test_verify_all_at_size_zero_has_no_fail_row(capsys):
     code, out, err = run(capsys, "verify", "all", "--max", "0")
     rows = out.splitlines()[1:]

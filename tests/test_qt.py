@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from qtcomb.qt import (
     SYMBOLIC,
-    InfeasibleGridError,
     PoleError,
     QtPolynomial,
     exact_quotient,
@@ -112,9 +111,12 @@ def test_q_binomial_against_box_oracle(n):
 
 
 def test_grid_primes_disjoint_at_desk_scale():
-    # all q-primes below the start of the t-list
-    assert not set(q_primes(25)) & set(t_primes(200))
-    assert q_primes(3) == (2, 3, 5) and t_primes(3) == (101, 103, 107)
+    # the t-values start above 100 and above the largest q-value
+    for count in (1, 25, 26, 40):
+        qs = q_primes(count)
+        assert not set(qs) & set(t_primes(200, qs[-1]))
+    assert q_primes(3) == (2, 3, 5) and t_primes(3, 5) == (101, 103, 107)
+    assert q_primes(26)[-1] == 101 and t_primes(3, 101) == (103, 107, 109)
 
 
 def test_poly_equal_by_grid_basics():
@@ -131,21 +133,32 @@ def test_grid_equality_matches_coefficients(a, b):
     assert poly_equal_by_grid(a.eval, b.eval, (4, 4, 8)) == (a == b)
 
 
-def test_pole_skip():
+def test_every_column_reads_the_same_t_values_above_the_largest_q():
+    # 26 q-values reach 101, the first prime above 100, so every column
+    # reads the t-values above it, and no point is a pair of equal primes
+    for bound, counts in (((25, 2, 27), [3] * 26), ((25, 2, 26), [3] * 25 + [2])):
+        seen = []
+
+        def record(q0, t0):
+            seen.append((q0, t0))
+            return 0
+
+        assert poly_equal_by_grid(record, _zero, bound)
+        qs, ts = q_primes(26), (103, 107, 109)
+        assert qs[-1] == 101 and len(seen) == sum(counts)
+        assert seen == [(q0, t0) for q0, c in zip(qs, counts) for t0 in ts[:c]]
+
+
+def test_a_pole_propagates():
     f = QtPolynomial({(1, 0): 1, (0, 1): 1})
 
     def with_pole(q0, t0):
-        if (q0, t0) == (2, 101):
+        if (q0, t0) == (3, 103):
             raise PoleError("test pole")
         return f.eval(q0, t0)
 
-    assert poly_equal_by_grid(with_pole, f.eval, (2, 2, 4))
-
-    def always_pole(q0, t0):
-        raise PoleError("always")
-
-    with pytest.raises(InfeasibleGridError):
-        poly_equal_by_grid(always_pole, f.eval, (1, 1, 2))
+    with pytest.raises(PoleError, match="test pole"):
+        poly_equal_by_grid(with_pole, f.eval, (2, 2, 4))
 
 
 def test_constant_hashes_like_its_int():
@@ -202,7 +215,7 @@ def test_grid_is_one_more_than_each_entry():
         return 0
 
     assert poly_equal_by_grid(record, lambda q0, t0: 0, (1, 3, 4))
-    assert seen == [(q0, t0) for q0 in q_primes(2) for t0 in t_primes(4)]
+    assert seen == [(q0, t0) for q0 in q_primes(2) for t0 in t_primes(4, 3)]
 
 
 @pytest.mark.parametrize("q_deg, t_deg", [(0, 4), (2, 1), (4, 0), (3, 3)])
@@ -216,7 +229,7 @@ def test_each_variable_needs_its_own_entry(q_deg, t_deg):
         return prod(q0 - p for p in q_primes(q_deg))
 
     def in_t(q0, t0):
-        return prod(t0 - p for p in t_primes(t_deg))
+        return prod(t0 - p for p in t_primes(t_deg, q_primes(q_deg + 1)[-1]))
 
     assert not poly_equal_by_grid(in_q, zero, (q_deg, t_deg, q_deg + t_deg))
     assert not poly_equal_by_grid(in_t, zero, (q_deg, t_deg, q_deg + t_deg))
@@ -235,17 +248,19 @@ def test_grid_is_a_staircase_under_the_total_degree():
         return 0
 
     assert poly_equal_by_grid(record, lambda q0, t0: 0, (2, 3, 3))
-    qs, ts = q_primes(3), t_primes(4)
+    qs, ts = q_primes(3), t_primes(4, 5)
     assert seen == [(qs[i], t0) for i in range(3) for t0 in ts[: 4 - i]]
 
 
 def _newton(i, j):
     """The product of (q - q_a) over the first i grid q-values and of
-    (t - t_b) over the first j grid t-values: q^i t^j plus lower terms,
-    zero on every grid column before i and every t-value before j."""
+    (t - t_b) over the first j grid t-values of a grid whose q-values
+    stay below 101: q^i t^j plus lower terms, zero on every grid column
+    before i and every t-value before j."""
 
     def value(q0, t0):
-        return prod(q0 - p for p in q_primes(i)) * prod(t0 - p for p in t_primes(j))
+        in_t = prod(t0 - p for p in t_primes(j, 100))
+        return prod(q0 - p for p in q_primes(i)) * in_t
 
     return value
 
