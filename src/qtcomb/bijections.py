@@ -22,6 +22,21 @@ assign each row to a run and leave the labels to ``paths.run_labels``.
 ``ndinv`` loops the ``phi`` kernel on one domino tuple and checks every
 intermediate sequence; tests/test_bijections.py keeps the step-string
 and per-step forms as references.
+
+Three small caches let a round trip compute each value once:
+
+* ``eta_inverse`` and ``psi`` each keep their last result
+  (``lru_cache(maxsize=1)``): the Catalan check computes
+  ``psi(eta_inverse(path))`` and then ``composite_recursive_step(path)``,
+  which is that prefix followed by ``phi`` and the way back, so the
+  composed step reuses the prefix and stays the literal composition.
+* ``_verdict`` keeps the last two membership verdicts, keyed by (value,
+  spec) (``lru_cache(maxsize=2)``): ``pld_recursive_step`` checks the
+  path that ``eta_inverse`` just checked, and each ehh round trip
+  checks the same path and image on the way out and on the way back.
+
+A call that raises caches nothing, so an invalid input raises on every
+call.
 """
 
 from __future__ import annotations
@@ -47,8 +62,20 @@ from qtcomb.paths import (
 _spec = lru_cache(maxsize=None)(FamilySpec)
 
 
+@lru_cache(maxsize=2)
+def _verdict(obj, spec):
+    # reads ``validate_family`` at call time, so a wrapper installed on
+    # this module's name sees every verdict that is computed
+    return validate_family(obj, spec)
+
+
 def _require(obj, spec, what):
-    ok, why = validate_family(obj, spec)
+    # a path hashes by value; anything else, hashable or not, is refused
+    # by ``validate_family`` without a cache entry
+    if isinstance(obj, DecoratedLabelledPath):
+        ok, why = _verdict(obj, spec)
+    else:
+        ok, why = validate_family(obj, spec)
     if not ok:
         raise DomainError(f"{what}: {why}")
 
@@ -56,6 +83,7 @@ def _require(obj, spec, what):
 # -- eta ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def eta_inverse(path):
     """Catalan-type path -> reduced polyomino word.
 
@@ -109,15 +137,17 @@ def eta(word):
 # -- psi ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def psi(word):
     """Polyomino word -> two-car parking function with leading diagonal 2.
 
     The area word is the word with bars disregarded; barred letters
     become 1-cars, unbarred become 2-cars; decorations transfer by index.
     """
-    area_word = tuple(v for v, _ in word.letters)
-    labels = tuple(1 if barred else 2 for _, barred in word.letters)
-    dec = frozenset(i + 1 for i in word.decorated_rises)
+    letters = word.letters
+    area_word = [v for v, _ in letters]
+    labels = [1 if barred else 2 for _, barred in letters]
+    dec = [i + 1 for i in word.decorated_rises]
     return DecoratedLabelledPath(area_word, labels, dec, ghost_row=True)
 
 
@@ -127,10 +157,8 @@ def psi_inverse(path):
         raise DomainError("psi_inverse expects the leading diagonal 2-car")
     if path.labels is None or set(path.labels) - {1, 2}:
         raise DomainError("psi_inverse expects labels in {1, 2}")
-    letters = tuple(
-        (a, l == 1) for a, l in zip(path.area_word, path.labels)
-    )
-    dec = frozenset(i - 1 for i in path.decorated_rises)
+    letters = [(a, l == 1) for a, l in zip(path.area_word, path.labels)]
+    dec = [i - 1 for i in path.decorated_rises]
     return PolyominoWord(letters, dec)
 
 
@@ -156,8 +184,8 @@ class DominoSequence:
     def to_path(self):
         if not self.dominoes:
             raise DomainError("empty domino sequence has no path form")
-        labels = tuple(l for l, _ in self.dominoes)
-        word = tuple(a for _, a in self.dominoes)
+        labels = [l for l, _ in self.dominoes]
+        word = [a for _, a in self.dominoes]
         return DecoratedLabelledPath(word, labels, (), ghost_row=True)
 
     def __len__(self):
@@ -298,8 +326,8 @@ def pld_recursive_step(path):
         raise DomainError("pld_recursive_step: path has no zero valleys")
     _require(path, _spec("catalan-pld", m=m, n=n), "pld_recursive_step")
     rows = [
-        ("z", path.area_word[i]) if path.labels[i] == 0 else ("p", None)
-        for i in range(path.size)
+        ("z", a) if label == 0 else ("p", None)
+        for a, label in zip(path.area_word, path.labels)
     ]
     if len(rows) == 1:
         return DecoratedLabelledPath((), (), ())
@@ -318,7 +346,9 @@ def pld_recursive_step(path):
 
 
 def composite_recursive_step(path):
-    """eta o psi_inverse o phi o psi o eta_inverse, composed literally."""
+    """eta o psi_inverse o phi o psi o eta_inverse, composed literally;
+    ``psi(eta_inverse(path))`` comes from their caches when the caller
+    has just computed it."""
     image = phi(DominoSequence.from_path(psi(eta_inverse(path))))
     if not len(image):
         return DecoratedLabelledPath((), (), ())

@@ -189,7 +189,8 @@ def _labelled_paths(size, multiset, runs=(), min_rises=0):
     ``word_in_runs`` on the finished reading word.  ``min_rises`` drops
     a branch, a leaf included, once it can no longer reach that many
     rises: a rise lands on a label above the one below it, so a label
-    equal to the smallest value never adds one.
+    equal to the smallest value never adds one.  Both cuts are tested
+    before a row is placed, so a dropped branch starts no search.
     """
     counts = {}
     for x in multiset:
@@ -212,9 +213,8 @@ def _labelled_paths(size, multiset, runs=(), min_rises=0):
         return True
 
     def rec(i, rises, above):
-        # ``above``: labels still to place that are above the smallest value
-        if rises + above < min_rises:
-            return
+        # ``above``: labels still to place that are above the smallest
+        # value; the caller has checked that rises + above >= min_rises
         if i == size:
             yield tuple(word), tuple(labels)
             return
@@ -231,19 +231,24 @@ def _labelled_paths(size, multiset, runs=(), min_rises=0):
                 run = run_of.get(v)
                 if run is not None and not fits(v, a):
                     continue
+                left = above - (v != smallest)
+                if rises + rise + left < min_rises:
+                    continue
                 counts[v] -= 1
                 word.append(a)
                 labels.append(v)
                 if run is not None:
                     placed[run[0]].append((a, v))
-                yield from rec(i + 1, rises + rise, above - (v != smallest))
+                yield from rec(i + 1, rises + rise, left)
                 if run is not None:
                     placed[run[0]].pop()
                 word.pop()
                 labels.pop()
                 counts[v] += 1
 
-    yield from rec(0, 0, len(multiset) - counts.get(smallest, 0))
+    above = len(multiset) - counts.get(smallest, 0)
+    if above >= min_rises:
+        yield from rec(0, 0, above)
 
 
 def _rises(word):
@@ -295,12 +300,17 @@ def assemble_catalan_pld(rows):
     decorated rise one level above the row before it.  Positive labels
     are 1..n in reading order (by level, then by row).
     """
-    word, prev = [], 0
-    for kind, z in rows:
-        prev = z if kind == "z" else prev + 1
+    word, dec, row_runs = [], [], []
+    prev = 0
+    for row, (kind, z) in enumerate(rows, 1):
+        if kind == "z":
+            prev = z
+            row_runs.append(None)
+        else:
+            prev += 1
+            dec.append(row)
+            row_runs.append(0)
         word.append(prev)
-    dec = tuple(i + 1 for i, (kind, _) in enumerate(rows) if kind == "p")
-    row_runs = [0 if kind == "p" else None for kind, _ in rows]
     labels = run_labels(word, row_runs, [(1, len(dec), True)])
     return DecoratedLabelledPath(word, labels, dec)
 

@@ -154,9 +154,7 @@ class DecoratedLabelledPath:
     def positive_rows(self):
         if self.labels is None:
             return tuple(range(1, self.size + 1))
-        return tuple(
-            i + 1 for i, l in enumerate(self.labels) if l > 0
-        )
+        return tuple([i + 1 for i, l in enumerate(self.labels) if l > 0])
 
     # -- statistics ---------------------------------------------------
 
@@ -552,7 +550,7 @@ def _step_string(heights, n):
     return "".join(steps)
 
 
-def polyomino_encode(paths, decorated_rises=()):
+def polyomino_encode(paths):
     """Area word of a reduced polyomino given as a path pair.
 
     Each green horizontal step carries the length of the slope -1 diagonal
@@ -586,7 +584,7 @@ def polyomino_encode(paths, decorated_rises=()):
             x += 1
         events.append((x + y + 1, 0, (dots, True)))
     events.sort()
-    return PolyominoWord([letter for _, _, letter in events], decorated_rises)
+    return PolyominoWord([letter for _, _, letter in events])
 
 
 def polyomino_decode(word):

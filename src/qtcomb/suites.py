@@ -140,15 +140,16 @@ def _ndinv_members(family):
         stepped = bijections.pld_recursive_step(path)
         doubled = path.size >= 2 and path.area_word[1] == 0 and path.labels[1] == 0
         drop = 0 if doubled else touches - 1
+        dinv = path.dinv()
         if image.area() != path.area():
             failed = "area"
-        elif bijections.ndinv(image) != path.dinv():
+        elif bijections.ndinv(image) != dinv:
             failed = "ndinv vs dinv"
         elif image.big_car_composition() != path.zero_composition():
             failed = "composition"
         elif stepped != bijections.composite_recursive_step(path):
             failed = "recursive step"
-        elif path.size and path.dinv() - stepped.dinv() != drop:
+        elif path.size and dinv - stepped.dinv() != drop:
             failed = "dinv drop"
         else:
             continue

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtcomb import bijections
 from qtcomb.bijections import (
     DominoSequence,
     composite_recursive_step,
@@ -72,6 +73,34 @@ class TestEta:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             eta_inverse(DecoratedLabelledPath((0, 1), (1, 2)))
+
+    @pytest.mark.parametrize(
+        "word, labels, dec, message",
+        [
+            ((0, 1), (1, 2), (), "eta_inverse: path has no zero valleys"),
+            (
+                (0, 1),
+                (0, 1),
+                (),
+                "eta_inverse: every positive step must be a decorated rise",
+            ),
+        ],
+    )
+    def test_an_invalid_path_raises_on_every_call(self, word, labels, dec, message):
+        # the caches keep results and verdicts, never an exception: the
+        # path raises again after a valid call, and so does an equal,
+        # distinct path
+        def raises(path):
+            with pytest.raises(DomainError) as info:
+                eta_inverse(path)
+            assert str(info.value) == message
+
+        bad = DecoratedLabelledPath(word, labels, dec)
+        raises(bad)
+        raises(bad)
+        assert eta_inverse(CAT_PATH) == CAT_WORD
+        raises(bad)
+        raises(DecoratedLabelledPath(word, labels, dec))
 
     def test_roundtrip_exhaustive(self):
         for m in range(4):
@@ -187,6 +216,23 @@ class TestPldStep:
                     drop = 0 if doubled else touches - 1
                     assert p.dinv() - step.dinv() == drop, p
 
+    def test_composed_step_reusing_its_prefix_equals_it_recomputed(self):
+        # the Catalan check computes psi(eta_inverse(p)) first, so the
+        # composed step reads both maps from their one-entry caches
+        for m in range(6):
+            for n in range(6 - m):
+                for p in generate(FamilySpec("catalan-pld", m=m, n=n)):
+                    psi(eta_inverse(p))
+                    hits = (eta_inverse.cache_info().hits, psi.cache_info().hits)
+                    reused = composite_recursive_step(p)
+                    assert (
+                        eta_inverse.cache_info().hits,
+                        psi.cache_info().hits,
+                    ) == (hits[0] + 1, hits[1] + 1)
+                    for cache in (eta_inverse, psi, bijections._verdict):
+                        cache.cache_clear()
+                    assert reused == composite_recursive_step(p), p
+
 
 # Worked shuffle path with reading word 51827364 and its two-car image.
 SHUFFLE_SRC = DecoratedLabelledPath((0, 1, 1, 1, 0, 1, 2, 2), (5, 8, 2, 7, 1, 3, 6, 4))
@@ -218,6 +264,15 @@ class TestEhh:
             ehh_forward(DecoratedLabelledPath((0, 0), (1, 2)), 0, 2, 0)
         with pytest.raises(DomainError):
             ehh_inverse(SHUFFLE_IMG, 2, 5, 6)
+
+    @pytest.mark.parametrize("obj", ["0 1", (0, 1), [0, 1], {"area_word": [0]}])
+    def test_an_object_that_is_not_a_path(self, obj):
+        # the verdict cache keys by value; an unhashable input must still
+        # be refused as not a path, not fail on the cache key
+        for fn, what in ((ehh_forward, "ehh_forward"), (ehh_inverse, "ehh_inverse")):
+            with pytest.raises(DomainError) as info:
+                fn(obj, 0, 1, 1)
+            assert str(info.value) == f"{what}: expected a labelled path"
 
     @pytest.mark.parametrize(
         "word, labels, dec, knm, message",

@@ -16,7 +16,7 @@ from math import prod
 import pytest
 from test_suites import _bounded_sides
 
-from qtcomb import macdonald, qt, suites
+from qtcomb import bijections, macdonald, qt, suites
 
 
 def _content_row_off_by_one(original):
@@ -70,6 +70,15 @@ def _planted_perturbation_findings():
     return [] if caught else ["perturbation of mid_delta_hn(2, 3, 0) missed"]
 
 
+def _phi_is_the_identity(original):
+    return lambda seq: seq
+
+
+def _ndinv_findings():
+    """The rows of ``ndinv --max 3`` that do not pass."""
+    return [r.row() for r in suites.suite_ndinv(3) if r.status != "pass"]
+
+
 MUTANTS = [
     pytest.param(
         macdonald.SIDES,
@@ -97,6 +106,15 @@ MUTANTS = [
         "perturbation of mid_delta_hn(2, 3, 0) missed",
         (qt._primes_from,),
         id="grid-short-of-a-t-value",
+    ),
+    pytest.param(
+        bijections,
+        "phi",
+        _phi_is_the_identity,
+        _ndinv_findings,
+        ("ndinv", "m=0 n=0 members=1", "fail", "recursive step at Path(0; 0)"),
+        (bijections.eta_inverse, bijections.psi, bijections._verdict),
+        id="composed-step-without-phi",
     ),
 ]
 
