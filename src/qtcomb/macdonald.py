@@ -8,9 +8,11 @@ functions, and the partition-sum evaluators used for identity
 verification.
 
 The one change of basis is the m<->h/e/p matrices, ``_basis_to_m_matrix``
-(counted) and ``_m_to_basis_matrix`` (inverted exactly); e_k = m_(1^k)
-in h is a row of the second.  Every Hall pairing <H_mu, rhs> sums the
-coefficients of m_lam in H_mu over the h-coordinates of rhs (``_in_h``).
+(counted) and ``_m_to_basis_matrix`` (inverted exactly, an int wherever
+an entry is integral, so the h and e inverses are integer matrices);
+e_k = m_(1^k) in h is a row of the second.  Every Hall pairing <H_mu,
+rhs> sums the coefficients of m_lam in H_mu over the h-coordinates of
+rhs (``_in_h``).
 
 The Delta-type identities are data for one evaluator:
 ``delta_pairing(n, operators, rhs, pt, r=1)`` is the pairing of
@@ -349,8 +351,9 @@ def _basis_to_m_matrix(basis, degree):
 
 @lru_cache(maxsize=None)
 def _m_to_basis_matrix(basis, degree):
-    """Inverse change of basis, with Fraction entries: the integer matrix
-    of ``_basis_to_m_matrix`` inverted exactly by ``_invert_matrix``."""
+    """Inverse change of basis: the integer matrix of
+    ``_basis_to_m_matrix`` inverted exactly by ``_invert_matrix``, so an
+    entry is an int where it is integral and a Fraction where it is not."""
     lams = list(partitions_of(degree))
     idx = {lam: i for i, lam in enumerate(lams)}
     size = len(lams)
@@ -373,7 +376,8 @@ def _m_to_basis_matrix(basis, degree):
 
 def _invert_matrix(a):
     """Inverse of the invertible square matrix ``a`` (rows of ints or
-    Fractions), with Fraction entries.
+    Fractions): an int wherever an entry is integral, a Fraction only
+    where it is not.
 
     Gauss-Jordan on sparse rows: an entry stays a Python int while each
     pivot divides it and becomes a Fraction only where one does not, and
@@ -401,7 +405,12 @@ def _invert_matrix(a):
                     row[j] = v
                 else:
                     del row[j]
-    return [[Fraction(row.get(n + j, 0)) for j in range(n)] for row in aug]
+    return [[_integral(row.get(n + j, 0)) for j in range(n)] for row in aug]
+
+
+def _integral(x):
+    """``x`` as an int if it is integral, else the Fraction it is."""
+    return x if x.denominator != 1 else int(x)
 
 
 # -- modified Macdonald polynomials ----------------------------------------
@@ -510,12 +519,10 @@ def htilde_at_alphabet(mu, alphabet, pt):
 # -- Hall pairings ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _e_in_h(k):
     """h-coordinates of e_k, integers: e_k = m_(1^k), so they are the row
     (1^k) of ``_m_to_basis_matrix("h", k)``."""
-    row = _m_to_basis_matrix("h", k)[Partition((1,) * k)]
-    return {lam: int(c) for lam, c in row.items()}
+    return _m_to_basis_matrix("h", k)[Partition((1,) * k)]
 
 
 def _expand_eh_to_h(e_indices, h_indices):

@@ -4,14 +4,19 @@ polynomial equality testing.
 Coefficients are Python ints (arbitrary precision).  A polynomial is
 never changed after it is built and stores its hash once, so it is a
 cheap cache key: the plethystic alphabets of ``macdonald`` (B_mu, M,
-[r]_q) are ``QtPolynomial``s.  Specializations are exact: at int
-points an integer polynomial evaluates to an int, at
-``fractions.Fraction`` points to a Fraction, and at ``SYMBOLIC`` to
-itself, by the same code.  Equality of evaluators that are not compared
-at ``SYMBOLIC`` (a partition sum divides by w_mu) is decided on a
-deterministic grid of prime points, handed to the evaluators as plain
-ints: q-values are the small primes, t-values the primes above both 100
-and the grid's largest q-value (see ``poly_equal_by_grid``).
+[r]_q) are ``QtPolynomial``s.  It stores its Horner rows once too, on
+its first evaluation (``QtPolynomial.eval``): one row of coefficients
+per t-exponent, over that row's own span of q-exponents, so a point
+costs a multiply-add per stored coefficient and at most two powers
+per row.  The rows take no part in ``==``, ``hash`` or ``repr``.
+Specializations are exact: at int points an integer polynomial
+evaluates to an int, at ``fractions.Fraction`` points to a Fraction,
+and at ``SYMBOLIC`` to itself, by the same code.  Equality of
+evaluators that are not compared at ``SYMBOLIC`` (a partition sum
+divides by w_mu) is decided on a deterministic grid of prime points,
+handed to the evaluators as plain ints: q-values are the small primes,
+t-values the primes above both 100 and the grid's largest q-value (see
+``poly_equal_by_grid``).
 Evaluators keep a rational value as an integer numerator and denominator
 and divide once, with ``exact_quotient``, at the end.
 """
@@ -40,10 +45,11 @@ class QtPolynomial:
     coefficients and no negative exponents.  A polynomial is never changed
     after it is built, so its hash is computed once and stored: the
     per-point caches key on plethystic alphabets such as B_mu, which are
-    polynomials too, and hash the same one at every lookup.
+    polynomials too, and hash the same one at every lookup.  The Horner
+    rows of ``eval`` are stored the same way.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_rows")
 
     def __init__(self, terms=None):
         data = {}
@@ -195,11 +201,44 @@ class QtPolynomial:
 
     def eval(self, q0, t0):
         """Exact evaluation: an int at int points, a Fraction at Fraction
-        points."""
-        total = 0
+        points, the polynomial itself at ``SYMBOLIC``.
+
+        Horner's scheme on the rows of ``_horner_rows``, built on the
+        first call and stored like the hash: each row in q from its
+        highest coefficient down, then the rows in t, a gap in t stepped
+        with one power."""
+        try:
+            rows = self._rows
+        except AttributeError:
+            rows = self._rows = self._horner_rows()
+        value = 0
+        for gap, low, coeffs in rows:
+            row = 0  # 0 * q0 + c: even a constant takes the point's type
+            for c in coeffs:
+                row = row * q0 + c
+            if low:
+                row *= q0**low
+            value += row
+            if gap:
+                value *= t0**gap
+        return value
+
+    def _horner_rows(self):
+        """One ``(gap, low, coeffs)`` per t-exponent, highest first: the
+        row's coefficients from its highest q-exponent down to its lowest,
+        ``low``, zeros between them included, and ``gap``, its t-exponent
+        less that of the next row (the last row's own t-exponent)."""
+        by_t = {}
         for (eq, et), c in self.terms.items():
-            total += c * q0**eq * t0**et
-        return total
+            by_t.setdefault(et, {})[eq] = c
+        ets = sorted(by_t, reverse=True)
+        rows = []
+        for et, below in zip(ets, ets[1:] + [0]):
+            row = by_t[et]
+            low = min(row)
+            coeffs = tuple([row.get(eq, 0) for eq in range(max(row), low - 1, -1)])
+            rows.append((et - below, low, coeffs))
+        return tuple(rows)
 
     def transpose(self):
         """Swap the roles of q and t."""

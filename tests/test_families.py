@@ -297,6 +297,57 @@ def test_enumerator_by_content():
         assert counted == total
 
 
+def _content_walks(m, n, k):
+    """Each content's enumerator from the search of its own shape."""
+    family = "pld" if m else "ld"
+    return {
+        lam: qt_enumerator(FamilySpec(family, m=m, n=n, k=k, content=lam))
+        for lam in partitions(n)
+    }
+
+
+def test_every_content_from_the_descent_pass_is_its_own_walk():
+    for m in range(7):
+        for n in range(1, 7 - m):
+            for k in range(n):
+                got = qt_enumerator_by_content(m, n, k)
+                assert got == _content_walks(m, n, k), (m, n, k)
+
+
+def test_enumerator_by_content_at_n_zero():
+    # the empty path for m = 0; no path starts with its m zero labels
+    assert qt_enumerator_by_content(0, 0, 0) == {(): QtPolynomial.one()}
+    for m in range(1, 4):
+        assert qt_enumerator_by_content(m, 0, 0) == {(): QtPolynomial.zero()}
+    with pytest.raises(FamilySpecError):
+        qt_enumerator_by_content(1, 0, 1)
+
+
+def test_the_reversed_descent_rule_misses_a_content(monkeypatch):
+    """i+1 read before i, in place of after, gives some content at m+n <= 4
+    a wrong enumerator: the convention of ``_descents`` is not free."""
+    cases = [(m, n, k) for m in range(4) for n in range(1, 5 - m) for k in range(n)]
+    families.qt_enumerators_by_descent.cache_clear()
+    rule = families._descents
+    monkeypatch.setattr(families, "_descents", lambda word: rule(word[::-1]))
+    try:
+        wrong = [
+            case
+            for case in cases
+            if qt_enumerator_by_content(*case) != _content_walks(*case)
+        ]
+    finally:
+        monkeypatch.undo()
+        families.qt_enumerators_by_descent.cache_clear()
+    assert wrong
+
+
+def test_descents_of_a_reading_word():
+    # 2 is read after 1; 3 before 2; 4 after 3
+    assert families._descents((1, 3, 2, 4)) == {1, 3}
+    assert families._descents(()) == set()
+
+
 def test_bucket_index_semantics():
     # r counts the conventional diagonal car: a path with no diagonal
     # 2-car is in bucket 1, with or without its ghost row

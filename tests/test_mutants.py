@@ -16,7 +16,7 @@ from math import prod
 import pytest
 from test_suites import _bounded_sides
 
-from qtcomb import bijections, macdonald, qt, suites
+from qtcomb import bijections, families, macdonald, qt, suites
 
 
 def _content_row_off_by_one(original):
@@ -28,6 +28,11 @@ def _content_row_off_by_one(original):
 def _delta_tiny_findings():
     """The rows of ``delta-tiny --max 4`` that do not pass."""
     return [r.row() for r in suites.suite_delta_tiny(4) if r.status != "pass"]
+
+
+def _descents_reversed(original):
+    """The descent rule read backwards: i+1 read before i."""
+    return lambda word: original(word[::-1])
 
 
 def _total_one_too_small(original):
@@ -88,6 +93,15 @@ MUTANTS = [
         ("delta-content", "m=0 n=1 k=0", "fail", "content (1,)"),
         (macdonald._side, macdonald.side_bound),
         id="operator-row-off-by-one",
+    ),
+    pytest.param(
+        families,
+        "_descents",
+        _descents_reversed,
+        _delta_tiny_findings,
+        ("delta-content", "m=0 n=2 k=0", "fail", "content (2,)"),
+        (families.qt_enumerators_by_descent,),
+        id="descent-rule-reversed",
     ),
     pytest.param(
         macdonald,

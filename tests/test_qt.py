@@ -74,6 +74,62 @@ def test_a_polynomial_at_symbolic_is_itself(a):
     assert a.eval(*SYMBOLIC) == a
 
 
+def _term_by_term(poly, q0, t0):
+    """The value at (q0, t0) summed over the terms, each with its powers."""
+    total = 0
+    for (eq, et), c in poly.terms.items():
+        total += c * q0**eq * t0**et
+    return total
+
+
+HORNER_POINTS = ((2, 101), (-3, 0), (Fraction(2, 3), Fraction(-5, 7)), SYMBOLIC)
+
+HORNER_CASES = (
+    QtPolynomial.zero(),
+    QtPolynomial.const(7),
+    QtPolynomial.const(-4),
+    QtPolynomial.monomial(-5, 3, 2),
+    QtPolynomial({(0, 0): -1, (2, 0): 3, (1, 1): -2, (0, 4): -7}),
+    QtPolynomial({(40, 0): 1, (0, 35): 1, (3, 30): -1}),
+)
+
+
+def _same(got, want):
+    return got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("poly", HORNER_CASES, ids=repr)
+def test_horner_eval_is_the_term_by_term_sum(poly):
+    for point in HORNER_POINTS:
+        assert _same(poly.eval(*point), _term_by_term(poly, *point)), point
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys)
+def test_horner_eval_matches_the_terms_at_every_kind_of_point(a):
+    for point in HORNER_POINTS:
+        assert _same(a.eval(*point), _term_by_term(a, *point)), point
+
+
+def test_horner_rows_take_no_part_in_equality_hash_or_repr():
+    terms = {(40, 0): 1, (0, 35): 1, (3, 30): -1}
+    evaluated, fresh = QtPolynomial(terms), QtPolynomial(terms)
+    evaluated.eval(2, 101)
+    assert hasattr(evaluated, "_rows") and not hasattr(fresh, "_rows")
+    assert evaluated == fresh
+    assert hash(evaluated) == hash(fresh)
+    assert repr(evaluated) == repr(fresh)
+
+
+def test_horner_rows_store_each_row_over_its_own_span():
+    monomial = QtPolynomial.monomial(-5, 3, 2)
+    monomial.eval(2, 101)
+    assert [coeffs for _, _, coeffs in monomial._rows] == [(-5,)]
+    sparse = QtPolynomial({(40, 0): 1, (0, 35): 1, (3, 30): -1})
+    sparse.eval(2, 101)
+    assert [coeffs for _, _, coeffs in sparse._rows] == [(1,), (-1,), (1,)]
+
+
 def test_exact_quotient_of_a_polynomial_is_coefficientwise():
     q, t = SYMBOLIC
     assert exact_quotient(6 * q * t - 4, 2) == 3 * q * t - 2
