@@ -29,20 +29,28 @@ by the shape without its decoration count (plus ``r`` and ``ghost``),
 holds the enumerators of every k.  ``catalan-pld``, ``d`` and ``rp``
 sum over their members.
 
-The content-refined enumerators of ``ld`` and ``pld`` (labels 0^m and a
-content lam of n) all come from one pass over the standard family, with
-labels 0^m and 1..n (``qt_enumerators_by_descent``), through the
-fundamental quasisymmetric expansion of Haglund, Haiman, Loehr, Remmel
-and Ulyanov (2005).  Standardize a member of content lam by giving its
-equal labels distinct values in reverse reading order: the copy read
-first gets the largest.  No pair of equal labels counts for dinv, nor
-does it after standardizing; no rise lands on an equal label, nor on a
-smaller one after; the area does not change.  So the members of content
-lam are in bijection with the standard paths whose descent set D = {i :
-i+1 is read after i}, in the reading word of the positive labels, lies
-in the partial sums S(lam) = {lam_1, lam_1 + lam_2, ...}.
-``qt_enumerator`` of one content keeps its own search of the content's
-shape.
+The Delta enumerators over labels 0^m and 1..n all come from one pass
+over that standard family (``qt_enumerators_by_descent``), grouped by
+the descent set D = {i : i+1 is read after i} of the reading word of
+the positive labels, and one rule (``qt_enumerator_by_runs``): the
+members whose reading word lists each (lo, hi, increasing) run in its
+direction are the classes with every i in lo..hi-1 in D for an
+increasing run and none of them for a decreasing one.  The rule is
+exact because each label 1..n occurs once: a run is read in increasing
+order exactly when each i+1 is read after i.  The three runs of a
+(k,n,m)-shuffle (``delta-ehh``) are one such condition.
+
+A content is another, through the fundamental quasisymmetric expansion
+of Haglund, Haiman, Loehr, Remmel and Ulyanov (2005).  Standardize a
+member of ``ld`` or ``pld`` of content lam by giving its equal labels
+distinct values in reverse reading order: the copy read first gets the
+largest.  No pair of equal labels counts for dinv, nor does it after
+standardizing; no rise lands on an equal label, nor on a smaller one
+after; the area does not change.  So the members of content lam are in
+bijection with the standard paths that read each block of lam as one
+decreasing run, that is whose D lies in the partial sums S(lam) =
+{lam_1, lam_1 + lam_2, ...}.  ``qt_enumerator`` of one content keeps
+its own search of the content's shape.
 """
 
 from __future__ import annotations
@@ -131,7 +139,7 @@ class FamilySpec:
             if sum(self.content) != self.n:
                 raise FamilySpecError("content weight must equal n")
             if self.k and self.k >= self.n:
-                raise FamilySpecError("pld requires n > k >= 0")
+                raise FamilySpecError(f"{f} requires n > k >= 0")
         if self.r is not None and self.r < 1:
             raise FamilySpecError("bucket index below its semantic range")
         if f in ("two-shuffle", "shuffle-knm", "pf2") and self.k > min(self.m, self.n):
@@ -431,29 +439,6 @@ def _enumerators(labels, runs, big, r, ghost):
     return tuple(QtPolynomial(counts) for counts in totals)
 
 
-def qt_enumerators_by_reading_word(spec):
-    """{reading word: the enumerators at every k, indexed by k} of a
-    family that ``_generate`` searches with ``_labelled_paths``, from
-    the pass of ``_enumerators``: neither the reading word nor dinv
-    reads the decorations, so each undecorated path is read once."""
-    labels, runs, _, big = spec.shape
-    return _enumerators_by(
-        lambda path: path.reading_word(), labels, runs, big, spec.r, spec.ghost
-    )
-
-
-def _enumerators_by(key, labels, runs, big, r, ghost):
-    """{key(path): the enumerators at every k, indexed by k} over the
-    undecorated paths of a shape, in one pass."""
-    groups = {}
-    for path, terms in _undecorated_terms(labels, runs, big, r, ghost):
-        _add_terms(groups.setdefault(key(path), []), terms)
-    return {
-        group: tuple(QtPolynomial(counts) for counts in totals)
-        for group, totals in groups.items()
-    }
-
-
 def _undecorated_terms(labels, runs, big, r, ghost):
     """Each undecorated path of a shape, in bucket ``r`` unless it is
     None, with the ghost row when ``ghost``, and ``terms[k] = {(dinv,
@@ -491,24 +476,42 @@ def _add_terms(totals, terms):
 
 def qt_enumerator_by_content(m, n, k):
     """Map from content partition to the enumerator of matching members:
-    for each lam, the standard enumerators of ``qt_enumerators_by_descent``
-    whose descent set lies in the partial sums S(lam) (see the module
-    docstring)."""
-    # the spec of the standard family rejects what the content specs did
-    FamilySpec("pld" if m else "ld", m=m, n=n, k=k, content=(1,) * n)
-    by_descent = qt_enumerators_by_descent(m, n)
+    content lam is one decreasing run per block of lam (see the module
+    docstring), read off ``qt_enumerator_by_runs``."""
     out = {}
     for lam in partitions(n):
-        cuts = frozenset(accumulate(lam))
-        out[lam] = sum(
-            (
-                by_k[k]
-                for descents, by_k in by_descent.items()
-                if k < len(by_k) and descents <= cuts
-            ),
-            QtPolynomial.zero(),
-        )
+        blocks = zip(lam, accumulate(lam))
+        runs = [(end - part + 1, end, False) for part, end in blocks]
+        out[lam] = qt_enumerator_by_runs(m, n, k, runs)
     return out
+
+
+def qt_enumerator_by_runs(m, n, k, runs):
+    """The enumerator at k of the standard members, labels 0^m and 1..n,
+    whose reading word lists each (lo, hi, increasing) run in its
+    direction: the entries of ``qt_enumerators_by_descent`` whose
+    descent set holds every i in lo..hi-1 of an increasing run and none
+    of a decreasing one (see the module docstring)."""
+    # the spec of the standard family rejects what the content specs did
+    FamilySpec("pld" if m else "ld", m=m, n=n, k=k, content=(1,) * n)
+    return sum(
+        (
+            by_k[k]
+            for descents, by_k in qt_enumerators_by_descent(m, n).items()
+            if k < len(by_k) and _descents_in_runs(descents, runs)
+        ),
+        QtPolynomial.zero(),
+    )
+
+
+def _descents_in_runs(descents, runs):
+    """True iff a reading word of the labels 1..n with descent set
+    ``descents`` lists each (lo, hi, increasing) run in its direction."""
+    return all(
+        (i in descents) == increasing
+        for lo, hi, increasing in runs
+        for i in range(lo, hi)
+    )
 
 
 @lru_cache(maxsize=1)
@@ -523,9 +526,13 @@ def qt_enumerators_by_descent(m, n):
     labels, runs, _, big = FamilySpec(
         "pld" if m else "ld", m=m, n=n, content=(1,) * n
     ).shape
-    return _enumerators_by(
-        lambda path: _descents(path.reading_word()), labels, runs, big, None, False
-    )
+    groups = {}
+    for path, terms in _undecorated_terms(labels, runs, big, None, False):
+        _add_terms(groups.setdefault(_descents(path.reading_word()), []), terms)
+    return {
+        descents: tuple(QtPolynomial(counts) for counts in totals)
+        for descents, totals in groups.items()
+    }
 
 
 def _descents(word):

@@ -37,7 +37,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import groupby
 
 from qtcomb import bijections, macdonald, recursion
 from qtcomb.families import (
@@ -45,7 +44,7 @@ from qtcomb.families import (
     generate,
     qt_enumerator,
     qt_enumerator_by_content,
-    qt_enumerators_by_reading_word,
+    qt_enumerator_by_runs,
 )
 from qtcomb.macdonald import partitions_of
 from qtcomb.paths import (
@@ -53,9 +52,8 @@ from qtcomb.paths import (
     PolyominoPaths,
     knm_runs,
     polyomino_encode,
-    word_in_runs,
 )
-from qtcomb.qt import SYMBOLIC, EvalPoint, QtPolynomial, poly_equal_by_grid
+from qtcomb.qt import SYMBOLIC, EvalPoint, poly_equal_by_grid
 
 
 @dataclass
@@ -425,32 +423,22 @@ def suite_delta_ehh(max_size=4):
 
 
 def _delta_ehh_rows(max_size):
-    instances = _instances(max_size, DELTA_K_CAP)
-    for (m, n), group in groupby(instances, key=lambda mnk: mnk[:2]):
+    for m, n, k in _instances(max_size, DELTA_K_CAP):
         family = "pld" if m else "ld"
-        # the enumerators by reading word, every k from one pass
-        spec = FamilySpec(family, m=m, n=n, content=tuple([1] * n))
-        by_word = qt_enumerators_by_reading_word(spec)
-        for _, _, k in group:
-            at_k = [(word, by_k[k]) for word, by_k in by_word.items() if k < len(by_k)]
-            for j in range(n + 1):
-                for a in range(n - j + 1):
-                    b = n - j - a
-                    if a < b:
-                        continue
-                    runs = knm_runs(j, j + a, j + b)
-                    enum = sum(
-                        (poly for word, poly in at_k if word_in_runs(word, runs)),
-                        QtPolynomial.zero(),
+        for j in range(n + 1):
+            for a in range(n - j + 1):
+                b = n - j - a
+                if a < b:
+                    continue
+                enum = qt_enumerator_by_runs(m, n, k, knm_runs(j, j + a, j + b))
+                yield f"m={m} n={n} k={k} e{j}h{a}h{b}", [
+                    partial(
+                        _grid,
+                        f"delta_pairing != {family} enumerator",
+                        _side("lhs_delta_ehh", m, n, k, j, a, b),
+                        _exact(enum),
                     )
-                    yield f"m={m} n={n} k={k} e{j}h{a}h{b}", [
-                        partial(
-                            _grid,
-                            f"delta_pairing != {family} enumerator",
-                            _side("lhs_delta_ehh", m, n, k, j, a, b),
-                            _exact(enum),
-                        )
-                    ]
+                ]
 
 
 # -- engine self-validation ------------------------------------------------

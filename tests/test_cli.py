@@ -178,6 +178,14 @@ def test_enum_bucket_below_its_range_exits_2(capsys, family):
     assert err == "error: bucket index below its semantic range\n"
 
 
+@pytest.mark.parametrize("family, m", [("ld", "0"), ("pld", "1")])
+def test_enum_decorations_past_n_name_the_family(capsys, family, m):
+    argv = ("--family", family, "--m", m, "--n", "3", "--content", "2,1", "--k", "3")
+    code, out, err = run(capsys, "enum", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {family} requires n > k >= 0\n"
+
+
 @pytest.mark.parametrize("content", ["1,x", "1,,1", "2.0"])
 def test_enum_bad_content_exits_2(capsys, content):
     code, out, err = run(

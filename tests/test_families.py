@@ -1,7 +1,7 @@
 """Family generation, counting oracles, and enumerators."""
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -164,6 +164,11 @@ def test_ld_without_content_rejected():
 def test_pld_k_bound():
     with pytest.raises(FamilySpecError):
         FamilySpec("pld", m=1, n=2, k=2, content=(1, 1))
+
+
+def test_ld_k_bound_names_ld():
+    with pytest.raises(FamilySpecError, match="^ld requires n > k >= 0$"):
+        FamilySpec("ld", n=3, content=(2, 1), k=3)
 
 
 def test_capacity_guard(monkeypatch):
@@ -528,18 +533,45 @@ def test_enumerator_is_the_member_sum(case):
         assert qt_enumerator(spec) == members, spec
 
 
-def test_enumerators_by_reading_word_are_the_member_sums():
-    for m, n in ((0, 3), (1, 3), (2, 2), (0, 4)):
-        spec = FamilySpec("pld" if m else "ld", m=m, n=n, content=(1,) * n)
-        by_word = families.qt_enumerators_by_reading_word(spec)
-        for k in range(n):
-            grouped = {}
-            for p in generate(FamilySpec(spec.family, m=m, n=n, k=k, content=(1,) * n)):
-                grouped.setdefault(p.reading_word(), []).append(((p.dinv(), p.area()), 1))
-            want = {word: QtPolynomial(terms) for word, terms in grouped.items()}
-            got = {
-                word: by_k[k]
-                for word, by_k in by_word.items()
-                if k < len(by_k) and by_k[k]
-            }
-            assert got == want, (m, n, k)
+def _shuffle_triples(n):
+    """The runs of every (j, j+a, j+b)-shuffle of the labels 1..n."""
+    return [
+        knm_runs(j, j + a, n - a)  # j + b with b = n - j - a
+        for j in range(n + 1)
+        for a in range(n - j + 1)
+    ]
+
+
+def test_enumerator_by_runs_is_the_member_sum():
+    """Each three-run enumerator read off the descent classes equals the
+    sum over the generated standard members whose reading word passes
+    ``word_in_runs``."""
+    for m in range(5):
+        for n in range(1, 6 - m):
+            family = "pld" if m else "ld"
+            for k in range(n):
+                members = list(
+                    generate(FamilySpec(family, m=m, n=n, k=k, content=(1,) * n))
+                )
+                for runs in _shuffle_triples(n):
+                    want = QtPolynomial(
+                        ((p.dinv(), p.area()), 1)
+                        for p in members
+                        if word_in_runs(p.reading_word(), runs)
+                    )
+                    got = families.qt_enumerator_by_runs(m, n, k, runs)
+                    assert got == want, (m, n, k, runs)
+
+
+def test_descent_rule_is_word_in_runs():
+    """On every permutation of 1..n, n <= 6, the runs hold on the descent
+    set exactly when ``word_in_runs`` accepts the word."""
+    for n in range(7):
+        runs_list = _shuffle_triples(n) + [
+            two_shuffle_runs(m, n - m) for m in range(n + 1)
+        ]
+        for word in permutations(range(1, n + 1)):
+            descents = families._descents(word)
+            for runs in runs_list:
+                want = word_in_runs(word, runs)
+                assert families._descents_in_runs(descents, runs) == want, (word, runs)

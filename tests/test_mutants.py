@@ -35,6 +35,21 @@ def _descents_reversed(original):
     return lambda word: original(word[::-1])
 
 
+def _first_run_decreasing(original):
+    """The increasing run 1..j of a (j, j+a, j+b)-shuffle read decreasing."""
+
+    def runs(k, n, m):
+        (lo, hi, _), *rest = original(k, n, m)
+        return [(lo, hi, False), *rest]
+
+    return runs
+
+
+def _delta_ehh_findings():
+    """The rows of ``delta-ehh --max 2`` that do not pass."""
+    return [r.row() for r in suites.suite_delta_ehh(2) if r.status != "pass"]
+
+
 def _total_one_too_small(original):
     def bound(name, *args):
         q_deg, t_deg, tot_deg = original(name, *args)
@@ -102,6 +117,15 @@ MUTANTS = [
         ("delta-content", "m=0 n=2 k=0", "fail", "content (2,)"),
         (families.qt_enumerators_by_descent,),
         id="descent-rule-reversed",
+    ),
+    pytest.param(
+        suites,
+        "knm_runs",
+        _first_run_decreasing,
+        _delta_ehh_findings,
+        ("delta-ehh", "m=0 n=2 k=0 e2h0h0", "fail", "delta_pairing != ld enumerator"),
+        (),
+        id="run-direction-reversed",
     ),
     pytest.param(
         macdonald,

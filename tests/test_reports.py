@@ -42,8 +42,9 @@ def test_workload_reports_match_recorded_digest(capsys, name):
 #: (argv, rows, sha256 of the sorted rows), each recorded before a change
 #: to the code behind it: the suites becoming row generators for one grid
 #: runner, ``delta-ehh`` generating each family once, ``sum_r_lhs``
-#: becoming ``delta_pairing`` rows over the Cauchy weight, and the
-#: plethystic alphabets becoming ``QtPolynomial``s.  The four identity
+#: becoming ``delta_pairing`` rows over the Cauchy weight, the
+#: plethystic alphabets becoming ``QtPolynomial``s, and the Delta
+#: enumerators being read off the descent classes by one run rule.  The four identity
 #: pairs were re-recorded when their rows began to print the derived
 #: degree bound: only the ``bound=`` text moved.
 OTHER_REPORTS = [
@@ -56,6 +57,16 @@ OTHER_REPORTS = [
         ("verify", "delta-ehh", "--max", "5"),
         186,
         "8ca9276307570e7db496c7aac2cc61cf080e2f2fda3aa7ce663c48c59f191c66",
+    ),
+    (
+        ("verify", "delta-ehh", "--max", "6"),
+        325,
+        "26f9ec5d8c919c4f14563f7494e5350da21df1ac603d5afc12e932b687aebe0c",
+    ),
+    (
+        ("verify", "delta-tiny", "--max", "6"),
+        95,
+        "ce3789ab18f8aaf12ca15a2e2a7873c13ea37e6aeb8e90de56ddfd6ee4b87467",
     ),
     (
         ("verify", "examples"),
