@@ -102,12 +102,13 @@ def _enum(spec, args):
         total = sum(1 for _ in generate(spec))
         _write(args.out, f"{total}\n")
         return 0
-    lines = []
-    for member in generate(spec):
-        if isinstance(member, PolyominoWord):
-            lines.append(json.dumps(member.to_json(), sort_keys=True))
-        else:
-            lines.append(json.dumps(member.to_json(spec.family), sort_keys=True))
+    lines = [
+        json.dumps(
+            m.to_json() if isinstance(m, PolyominoWord) else m.to_json(spec.family),
+            sort_keys=True,
+        )
+        for m in generate(spec)
+    ]
     _write(args.out, "\n".join(lines) + ("\n" if lines else ""))
     return 0
 
@@ -155,55 +156,25 @@ def _stats(obj):
     return out
 
 
-#: The maps of ``biject``: name -> (function, input kind, sizes,
-#: contract).  The function takes the object, then --k, --n and --m when
-#: ``sizes`` is True, and gives the image and a summary or None.  The
+def _phi(path):
+    return bijections.phi(bijections.DominoSequence.from_path(path)).to_path()
+
+
+#: The maps of ``biject``: name -> (map, input kind, sizes, contract).
+#: The map takes the object, then --k, --n and --m when ``sizes`` is
+#: True; a map that returns a pair returns the image and a summary.  The
 #: contract, (dinv kept, area kept), is checked on the image.
 _MAPS = {
-    "eta": (
-        lambda w: (bijections.eta(w), None), "polyomino word", False, (False, True)
-    ),
-    "eta-inv": (
-        lambda p: (bijections.eta_inverse(p), None), "path", False, (False, True)
-    ),
-    "psi": (
-        lambda w: (bijections.psi(w), None), "polyomino word", False, (True, True)
-    ),
-    "psi-inv": (
-        lambda p: (bijections.psi_inverse(p), None), "path", False, (True, True)
-    ),
-    "phi": (
-        lambda p: (
-            bijections.phi(bijections.DominoSequence.from_path(p)).to_path(),
-            None,
-        ),
-        "path",
-        False,
-        (False, False),
-    ),
-    "ehh": (
-        lambda p, *knm: (bijections.ehh_forward(p, *knm), None),
-        "path",
-        True,
-        (True, True),
-    ),
-    "ehh-inv": (
-        lambda p, *knm: (bijections.ehh_inverse(p, *knm), None),
-        "path",
-        True,
-        (True, True),
-    ),
-    "pld-step": (
-        lambda p: (bijections.pld_recursive_step(p), None),
-        "path",
-        False,
-        (False, False),
-    ),
+    "eta": (bijections.eta, "polyomino word", False, (False, True)),
+    "eta-inv": (bijections.eta_inverse, "path", False, (False, True)),
+    "psi": (bijections.psi, "polyomino word", False, (True, True)),
+    "psi-inv": (bijections.psi_inverse, "path", False, (True, True)),
+    "phi": (_phi, "path", False, (False, False)),
+    "ehh": (bijections.ehh_forward, "path", True, (True, True)),
+    "ehh-inv": (bijections.ehh_inverse, "path", True, (True, True)),
+    "pld-step": (bijections.pld_recursive_step, "path", False, (False, False)),
     "shuffle-step": (
-        lambda p, *knm: bijections.shuffle_recursion_step(p, *knm),
-        "path",
-        True,
-        (False, False),
+        bijections.shuffle_recursion_step, "path", True, (False, False)
     ),
 }
 
@@ -217,17 +188,14 @@ def cmd_biject(args):
     kind = "polyomino word" if isinstance(obj, PolyominoWord) else "path"
     if kind != takes:
         raise UsageError(f"--map {args.map} takes a {takes}, got a {kind}")
-    if sized:
-        image, summary = fn(obj, args.k or 0, args.n or 0, args.m or 0)
-    else:
-        image, summary = fn(obj)
+    sizes = (args.k or 0, args.n or 0, args.m or 0) if sized else ()
+    result = fn(obj, *sizes)
+    image, summary = result if isinstance(result, tuple) else (result, None)
     before, after = _stats(obj), _stats(image)
     report = {
         "map": args.map,
-        "input": obj.to_json() if isinstance(obj, PolyominoWord) else obj.to_json(""),
-        "output": image.to_json()
-        if isinstance(image, PolyominoWord)
-        else image.to_json(""),
+        "input": obj.to_json(),
+        "output": image.to_json(),
         "stats_before": before,
         "stats_after": after,
     }
@@ -274,26 +242,13 @@ def cmd_verify(args):
             if value is not None
         )
         raise UsageError(f"no checks ran: verify {args.suite}{given}")
+    fields = ("suite", "instance", "status", "witness")
     rows = sorted(r.row() for r in reports)
     if args.format == "json":
-        text = (
-            json.dumps(
-                [
-                    {
-                        "suite": s,
-                        "instance": i,
-                        "status": st,
-                        "witness": w,
-                    }
-                    for s, i, st, w in rows
-                ],
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        records = [dict(zip(fields, row)) for row in rows]
+        text = json.dumps(records, indent=2, sort_keys=True) + "\n"
     else:
-        lines = ["suite,instance,status,witness"]
+        lines = [",".join(fields)]
         lines += [
             ",".join('"%s"' % str(x).replace('"', "'") for x in row)
             for row in rows

@@ -7,11 +7,18 @@ reading word, its number of decorated rises, and the least big-car
 label of its bucket ``r``.  ``generate`` searches that shape and
 ``validate_family`` checks membership against the same shape.
 
-Members are emitted in a canonical order: row-by-row lexicographic on
-(level, label) pairs -- row 1's level, then its label, then row 2's
-level and label, and so on -- then by decoration set.  This is not the
-order of sorting on (area word, labels), where the level of row 2
-outranks the label of row 1.  Failure witnesses are the first failing
+Members are emitted in a canonical order, one per kind of family.  The
+families searched by shape (all but ``d``, ``rp`` and ``catalan-pld``)
+stream row-by-row lexicographic on (level, label) pairs -- row 1's
+level, then its label, then row 2's level and label, and so on -- then
+by decoration set.  This is not the order of sorting on (area word,
+labels), where the level of row 2 outranks the label of row 1.  ``d``
+streams by area word, then decoration set; ``rp`` letter by letter on
+(value, barred), unbarred first, then decoration set.  ``catalan-pld``
+streams by area word alone, which names the member: a row one level
+above the row before it is a positive rise, any other a zero valley.
+So it is not in (level, label) order: at m=1, n=3 labels (0,1,3,0,2)
+come before (0,1,2,0,3).  Failure witnesses are the first failing
 member, so they depend on this order.  Generators are streams of at
 most ``MEMBER_CAP`` members; the shuffle and decorated families are
 searched with pruning rather than filtered after generation.

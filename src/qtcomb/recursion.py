@@ -119,13 +119,18 @@ class ReconcileReport:
     max_size: int
     survivors: list
     failures: dict  # variant -> (instance, recursion value or error, brute value)
-    bucket_sums_ok: bool
-    printed_offsets_survive: bool
-    printed_variant_survives: bool
+
+    @property
+    def printed_offsets_survive(self):
+        return any((v.c1, v.c2, v.c3) == (1, 0, 0) for v in self.survivors)
+
+    @property
+    def printed_variant_survives(self):
+        return PRINTED_VARIANT in self.survivors
 
     @property
     def passed(self):
-        return len(self.survivors) == 1 and self.bucket_sums_ok
+        return len(self.survivors) == 1
 
     def render(self):
         lines = [f"reconciliation over all m+n <= {self.max_size}"]
@@ -147,7 +152,6 @@ class ReconcileReport:
             "printed variant (offsets and base as printed) survives: %s"
             % ("yes" if self.printed_variant_survives else "no")
         )
-        lines.append(f"bucket sums match totals: {self.bucket_sums_ok}")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
@@ -174,7 +178,9 @@ def brute_buckets(m, n, k):
 
 def reconcile_recursion(max_size):
     """Search the convention space against brute force on every instance
-    with m + n <= max_size, every 0 <= k <= min(m, n), every r."""
+    with m + n <= max_size, every 0 <= k <= min(m, n), every r.  A
+    survivor matches every bucket, so its sum over r is the family total
+    by construction."""
     instances = []
     for total in range(max_size + 1):
         for m in range(total + 1):
@@ -205,24 +211,4 @@ def reconcile_recursion(max_size):
             failures[v] = bad
         else:
             survivors.append(v)
-
-    sums_ok = True
-    for v in survivors:
-        shift = 0 if v.r_sem == "nonghost" else 1
-        for m, n, k, buckets in instances:
-            total = sum(buckets.values(), QtPolynomial.zero())
-            sigma = QtPolynomial.zero()
-            for r in range(shift, m + shift + 1):
-                sigma += pf2_recursion(m, r, n, k, v)
-            if sigma != total:
-                sums_ok = False
-
-    printed_offsets = any((v.c1, v.c2, v.c3) == (1, 0, 0) for v in survivors)
-    return ReconcileReport(
-        max_size=max_size,
-        survivors=survivors,
-        failures=failures,
-        bucket_sums_ok=sums_ok,
-        printed_offsets_survive=printed_offsets,
-        printed_variant_survives=PRINTED_VARIANT in survivors,
-    )
+    return ReconcileReport(max_size=max_size, survivors=survivors, failures=failures)

@@ -221,12 +221,12 @@ def suite_recursion(max_size=5):
 
 
 def _reconciled(rep):
-    """None when one convention survives with the bucket sums intact;
-    ``Inconclusive`` when several do, since the instances then single out
-    none of them; else the whole report on one line."""
+    """None when one convention survives; ``Inconclusive`` when several
+    do, since the instances then single out none of them; else the whole
+    report on one line."""
     if rep.passed:
         return None
-    if len(rep.survivors) > 1 and rep.bucket_sums_ok:
+    if len(rep.survivors) > 1:
         return Inconclusive(
             f"{len(rep.survivors)} conventions survive every instance with "
             f"m+n <= {rep.max_size}"

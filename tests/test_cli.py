@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from qtcomb import bijections, cli
 from qtcomb.cli import main
+from qtcomb.families import FamilySpec, generate
+from qtcomb.paths import DecoratedLabelledPath
 from qtcomb.suites import IDENTITY_CLAMPS, IDENTITY_NAMES
 
 
@@ -84,6 +87,71 @@ def test_biject_chain_reaches_two_car(tmp_path, capsys):
     code, out, _ = run(capsys, "biject", "--map", "psi", "--in", str(infile))
     assert code == 0
     assert json.loads(out)["output"]["labels"] == [2]
+
+
+_MOVED = DecoratedLabelledPath([0, 0], [1, 2])
+
+
+def _moved(path):
+    """A stand-in map whose image has more dinv and less area."""
+    return _MOVED
+
+
+@pytest.mark.parametrize(
+    "contract, moved", [((True, True), "dinv"), ((False, True), "area")]
+)
+def test_biject_broken_contract_exits_1_after_the_report(
+    tmp_path, monkeypatch, capsys, contract, moved
+):
+    monkeypatch.setitem(cli._MAPS, "psi-inv", (_moved, "path", False, contract))
+    infile = tmp_path / "p.json"
+    infile.write_text(json.dumps({"area_word": [0, 1], "labels": [1, 2]}))
+    out = tmp_path / "report.json"
+    code, stdout, err = run(
+        capsys, "biject", "--map", "psi-inv", "--in", str(infile), "--out", str(out)
+    )
+    assert code == 1 and stdout == ""
+    assert err == f"transport contract violated: {moved} changed\n"
+    report = json.loads(out.read_text())
+    assert report["output"] == _MOVED.to_json()
+    before, after = report["stats_before"], report["stats_after"]
+    assert (before["dinv"], before["area"]) == (0, 1)
+    assert (after["dinv"], after["area"]) == (1, 0)
+
+
+def test_only_shuffle_step_reports_a_summary(tmp_path, capsys):
+    catalan = next(generate(FamilySpec("catalan-pld", m=1, n=1)))
+    word = bijections.eta_inverse(catalan)
+    pf2 = next(generate(FamilySpec("pf2", m=1, n=1, k=0, ghost=True)))
+    knm = next(generate(FamilySpec("shuffle-knm", m=1, n=1, k=0)))
+    sizes = ("--k", "0", "--n", "1", "--m", "1")
+    inputs = {
+        "eta": (word, ()),
+        "eta-inv": (catalan, ()),
+        "psi": (word, ()),
+        "psi-inv": (pf2, ()),
+        "phi": (pf2, ()),
+        "ehh": (knm, sizes),
+        "ehh-inv": (pf2, sizes),
+        "pld-step": (catalan, ()),
+        "shuffle-step": (knm, sizes),
+    }
+    assert set(inputs) == set(cli._MAPS)
+    keys = {"map", "input", "output", "stats_before", "stats_after"}
+    for name, (obj, flags) in inputs.items():
+        infile = tmp_path / f"{name}.json"
+        infile.write_text(json.dumps(obj.to_json()))
+        argv = ("biject", "--map", name, "--in", str(infile), *flags)
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["map"] == name
+        if name != "shuffle-step":
+            assert set(report) == keys
+            continue
+        assert set(report) == keys | {"summary"}
+        summary = {"s", "h", "diag_big", "level1_big", "base_case"}
+        assert set(report["summary"]) == summary
 
 
 def test_verify_examples(capsys):

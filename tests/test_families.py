@@ -143,6 +143,21 @@ def test_canonical_order():
     assert members != sorted(members, key=lambda p: (p.area_word, p.labels))
 
 
+def test_catalan_pld_streams_by_area_word():
+    """A catalan-pld row one level above the row before it is a positive
+    rise and any other row a zero valley, so the area word names the
+    member, and the stream is strictly increasing in it."""
+    for total in range(7):
+        for m in range(total + 1):
+            spec = FamilySpec("catalan-pld", m=m, n=total - m)
+            words = [p.area_word for p in generate(spec)]
+            assert all(a < b for a, b in zip(words, words[1:])), spec
+    # not the row-by-row (level, label) order: at row 3 these two read
+    # (2, 3) and (2, 2)
+    members = list(generate(FamilySpec("catalan-pld", m=1, n=3)))
+    assert [p.labels for p in members[3:5]] == [(0, 1, 3, 0, 2), (0, 1, 2, 0, 3)]
+
+
 def test_shape_is_derived_and_shared():
     spec = FamilySpec("pf2", m=1, n=2, r=1)
     assert repr(spec) == (

@@ -2,6 +2,8 @@
 workloads reproduce the report digests recorded with them, and so do the
 reports no workload runs."""
 
+import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -11,7 +13,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from workloads import WORKLOADS, report_digest, report_rows  # noqa: E402
 
+from qtcomb import bijections  # noqa: E402
 from qtcomb.cli import main  # noqa: E402
+from qtcomb.families import FamilySpec, generate  # noqa: E402
 
 
 #: Workload digests recorded after the workload's own: the identity rows
@@ -19,9 +23,7 @@ from qtcomb.cli import main  # noqa: E402
 #: text moved while every status stayed the same.  The benchmark's own
 #: digest is re-recorded in a benchmark change of its own.
 RERECORDED = {
-    "grid-identities": (
-        "a103e19eb305a3b9041fed37924e4c1c0b350fcef89ec5c90100b3d082ae62aa"
-    ),
+    "grid-identities": "a103e19eb305a3b9041fed37924e4c1c0b350fcef89ec5c90100b3d082ae62aa",
 }
 
 
@@ -109,3 +111,85 @@ def test_report_matches_recorded_digest(capsys, argv, count, sha256):
     rows = report_rows(capsys.readouterr().out)
     assert len(rows) == count
     assert report_digest([rows]) == sha256
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: (argv, sha256 of the whole stdout) of the JSON reports, recorded before
+#: both ``verify`` formats were written from one field list.
+JSON_REPORTS = [
+    (
+        ("verify", "examples", "--format", "json"),
+        "e28a7c65d2c06684afe7a90c523cfbbb074a7edbf317026175435c88b3c3098a",
+    ),
+    (
+        ("verify", "all", "--max", "2", "--format", "json"),
+        "a3cf3b4fbae9d90a65399a876691e508821a21f7e565707dac5cf5becc60fce0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, sha256", JSON_REPORTS, ids=[" ".join(a) for a, _ in JSON_REPORTS]
+)
+def test_json_report_matches_recorded_digest(capsys, argv, sha256):
+    assert main(list(argv)) == 0
+    assert _sha256(capsys.readouterr().out) == sha256
+
+
+def _ends(family, **sizes):
+    """The first and the last member of a small family."""
+    members = list(generate(FamilySpec(family, **sizes)))
+    return [members[0], members[-1]]
+
+
+def _biject_inputs(name):
+    """Valid inputs of ``biject --map name``, drawn from ``generate``, and
+    the size flags the map reads."""
+    catalan = _ends("catalan-pld", m=2, n=2)
+    words = [bijections.eta_inverse(path) for path in catalan]
+    pf2 = _ends("pf2", m=2, n=2, k=1, ghost=True)
+    knm = _ends("shuffle-knm", m=2, n=3, k=1)
+    return {
+        "eta": (words, ()),
+        "eta-inv": (catalan, ()),
+        "psi": (words, ()),
+        "psi-inv": (pf2, ()),
+        "phi": (_ends("pf2", m=2, n=2, k=0, ghost=True), ()),
+        "ehh": (knm, ("--k", "1", "--n", "3", "--m", "2")),
+        "ehh-inv": (pf2, ("--k", "1", "--n", "2", "--m", "2")),
+        "pld-step": (catalan, ()),
+        "shuffle-step": (knm, ("--k", "1", "--n", "3", "--m", "2")),
+    }[name]
+
+
+#: sha256 of the ``biject`` reports of each map on its ``_biject_inputs``,
+#: written one after the other, recorded before ``cli`` called each map
+#: as the library defines it.
+BIJECT_REPORTS = {
+    "eta": "eb61abe80488b5d575404f3c47b672932a8d8121c906bb721a58c0fee3baf217",
+    "eta-inv": "85c97524719464d7ba96d2783f99fae0b1bd22a5866ae943898af3949bcea6e6",
+    "psi": "04b9ab796be63c41659b036099c5b3941b8c1a5213fbaab0887d39db5b463839",
+    "psi-inv": "cacf0089ad142bdf786e2abf505b52b62ed434357734cb6275824ea6e0453d6e",
+    "phi": "7c477ee213320d4f7ae15043fa2a7ba4dda02b1065b4fde6c744bf22e640939b",
+    "ehh": "877f5cd4f7f4ab1c4ee78f8146dbb79d44fb1e8dfbe2679f2bb0680ed1fe2150",
+    "ehh-inv": "ae74c2930931349d84a5d8d515ef7de44898e0e63fa5821e6cbad9d6370f2d5b",
+    "pld-step": "fbeceb6916e1c73137810a6edbbac5822c237bd86d247b4cca926e24876dc507",
+    "shuffle-step": "f9e2d75c0cee01fbeb41f4172679ee9039f342ddb068c4490a171e7385c07987",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIJECT_REPORTS))
+def test_biject_reports_match_recorded_digest(tmp_path, capsys, name):
+    inputs, flags = _biject_inputs(name)
+    reports = []
+    for i, obj in enumerate(inputs):
+        infile = tmp_path / f"in{i}.json"
+        infile.write_text(json.dumps(obj.to_json()))
+        assert main(["biject", "--map", name, "--in", str(infile), *flags]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        reports.append(captured.out)
+    assert _sha256("".join(reports)) == BIJECT_REPORTS[name]

@@ -197,16 +197,14 @@ def test_a_reconciliation_with_several_survivors_is_inconclusive():
     ]
 
 
-def test_a_reconciliation_fails_with_no_survivor_or_a_broken_bucket_sum():
-    survivors = recursion.reconcile_recursion(1).survivors
-    for rep in (
-        recursion.ReconcileReport(1, [], {}, True, False, False),
-        recursion.ReconcileReport(1, survivors, {}, False, True, True),
-    ):
-        witness = suites._reconciled(rep)
-        assert not isinstance(witness, suites.Inconclusive)
-        assert witness == rep.render().replace("\n", "; ")
-        assert "overall: FAIL" in witness
+def test_a_reconciliation_fails_with_no_survivor():
+    failures = recursion.reconcile_recursion(1).failures
+    rep = recursion.ReconcileReport(1, [], failures)
+    witness = suites._reconciled(rep)
+    assert not isinstance(witness, suites.Inconclusive)
+    assert witness == rep.render().replace("\n", "; ")
+    assert "; NO SURVIVOR; " in witness and witness.endswith("overall: FAIL")
+    assert "printed offsets (+1,+0,+0) survive: no" in witness
 
 
 def _one_failed_row(passing, failing):
